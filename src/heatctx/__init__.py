@@ -44,7 +44,6 @@ from .dynamics import (
     NonResonantInteraction,
     PartialSwapInteraction,
     ResonantInteraction,
-    ZeemanQubit,
     check_energy_conservation,
     evolve_interaction_picture,
     interaction_unitary,
@@ -54,13 +53,10 @@ from .dynamics import (
 from .thermo import (
     HeatResult,
     clausius_report,
-    heat_closed_form_2qubit,
     heat_closed_form_2qubit_thermal,
     heat_closed_form_qutrit,
     heat_trace,
     qutrit_heat_coefficients,
-    two_qubit_clausius,
-    two_qutrit_clausius,
 )
 from .contextuality import (
     Crossing,
@@ -68,7 +64,6 @@ from .contextuality import (
     NcBound,
     Superoperator,
     choi_matrix,
-    experiment_bound_Bnc,
     extract_stochastic_reversibility,
     find_critical_times,
     find_minimal_pd,

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -23,14 +23,9 @@ from .errors import (
     ParamError,
 )
 from .contextuality import extract_stochastic_reversibility, find_minimal_pd
-from .dynamics import (
-    NonResonantInteraction,
-    PartialSwapInteraction,
-    ResonantInteraction,
-    interaction_unitary,
-    resonant_decomposition_factors,
-)
+from .dynamics import interaction_unitary
 from .scenarios import (
+    FACTORS,
     ScenarioConfig,
     TimeGrid,
     _ScenarioEngine,
@@ -82,8 +77,6 @@ def _load_config(config_path, builtin, t_max, n_points, seed) -> ScenarioConfig:
             t_max=t_max if t_max is not None else grid.t_max,
             n_points=n_points if n_points is not None else grid.n_points,
         )
-    from dataclasses import replace
-
     config = replace(config, time_grid=grid)
     if seed is not None:
         config = replace(config, seed=seed)
@@ -146,16 +139,7 @@ def sweep(config_path, builtin, t_max, n_points, seed, output, fmt):
 def critical_time(config_path, builtin, t_max, n_points, seed):
     """Report bound-crossing times only."""
     config = _load_config(config_path, builtin, t_max, n_points, seed)
-    from .contextuality import find_critical_times
-
-    engine = _ScenarioEngine(config)
-    crossings = find_critical_times(
-        engine.heat,
-        lambda t: engine.bounds(t)[0],
-        config.time_grid.t_max,
-        lower_bound_fn=lambda t: engine.bounds(t)[1],
-        n_grid=int(config.time_grid.n_points),
-    )
+    crossings = _ScenarioEngine(config).crossings()
     if not crossings:
         click.echo("no crossings on the grid")
         return
@@ -165,29 +149,14 @@ def critical_time(config_path, builtin, t_max, n_points, seed):
 
 
 def _build_unitary(kind, g, a, theta, local_dim, t):
-    """(unitary, analytic p_d) for a named interaction family at time t."""
-    if kind == "resonant-exchange":
-        u = interaction_unitary(ResonantInteraction(g, a, theta).exchange_part(), t)
-        return u, math.sin(g * t) ** 2
-    if kind == "resonant-detuning":
-        u = interaction_unitary(ResonantInteraction(g, a, theta).detuning_part(), t)
-        return u, math.sin((a - 1.0) * g * t / 2) ** 2
-    if kind == "nonresonant":
-        u = interaction_unitary(NonResonantInteraction(g).hamiltonian(), t)
-        return u, math.sin(g * t / 2) ** 2
-    u = interaction_unitary(PartialSwapInteraction(g, local_dim).hamiltonian(), t)
-    return u, math.sin(g * t) ** 2
+    """(unitary, analytic p_d) for a named interaction factor at time t."""
+    factor = FACTORS[kind]
+    u = interaction_unitary(factor.generator(g, a, theta, local_dim), t)
+    return u, float(factor.p_d(g * t, a))
 
 
 _INTERACTION_OPTIONS = [
-    click.option(
-        "--interaction",
-        "kind",
-        type=click.Choice(
-            ["resonant-exchange", "resonant-detuning", "nonresonant", "partial-swap"]
-        ),
-        required=True,
-    ),
+    click.option("--interaction", "kind", type=click.Choice(list(FACTORS)), required=True),
     click.option("--g", type=float, default=1.0, show_default=True),
     click.option("--a", type=float, default=0.0, show_default=True),
     click.option("--theta", type=float, default=0.0, show_default=True),

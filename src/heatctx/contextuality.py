@@ -8,7 +8,7 @@ with trace d for a trace-preserving map on dimension d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -87,7 +87,6 @@ class DecompositionReport:
 
     p_d: float
     residual_channel: Superoperator
-    residual_norm: float
     choi_eigenvalues: np.ndarray
     is_cptp: bool
 
@@ -131,7 +130,6 @@ def extract_stochastic_reversibility(
     return DecompositionReport(
         p_d=float(p_d_claimed),
         residual_channel=c,
-        residual_norm=0.0,
         choi_eigenvalues=eigs,
         is_cptp=ok,
     )
@@ -223,20 +221,6 @@ def nc_bound_theorem2(a_max: float, p_d1: float, p_d2: float) -> NcBound:
     )
 
 
-def experiment_bound_Bnc(omega: float, J: float, t):
-    """Sequential upper bound for the NMR experiment geometry (a = 0, g = J pi).
-
-    B_nc = 2 omega [sin^2(J pi t) + 2 sin^2(J pi t / 2)
-                    - 2 sin^2(J pi t) sin^2(J pi t / 2)].
-    Accepts scalar or array t.
-    """
-    x = np.pi * J * np.asarray(t, dtype=float)
-    s2 = np.sin(x) ** 2
-    s2h = np.sin(x / 2) ** 2
-    out = 2 * omega * (s2 + 2 * s2h - 2 * s2 * s2h)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class Crossing:
     """A refined crossing of the heat curve with a noncontextual bound."""
@@ -269,18 +253,22 @@ def find_critical_times(
     lower_bound_fn: Callable | None = None,
     n_grid: int = 100_000,
     rel_tol: float = 1e-10,
+    t_min: float = 0.0,
 ) -> list[Crossing]:
-    """Ordered crossing times of the heat curve with the bound(s) on (0, t_max].
+    """Ordered crossing times of the heat curve with the bound(s) on [t_min, t_max].
 
-    Scans a uniform grid, brackets sign changes of heat - upper bound (and of
-    lower bound - heat when a lower bound is supplied), and refines each
+    Scans a uniform grid from t_min to t_max, brackets sign changes of
+    heat - upper bound (and of lower bound - heat when a lower bound is
+    supplied), and refines each
     bracket by bisection to relative tolerance 1e-10. Tangential touchings
     (a grid point exactly on the bound with no sign change) are flagged as
     grazing. An empty list means no crossing, which is a valid outcome.
     """
-    if t_max <= 0:
-        raise ParamError(f"t_max must be positive, got {t_max}")
-    ts = np.linspace(0.0, t_max, int(n_grid))
+    if not 0 <= t_min < t_max:
+        raise ParamError(f"need 0 <= t_min < t_max, got t_min={t_min}, t_max={t_max}")
+    ts = np.linspace(t_min, t_max, int(n_grid))
+    # At t = 0 heat and bounds both vanish, so a scan from 0 skips its first bracket.
+    first = 1 if t_min == 0 else 0
     heat = np.asarray(heat_fn(ts), dtype=float)
 
     sides = [("upper", np.asarray(bound_fn(ts), dtype=float), +1)]
@@ -295,12 +283,11 @@ def find_critical_times(
             return _s * (float(np.asarray(_fn_heat(t))) - float(np.asarray(_fn_bound(t))))
 
         s = np.sign(diff)
-        # Skip the t = 0 point where heat and bound both vanish.
-        for i in np.flatnonzero(np.diff(s[1:]) != 0) + 1:
+        for i in np.flatnonzero(np.diff(s[first:]) != 0) + first:
             if s[i] == 0:
                 continue  # exact zero handled as its own bracket endpoint
             root = _refine_bisection(f, ts[i], ts[i + 1], rel_tol)
-            crossings.append(Crossing(time=root, side=side))
+            crossings.append(Crossing(time=float(root), side=side))
         # Exact touchings without sign change are grazing points.
         interior = np.flatnonzero(s[1:-1] == 0) + 1
         for i in interior:

@@ -27,20 +27,6 @@ ENERGY_CONSERVATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ZeemanQubit:
-    """Local qubit Hamiltonian (omega/2)(1 - sigma_z) = diag(0, omega)."""
-
-    omega: float
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ParamError(f"omega must be positive, got {self.omega}")
-
-    def hamiltonian(self) -> HermitianOp:
-        return HermitianOp(np.diag([0.0, self.omega]).astype(complex))
-
-
-@dataclass(frozen=True)
 class ResonantInteraction:
     """General energy-conserving interaction between resonant qubits.
 

@@ -35,11 +35,6 @@ def max_norm(m) -> float:
     return float(np.max(np.abs(np.asarray(m)))) if np.asarray(m).size else 0.0
 
 
-def frobenius_norm(m) -> float:
-    """Frobenius norm, used for residual reporting."""
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 

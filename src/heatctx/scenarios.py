@@ -9,9 +9,11 @@ change, and the bound-crossing times.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, asdict, replace
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .thermo import (
     heat_closed_form_2qubit_thermal,
     heat_closed_form_qutrit,
     heat_trace,
-    qutrit_heat_coefficients,
 )
 from .contextuality import (
     Crossing,
@@ -42,7 +43,6 @@ from .contextuality import (
     sequential_b_factors,
 )
 
-SCENARIOS = ("two_qubit_resonant", "two_qubit_nonresonant", "qutrit_partial_swap")
 UNITS = ("natural", "eV_seconds")
 FORMATS = ("csv", "json")
 
@@ -65,11 +65,11 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
-        if not self.t_min >= 0:
-            raise ConfigError(f"time_grid.t_min must be >= 0, got {self.t_min}")
-        if not self.t_max > self.t_min:
+        if not (math.isfinite(self.t_min) and self.t_min >= 0):
+            raise ConfigError(f"time_grid.t_min must be finite and >= 0, got {self.t_min}")
+        if not (math.isfinite(self.t_max) and self.t_max > self.t_min):
             raise ConfigError(
-                f"time_grid.t_max ({self.t_max}) must exceed t_min ({self.t_min})"
+                f"time_grid.t_max ({self.t_max}) must be finite and exceed t_min ({self.t_min})"
             )
         if not self.n_points >= 2:
             raise ConfigError(f"time_grid.n_points must be >= 2, got {self.n_points}")
@@ -90,9 +90,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in FAMILIES:
             raise ConfigError(
-                f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
+                f"scenario must be one of {tuple(FAMILIES)}, got {self.scenario!r}"
             )
         if self.units not in UNITS:
             raise ConfigError(f"units must be one of {UNITS}, got {self.units!r}")
@@ -119,9 +119,11 @@ class ScenarioConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"time_grid is missing field {exc}") from exc
-        for req in ("scenario", "state", "interaction"):
-            if req not in raw:
-                raise ConfigError(f"config is missing required field {req!r}")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"time_grid has a non-numeric field: {exc}") from exc
+        for req, kind in (("scenario", str), ("state", dict), ("interaction", dict)):
+            if not isinstance(raw.get(req), kind):
+                raise ConfigError(f"config field {req!r} is missing or not a {kind.__name__}")
         out = raw.get("output", {}) or {}
         return ScenarioConfig(
             scenario=raw["scenario"],
@@ -207,58 +209,191 @@ def builtin_qutrit_demo() -> ScenarioConfig:
     )
 
 
+# -- config fields -----------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _finite(section: str, fields: dict, key: str, default=_REQUIRED) -> float:
+    """fields[key] as a finite float (``default`` when absent), else ConfigError."""
+    value = fields.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"{section} is missing field {key!r}")
+    try:
+        v = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}.{key} must be a number, got {value!r}") from exc
+    if not math.isfinite(v):
+        raise ConfigError(f"{section}.{key} must be finite, got {v}")
+    return v
+
+
+def _positive(section: str, fields: dict, key: str) -> float:
+    v = _finite(section, fields, key)
+    if not v > 0:
+        raise ConfigError(f"{section}.{key} must be positive, got {v}")
+    return v
+
+
 def _complex_field(state: dict, key: str) -> complex:
     v = state.get(key, 0.0)
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ConfigError(f"state.{key} as a pair must be [re, im]")
-        return complex(float(v[0]), float(v[1]))
-    return complex(v)
+    try:
+        if isinstance(v, (list, tuple)):
+            if len(v) != 2:
+                raise ConfigError(f"state.{key} as a pair must be [re, im]")
+            z = complex(float(v[0]), float(v[1]))
+        else:
+            z = complex(v)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"state.{key} must be a number or [re, im], got {v!r}") from exc
+    if not cmath.isfinite(z):
+        raise ConfigError(f"state.{key} must be finite, got {z}")
+    return z
+
+
+def _betas(state: dict) -> tuple[float, float]:
+    return 1.0 / _positive("state", state, "T_A"), 1.0 / _positive("state", state, "T_B")
+
+
+def _coupling(interaction: dict) -> tuple[float, float, float]:
+    """(g, a, theta) of an interaction section; a and theta default to 0."""
+    return (
+        _positive("interaction", interaction, "g"),
+        _finite("interaction", interaction, "a", 0.0),
+        _finite("interaction", interaction, "theta", 0.0),
+    )
 
 
 def _two_qubit_params(state: dict) -> TwoQubitThermalParams:
-    try:
-        omega = float(state["omega"])
-        t_a = float(state["T_A"])
-        t_b = float(state["T_B"])
-    except KeyError as exc:
-        raise ConfigError(f"state is missing field {exc}") from exc
-    if t_a <= 0 or t_b <= 0:
-        raise ConfigError("state.T_A and state.T_B must be positive temperatures")
+    beta_a, beta_b = _betas(state)
     nu0 = state.get("nu0")
     return TwoQubitThermalParams(
-        omega=omega,
-        beta_A=1.0 / t_a,
-        beta_B=1.0 / t_b,
-        nu0=None if nu0 is None else float(nu0),
+        omega=_positive("state", state, "omega"),
+        beta_A=beta_a,
+        beta_B=beta_b,
+        nu0=None if nu0 is None else _finite("state", state, "nu0"),
         nu1=_complex_field(state, "nu1"),
         nu2=_complex_field(state, "nu2"),
         gamma=_complex_field(state, "gamma"),
-        eta=float(state.get("eta", 0.0)),
-        xi=float(state.get("xi", 0.0)),
+        eta=_finite("state", state, "eta", 0.0),
+        xi=_finite("state", state, "xi", 0.0),
     )
 
 
 def _qutrit_params(state: dict) -> TwoQutritThermalParams:
-    try:
-        omegas = tuple(float(o) for o in state["omegas"])
-        t_a = float(state["T_A"])
-        t_b = float(state["T_B"])
-    except KeyError as exc:
-        raise ConfigError(f"state is missing field {exc}") from exc
-    if t_a <= 0 or t_b <= 0:
-        raise ConfigError("state.T_A and state.T_B must be positive temperatures")
+    beta_a, beta_b = _betas(state)
+    raw = state.get("omegas")
+    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+        raise ConfigError(f"state.omegas must list three level energies, got {raw!r}")
+    omegas = tuple(_finite("state.omegas", dict(enumerate(raw)), i) for i in range(3))
+    if min(omegas) < 0 or not max(omegas) > 0:
+        raise ConfigError(f"state.omegas must be >= 0 with a positive top level, got {omegas}")
     return TwoQutritThermalParams(
         omegas=omegas,
-        beta_A=1.0 / t_a,
-        beta_B=1.0 / t_b,
-        eta31=float(state.get("eta31", 0.0)),
-        eta62=float(state.get("eta62", 0.0)),
-        eta75=float(state.get("eta75", 0.0)),
-        theta31=float(state.get("theta31", 0.0)),
-        theta62=float(state.get("theta62", 0.0)),
-        theta75=float(state.get("theta75", 0.0)),
+        beta_A=beta_a,
+        beta_B=beta_b,
+        eta31=_finite("state", state, "eta31", 0.0),
+        eta62=_finite("state", state, "eta62", 0.0),
+        eta75=_finite("state", state, "eta75", 0.0),
+        theta31=_finite("state", state, "theta31", 0.0),
+        theta62=_finite("state", state, "theta62", 0.0),
+        theta75=_finite("state", state, "theta75", 0.0),
     )
+
+
+def _no_heat(params, g, theta, t):
+    """The non-resonant interaction commutes with each local Hamiltonian."""
+    out = np.zeros_like(np.asarray(t, dtype=float))
+    return out if out.ndim else 0.0
+
+
+def _a_max(h_local) -> float:
+    """Largest eigenvalue of a local Hamiltonian; those in scope are diagonal."""
+    return float(np.diag(h_local.matrix).real.max())
+
+
+# -- interaction families ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Factor:
+    """One transformation of a family's sequence, keyed by its ``--interaction`` name.
+
+    ``generator(g, a, theta, local_dim)`` is its Hamiltonian; ``p_d(x, a)`` is
+    its analytic probability of disturbance at x = g t.
+    """
+
+    generator: Callable
+    p_d: Callable
+
+
+def _p_swap(x, a):
+    """Partial SWAP and resonant exchange both swap with amplitude sin(x)."""
+    return np.sin(x) ** 2
+
+
+FACTORS = {
+    "resonant-exchange": Factor(
+        lambda g, a, theta, d: ResonantInteraction(g, a, theta).exchange_part(), _p_swap
+    ),
+    "resonant-detuning": Factor(
+        lambda g, a, theta, d: ResonantInteraction(g, a, theta).detuning_part(),
+        lambda x, a: np.sin((a - 1.0) * x / 2) ** 2,
+    ),
+    "nonresonant": Factor(
+        lambda g, a, theta, d: NonResonantInteraction(g).hamiltonian(),
+        lambda x, a: np.sin(x / 2) ** 2,
+    ),
+    "partial-swap": Factor(
+        lambda g, a, theta, d: PartialSwapInteraction(g, d).hamiltonian(), _p_swap
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the engine knows about one scenario, keyed by its name."""
+
+    parse: Callable  # config state -> validated params
+    state: Callable  # params -> DensityMatrix
+    local: Callable  # params -> local Hamiltonian, the same on A and B
+    energy_field: str  # the state field holding the local energies
+    h_int: Callable  # (g, a, theta) -> interaction Hamiltonian
+    heat: Callable  # (params, g, theta, t) -> closed-form <Q_A>
+    factors: tuple[str, ...]  # FACTORS keys: one for Theorem 1, two for Theorem 2
+
+
+_QUBITS = dict(
+    parse=_two_qubit_params,
+    state=two_qubit_thermal,
+    local=lambda p: zeeman_hamiltonian(p.omega),
+    energy_field="omega",
+)
+
+FAMILIES = {
+    "two_qubit_resonant": Family(
+        **_QUBITS,
+        h_int=lambda g, a, theta: ResonantInteraction(g, a, theta).hamiltonian(),
+        heat=heat_closed_form_2qubit_thermal,
+        # The exchange part first, then the commuting detuning part.
+        factors=("resonant-exchange", "resonant-detuning"),
+    ),
+    "two_qubit_nonresonant": Family(
+        **_QUBITS,
+        h_int=lambda g, a, theta: NonResonantInteraction(g).hamiltonian(),
+        heat=_no_heat,
+        factors=("nonresonant",),
+    ),
+    "qutrit_partial_swap": Family(
+        parse=_qutrit_params,
+        state=two_qutrit_thermal,
+        local=lambda p: qutrit_hamiltonian(p.omegas),
+        energy_field="omegas",
+        h_int=lambda g, a, theta: PartialSwapInteraction(g, local_dim=3).hamiltonian(),
+        heat=lambda p, g, theta, t: heat_closed_form_qutrit(p, g, t),
+        factors=("partial-swap",),
+    ),
+}
 
 
 class _ScenarioEngine:
@@ -266,48 +401,18 @@ class _ScenarioEngine:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        inter = config.interaction
-        try:
-            g = float(inter["g"])
-        except KeyError as exc:
-            raise ConfigError(f"interaction is missing field {exc}") from exc
-        self.g = g
-        if config.scenario == "two_qubit_resonant":
-            self.params = _two_qubit_params(config.state)
-            self.interaction = ResonantInteraction(
-                g=g,
-                a=float(inter.get("a", 0.0)),
-                theta=float(inter.get("theta", 0.0)),
-            )
-            self.rho = two_qubit_thermal(self.params)
-            self.h_local = zeeman_hamiltonian(self.params.omega)
-            self.a_max = self.params.omega
-        elif config.scenario == "two_qubit_nonresonant":
-            self.params = _two_qubit_params(config.state)
-            self.interaction = NonResonantInteraction(g=g)
-            self.rho = two_qubit_thermal(self.params)
-            self.h_local = zeeman_hamiltonian(self.params.omega)
-            self.a_max = self.params.omega
-        else:
-            self.params = _qutrit_params(config.state)
-            self.interaction = PartialSwapInteraction(g=g, local_dim=3)
-            self.rho = two_qutrit_thermal(self.params)
-            self.h_local = qutrit_hamiltonian(self.params.omegas)
-            self.a_max = max(self.params.omegas)
-        self.h_int = self.interaction.hamiltonian()
+        self.family = FAMILIES[config.scenario]
+        self.g, self.a, self.theta = _coupling(config.interaction)
+        self.params = self.family.parse(config.state)
+        self.rho = self.family.state(self.params)
+        self.h_local = self.family.local(self.params)
+        self.a_max = _a_max(self.h_local)
+        self.h_int = self.family.h_int(self.g, self.a, self.theta)
 
     # -- heat ---------------------------------------------------------------
 
     def heat(self, t):
-        c = self.config.scenario
-        if c == "two_qubit_resonant":
-            return heat_closed_form_2qubit_thermal(
-                self.params, self.g, self.interaction.theta, t
-            )
-        if c == "two_qubit_nonresonant":
-            out = np.zeros_like(np.asarray(t, dtype=float))
-            return out if out.ndim else 0.0
-        return heat_closed_form_qutrit(self.params, self.g, t)
+        return self.family.heat(self.params, self.g, self.theta, t)
 
     def heat_trace_at(self, t: float) -> float:
         return heat_trace(self.rho, self.h_int, self.h_local, t)
@@ -315,22 +420,37 @@ class _ScenarioEngine:
     # -- bounds -------------------------------------------------------------
 
     def bounds(self, t):
-        """(upper, lower) noncontextual bounds at time(s) t."""
+        """(upper, lower) noncontextual bounds at time(s) t.
+
+        Theorem 2 over the family's factors. A one-factor family pads p_d2
+        with 0, which reduces Theorem 2 exactly to Theorem 1 at alpha = 1/2.
+        """
         x = self.g * np.asarray(t, dtype=float)
-        c = self.config.scenario
-        if c == "two_qubit_resonant":
-            # First factor in the sequence: the exchange part, p_d1 = sin^2(gt);
-            # second: the commuting detuning part, p_d2 = sin^2((a-1)gt/2).
-            p_d1 = np.sin(x) ** 2
-            p_d2 = np.sin((self.interaction.a - 1.0) * x / 2) ** 2
-            b_minus, b_plus = sequential_b_factors(p_d1, p_d2)
-            return 2 * self.a_max * b_plus, -4 * self.a_max * b_minus
-        # Single-equivalence bound at alpha = 1/2.
-        if c == "two_qubit_nonresonant":
-            p_d = np.sin(x / 2) ** 2
-        else:
-            p_d = np.sin(x) ** 2
-        return 2 * self.a_max * p_d, -4 * self.a_max * p_d
+        p_d = [FACTORS[name].p_d(x, self.a) for name in self.family.factors] + [0.0]
+        b_minus, b_plus = sequential_b_factors(p_d[0], p_d[1])
+        return 2 * self.a_max * b_plus, -4 * self.a_max * b_minus
+
+    def crossings(self) -> list[Crossing]:
+        """Crossings of the heat curve with either bound on the config's time grid."""
+        grid = self.config.time_grid
+        last = {}  # The scan asks for both sides at the same t; evaluate bounds once.
+
+        def side(i):
+            def bound(t):
+                if last.get("t") is not t:
+                    last.update(t=t, bounds=self.bounds(t))
+                return last["bounds"][i]
+
+            return bound
+
+        return find_critical_times(
+            self.heat,
+            side(0),
+            grid.t_max,
+            lower_bound_fn=side(1),
+            n_grid=int(grid.n_points),
+            t_min=grid.t_min,
+        )
 
     # -- mutual information -------------------------------------------------
 
@@ -392,13 +512,7 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     )
     violates = (heat > upper + tol) | (heat < lower - tol)
 
-    crossings = find_critical_times(
-        engine.heat,
-        lambda t: engine.bounds(t)[0],
-        config.time_grid.t_max,
-        lower_bound_fn=lambda t: engine.bounds(t)[1],
-        n_grid=int(config.time_grid.n_points),
-    )
+    crossings = engine.crossings()
 
     records = [
         SweepRecord(
@@ -475,31 +589,33 @@ class UnitScales:
     time: float  # divide times by this (1/g)
 
 
+def _rescaled(config, energy, time, g: float, units: str) -> ScenarioConfig:
+    """config with every energy mapped by ``energy``, every time by ``time``."""
+    state = dict(config.state)
+    for key in (FAMILIES[config.scenario].energy_field, "T_A", "T_B"):
+        v = state[key]
+        if isinstance(v, (list, tuple)):
+            state[key] = [energy(float(e)) for e in v]
+        else:
+            state[key] = energy(float(v))
+    grid = config.time_grid
+    return replace(
+        config,
+        units=units,
+        state=state,
+        interaction={**config.interaction, "g": g},
+        time_grid=TimeGrid(time(grid.t_min), time(grid.t_max), grid.n_points),
+    )
+
+
 def to_natural_units(config: ScenarioConfig) -> tuple[ScenarioConfig, UnitScales]:
-    """Rescale so the reference energy is 1 and g = 1."""
+    """Rescale so the reference energy a_max is 1 and g = 1."""
     if config.units == "natural":
         return config, UnitScales(energy=1.0, time=1.0)
-    state = dict(config.state)
-    if config.scenario == "qutrit_partial_swap":
-        e_scale = max(float(o) for o in state["omegas"])
-        state["omegas"] = [float(o) / e_scale for o in state["omegas"]]
-    else:
-        e_scale = float(state["omega"])
-        state["omega"] = 1.0
-    state["T_A"] = float(state["T_A"]) / e_scale
-    state["T_B"] = float(state["T_B"]) / e_scale
-    g = float(config.interaction["g"])
-    t_scale = 1.0 / g
-    interaction = dict(config.interaction)
-    interaction["g"] = 1.0
-    grid = TimeGrid(
-        t_min=config.time_grid.t_min / t_scale,
-        t_max=config.time_grid.t_max / t_scale,
-        n_points=config.time_grid.n_points,
-    )
-    natural = replace(
-        config, units="natural", state=state, interaction=interaction, time_grid=grid
-    )
+    family = FAMILIES[config.scenario]
+    e_scale = _a_max(family.local(family.parse(config.state)))
+    t_scale = 1.0 / _positive("interaction", config.interaction, "g")
+    natural = _rescaled(config, lambda e: e / e_scale, lambda t: t / t_scale, 1.0, "natural")
     return natural, UnitScales(energy=e_scale, time=t_scale)
 
 
@@ -507,24 +623,10 @@ def from_natural_units(config: ScenarioConfig, scales: UnitScales) -> ScenarioCo
     """Inverse of to_natural_units."""
     if scales.energy == 1.0 and scales.time == 1.0:
         return config
-    state = dict(config.state)
-    if config.scenario == "qutrit_partial_swap":
-        state["omegas"] = [float(o) * scales.energy for o in state["omegas"]]
-    else:
-        state["omega"] = float(state["omega"]) * scales.energy
-    state["T_A"] = float(state["T_A"]) * scales.energy
-    state["T_B"] = float(state["T_B"]) * scales.energy
-    interaction = dict(config.interaction)
-    interaction["g"] = 1.0 / scales.time
-    grid = TimeGrid(
-        t_min=config.time_grid.t_min * scales.time,
-        t_max=config.time_grid.t_max * scales.time,
-        n_points=config.time_grid.n_points,
-    )
-    return replace(
+    return _rescaled(
         config,
-        units="eV_seconds",
-        state=state,
-        interaction=interaction,
-        time_grid=grid,
+        lambda e: e * scales.energy,
+        lambda t: t * scales.time,
+        1.0 / scales.time,
+        "eV_seconds",
     )

@@ -10,7 +10,7 @@ are inverse energies in the same unit. Entropies are in nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

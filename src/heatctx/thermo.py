@@ -20,8 +20,6 @@ from .states import (
     gibbs_state,
     mutual_information,
     relative_entropy,
-    zeeman_hamiltonian,
-    qutrit_hamiltonian,
 )
 from .dynamics import evolve_interaction_picture
 
@@ -50,28 +48,6 @@ def heat_trace(rho: DensityMatrix, h_int, h_a_local, t: float) -> float:
     ha_full = kron(ha, np.eye(d_b))
     evolved = evolve_interaction_picture(rho, h_int, t)
     return float(np.real(np.trace((evolved.matrix - rho.matrix) @ ha_full)))
-
-
-def heat_closed_form_2qubit(
-    p01: float,
-    p10: float,
-    eta: float,
-    xi: float,
-    g: float,
-    theta: float,
-    omega: float,
-    t,
-):
-    """Resonant two-qubit heat from populations and the |01><10| coherence.
-
-    <Q_A> = omega * ((p01 - p10) sin^2(gt) + eta sin(2gt) sin(xi - theta)).
-    Accepts scalar or array t.
-    """
-    x = g * np.asarray(t, dtype=float)
-    out = omega * (
-        (p01 - p10) * np.sin(x) ** 2 + eta * np.sin(2 * x) * np.sin(xi - theta)
-    )
-    return out if out.ndim else float(out)
 
 
 def heat_closed_form_2qubit_thermal(
@@ -123,7 +99,8 @@ def heat_closed_form_qutrit(params: TwoQutritThermalParams, g: float, t):
     """Partial-SWAP heat for the two-qutrit family."""
     zeta, xi = qutrit_heat_coefficients(params)
     x = g * np.asarray(t, dtype=float)
-    out = zeta * np.sin(x) ** 2 + xi * np.sin(x) * np.cos(x)
+    s = np.sin(x)
+    out = zeta * s**2 + xi * s * np.cos(x)
     return out if out.ndim else float(out)
 
 
@@ -177,39 +154,4 @@ def clausius_report(
         delta_mutual_info=delta_i,
         clausius_lhs=(beta_A - beta_B) * q_a - delta_i,
         entropy_production=entropy_production,
-    )
-
-
-def two_qubit_clausius(params: TwoQubitThermalParams, interaction, t: float) -> HeatResult:
-    """Convenience wrapper: build the thermal state and its Zeeman locals, then report."""
-    from .states import two_qubit_thermal
-
-    rho = two_qubit_thermal(params)
-    h_local = zeeman_hamiltonian(params.omega)
-    return clausius_report(
-        rho,
-        interaction.hamiltonian(),
-        h_local,
-        h_local,
-        params.beta_A,
-        params.beta_B,
-        t,
-    )
-
-
-def two_qutrit_clausius(
-    params: TwoQutritThermalParams, interaction, t: float
-) -> HeatResult:
-    from .states import two_qutrit_thermal
-
-    rho = two_qutrit_thermal(params)
-    h_local = qutrit_hamiltonian(params.omegas)
-    return clausius_report(
-        rho,
-        interaction.hamiltonian(),
-        h_local,
-        h_local,
-        params.beta_A,
-        params.beta_B,
-        t,
     )

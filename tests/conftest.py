@@ -9,6 +9,9 @@ import numpy as np
 from heatctx import (
     TwoQubitThermalParams,
     TwoQutritThermalParams,
+    clausius_report,
+    two_qubit_thermal,
+    zeeman_hamiltonian,
 )
 
 
@@ -36,6 +39,29 @@ def qubit_thermal_populations(omega, beta_A, beta_B):
     pa = np.array([1.0, np.exp(-omega * beta_A)]) / za
     pb = np.array([1.0, np.exp(-omega * beta_B)]) / zb
     return np.outer(pa, pb).reshape(4)
+
+
+def population_form_heat(p01, p10, eta, xi, g, theta, omega, t):
+    """Reference: resonant two-qubit heat from the populations and the |01><10| coherence.
+
+    <Q_A> = omega ((p01 - p10) sin^2(gt) + eta sin(2gt) sin(xi - theta)).
+    """
+    x = g * np.asarray(t, dtype=float)
+    return omega * ((p01 - p10) * np.sin(x) ** 2 + eta * np.sin(2 * x) * np.sin(xi - theta))
+
+
+def qubit_clausius(params, interaction, t):
+    """clausius_report for the thermal two-qubit state with Zeeman locals on A and B."""
+    local = zeeman_hamiltonian(params.omega)
+    return clausius_report(
+        two_qubit_thermal(params),
+        interaction.hamiltonian(),
+        local,
+        local,
+        params.beta_A,
+        params.beta_B,
+        t,
+    )
 
 
 def random_two_qubit_params(rng, eta_frac_max=0.95, with_extras=False):

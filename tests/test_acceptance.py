@@ -14,10 +14,10 @@ from heatctx import (
     TwoQubitThermalParams,
     builtin_micadei,
     builtin_qutrit_demo,
+    clausius_report,
     extract_stochastic_reversibility,
     find_critical_times,
     format_csv,
-    heat_closed_form_2qubit,
     heat_closed_form_2qubit_thermal,
     heat_closed_form_qutrit,
     heat_trace,
@@ -29,14 +29,17 @@ from heatctx import (
     resonant_decomposition_factors,
     run_sweep,
     sequential_b_factors,
-    two_qubit_clausius,
     two_qubit_thermal,
-    two_qutrit_clausius,
     two_qutrit_thermal,
     zeeman_hamiltonian,
 )
 
-from conftest import random_two_qubit_params, random_two_qutrit_params
+from conftest import (
+    population_form_heat,
+    qubit_clausius,
+    random_two_qubit_params,
+    random_two_qutrit_params,
+)
 
 
 def report(num, label, ok, detail=""):
@@ -119,7 +122,7 @@ def test_criterion_4_closed_forms_vs_trace():
         h = ResonantInteraction(g, a, theta).hamiltonian()
         q_ref = heat_trace(rho, h, zeeman_hamiltonian(params.omega), t)
         pops = np.diag(rho.matrix).real
-        q_pop = heat_closed_form_2qubit(
+        q_pop = population_form_heat(
             pops[1], pops[2], params.eta, params.xi, g, theta, params.omega, t
         )
         q_th = heat_closed_form_2qubit_thermal(params, g, theta, t)
@@ -143,8 +146,15 @@ def test_criterion_5_thermodynamic_consistency():
         if i % 3 == 2:
             params = random_two_qutrit_params(rng)
             g = rng.uniform(0.1, 2.0)
-            res = two_qutrit_clausius(
-                params, PartialSwapInteraction(g, 3), rng.uniform(0.0, 2 * math.pi / g)
+            local = qutrit_hamiltonian(params.omegas)
+            res = clausius_report(
+                two_qutrit_thermal(params),
+                PartialSwapInteraction(g, 3).hamiltonian(),
+                local,
+                local,
+                params.beta_A,
+                params.beta_B,
+                rng.uniform(0.0, 2 * math.pi / g),
             )
         else:
             params = random_two_qubit_params(rng)
@@ -153,7 +163,7 @@ def test_criterion_5_thermodynamic_consistency():
                 a=rng.uniform(-2.0, 2.0),
                 theta=rng.uniform(0.0, 2 * math.pi),
             )
-            res = two_qubit_clausius(params, inter, rng.uniform(0.0, 8.0))
+            res = qubit_clausius(params, inter, rng.uniform(0.0, 8.0))
         # clausius_report itself enforces the entropy-production identity to 1e-9
         ok = ok and abs(res.q_A + res.q_B) <= 1e-10
         ok = ok and res.entropy_production >= -1e-9
@@ -164,7 +174,7 @@ def test_criterion_5_thermodynamic_consistency():
         inter = ResonantInteraction(
             rng.uniform(0.1, 2.0), a=rng.uniform(-2.0, 2.0), theta=rng.uniform(0.0, 2 * math.pi)
         )
-        res = two_qubit_clausius(params, inter, rng.uniform(0.0, 8.0))
+        res = qubit_clausius(params, inter, rng.uniform(0.0, 8.0))
         ok = ok and (params.beta_A - params.beta_B) * res.q_A >= -1e-10
     report(5, "energy conservation, entropy production, Clausius forms (500+100)", ok)
 

@@ -9,8 +9,8 @@ from heatctx import (
     ResonantInteraction,
     Superoperator,
     UnitaryOp,
+    builtin_micadei,
     choi_matrix,
-    experiment_bound_Bnc,
     extract_stochastic_reversibility,
     find_critical_times,
     find_minimal_pd,
@@ -24,6 +24,8 @@ from heatctx import (
     trace_preservation_residual,
     unitary_to_superoperator,
 )
+
+from heatctx.scenarios import _ScenarioEngine
 
 from conftest import random_density, random_unitary
 
@@ -183,15 +185,27 @@ class TestBounds:
                 assert b_plus >= -1e-15
 
     def test_experiment_bound_values(self):
-        assert experiment_bound_Bnc(1.0, 1.0, 0.0) == 0.0
-        # O(t^2) near zero
-        for t in (1e-3, 1e-4, 1e-5):
-            assert experiment_bound_Bnc(1.0, 1.0, t) / t < 0.1 * np.pi**2
-        # matches the sequential bound with the experiment's factor pairing
-        omega, J, t = 2.0, 1.3, 0.37
-        x = np.pi * J * t
+        # The NMR experiment's upper bound (a = 0, g = J pi):
+        # B_nc = 2 omega [sin^2(J pi t) + 2 sin^2(J pi t / 2) - 2 sin^2(J pi t) sin^2(J pi t / 2)]
+        def b_nc(omega, J, t):
+            x = np.pi * J * np.asarray(t, dtype=float)
+            s2, s2h = np.sin(x) ** 2, np.sin(x / 2) ** 2
+            return 2 * omega * (s2 + 2 * s2h - 2 * s2 * s2h)
+
+        config = builtin_micadei()
+        engine = _ScenarioEngine(config)
+        omega, J = config.state["omega"], config.interaction["g"] / np.pi
+        upper = lambda t: engine.bounds(t)[0]
+        assert upper(0.0) == 0.0
+        # O(t^2) near zero, in units of omega and of 1/J
+        for s in (1e-3, 1e-4, 1e-5):
+            assert upper(s / J) / omega / s < 0.1 * np.pi**2
+        # the engine's sequential bound is B_nc
+        ts = np.linspace(0.0, 5e-3, 101)
+        assert np.max(np.abs(upper(ts) - b_nc(omega, J, ts))) <= 1e-12 * omega
+        x = np.pi * J * 0.37e-3
         b_minus, b_plus = sequential_b_factors(np.sin(x) ** 2, np.sin(x / 2) ** 2)
-        assert experiment_bound_Bnc(omega, J, t) == pytest.approx(2 * omega * b_plus, abs=1e-12)
+        assert upper(0.37e-3) == pytest.approx(2 * omega * b_plus, abs=1e-12 * omega)
 
 
 class TestCriticalTimes:

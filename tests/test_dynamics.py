@@ -4,10 +4,8 @@ import pytest
 from heatctx import (
     DensityMatrix,
     NonResonantInteraction,
-    ParamError,
     PartialSwapInteraction,
     ResonantInteraction,
-    ZeemanQubit,
     check_energy_conservation,
     evolve_interaction_picture,
     gibbs_state,
@@ -26,10 +24,8 @@ SY = np.array([[0, -1j], [1j, 0]])
 
 
 def test_zeeman_matrix():
-    h = ZeemanQubit(1.7).hamiltonian()
+    h = zeeman_hamiltonian(1.7)
     assert np.allclose(h.matrix, np.diag([0.0, 1.7]))
-    with pytest.raises(ParamError):
-        ZeemanQubit(-1.0)
 
 
 def test_resonant_matrix_layout():

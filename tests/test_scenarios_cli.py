@@ -23,7 +23,13 @@ from heatctx import (
     qutrit_critical_times_analytic,
 )
 from heatctx.cli import main
-from heatctx.scenarios import CSV_HEADER, _ScenarioEngine, _two_qubit_params, _qutrit_params
+from heatctx.scenarios import (
+    CSV_HEADER,
+    FACTORS,
+    _ScenarioEngine,
+    _two_qubit_params,
+    _qutrit_params,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -144,6 +150,33 @@ class TestRunSweep:
         result = run_sweep(small_config())
         assert result.records[0].delta_mutual_info == 0.0
 
+    @pytest.mark.parametrize("t_min", [0.05, 2.0])
+    def test_crossings_stay_on_the_emitted_grid(self, t_min, tmp_path):
+        # From t = 0 the small config crosses its upper bound once, at t = 0.0643.
+        config = small_config(time_grid={"t_min": t_min, "t_max": 6.0, "n_points": 3000})
+        result = run_sweep(config)
+        whole = run_sweep(small_config()).crossings
+        assert [c.side for c in result.crossings] == [c.side for c in whole if c.time >= t_min]
+        for c, ref in zip(result.crossings, [c for c in whole if c.time >= t_min]):
+            assert type(c.time) is float
+            assert result.records[0].t <= c.time <= result.records[-1].t
+            assert c.time == pytest.approx(ref.time, rel=1e-8)
+
+        # critical-time reports the crossings that sweep writes
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config.to_dict()))
+        out_path = tmp_path / "out.json"
+        runner = CliRunner()
+        args = ["--config", str(cfg_path), "--format", "json", "--output", str(out_path)]
+        swept = runner.invoke(main, ["sweep"] + args)
+        assert swept.exit_code == 0, swept.output
+        crossings = json.loads(out_path.read_text())["crossings"]
+        expect = [f"{c['time']:.12e}  {c['side']}" for c in crossings]
+        expect = expect or ["no crossings on the grid"]
+        ct = runner.invoke(main, ["critical-time", "--config", str(cfg_path)])
+        assert ct.exit_code == 0, ct.output
+        assert ct.output.splitlines() == expect
+
 
 class TestEmission:
     def test_empty_records_header_only(self):
@@ -249,11 +282,13 @@ class TestCli:
         assert result.exit_code == 0
         assert "upper" in result.output or "lower" in result.output
 
-    def test_verify_decomposition_command(self):
+    @pytest.mark.parametrize("kind", list(FACTORS))
+    def test_verify_decomposition_command(self, kind):
+        # each factor's analytic p_d at g t = 0.8 leaves a CPTP residual channel
         runner = CliRunner()
         result = runner.invoke(
             main,
-            ["verify-decomposition", "--interaction", "partial-swap", "--g", "1.0", "--t", "0.8"],
+            ["verify-decomposition", "--interaction", kind, "--g", "1.0", "--t", "0.8"],
         )
         assert result.exit_code == 0
         assert "cptp: yes" in result.output

@@ -10,20 +10,20 @@ from heatctx import (
     TwoQubitThermalParams,
     clausius_report,
     gibbs_state,
-    heat_closed_form_2qubit,
     heat_closed_form_2qubit_thermal,
     heat_closed_form_qutrit,
     heat_trace,
     kron,
+    qutrit_hamiltonian,
     qutrit_heat_coefficients,
-    two_qubit_clausius,
     two_qubit_thermal,
-    two_qutrit_clausius,
     two_qutrit_thermal,
     zeeman_hamiltonian,
 )
 
 from conftest import (
+    population_form_heat,
+    qubit_clausius,
     qubit_thermal_populations,
     random_density,
     random_two_qubit_params,
@@ -50,13 +50,16 @@ def test_nonresonant_transfers_no_heat():
 
 def test_closed_form_quarter_period():
     # at gt = pi/2 the coherent term vanishes, leaving omega*(p01 - p10)
-    q = heat_closed_form_2qubit(0.3, 0.1, 0.05, 0.7, 1.0, 0.2, 2.0, np.pi / 2)
-    assert q == pytest.approx(2.0 * (0.3 - 0.1), abs=1e-12)
+    params = TwoQubitThermalParams(omega=2.0, beta_A=0.8, beta_B=0.3, eta=0.05, xi=0.7)
+    p = qubit_thermal_populations(params.omega, params.beta_A, params.beta_B)
+    q = heat_closed_form_2qubit_thermal(params, 1.0, 0.2, np.pi / 2)
+    assert q == pytest.approx(2.0 * (p[1] - p[2]), abs=1e-12)
 
 
 def test_closed_form_vanishes_without_imbalance():
     ts = np.linspace(0, 5, 50)
-    q = heat_closed_form_2qubit(0.2, 0.2, 0.0, 0.0, 1.0, 0.5, 1.0, ts)
+    params = TwoQubitThermalParams(omega=1.0, beta_A=0.7, beta_B=0.7)
+    q = heat_closed_form_2qubit_thermal(params, 1.0, 0.5, ts)
     assert np.max(np.abs(q)) == 0.0
 
 
@@ -71,10 +74,7 @@ def test_closed_form_matches_trace_resonant():
         t = rng.uniform(0, 2 * np.pi / g)
         h = ResonantInteraction(g, a, theta).hamiltonian()
         q_ref = heat_trace(rho, h, zeeman_hamiltonian(params.omega), t)
-        pops = np.diag(rho.matrix).real
-        q = heat_closed_form_2qubit(
-            pops[1], pops[2], params.eta, params.xi, g, theta, params.omega, t
-        )
+        q = heat_closed_form_2qubit_thermal(params, g, theta, t)
         assert abs(q - q_ref) < 1e-10
 
 
@@ -86,7 +86,7 @@ def test_thermal_form_equals_population_form():
         g = rng.uniform(0.1, 2.0)
         theta = rng.uniform(0, 2 * np.pi)
         t = rng.uniform(0, 10)
-        q_pop = heat_closed_form_2qubit(
+        q_pop = population_form_heat(
             p[1], p[2], params.eta, params.xi, g, theta, params.omega, t
         )
         q_th = heat_closed_form_2qubit_thermal(params, g, theta, t)
@@ -161,8 +161,6 @@ class TestQutritHeat:
         assert heat_closed_form_qutrit(p, 1.0, np.pi / 2) == pytest.approx(zeta, abs=1e-15)
 
     def test_matches_trace_formula(self):
-        from heatctx import qutrit_hamiltonian
-
         rng = np.random.default_rng(303)
         for _ in range(100):
             p = random_two_qutrit_params(rng)
@@ -186,7 +184,7 @@ class TestQutritHeat:
 class TestClausius:
     def test_zero_time_all_zero(self):
         params = TwoQubitThermalParams(omega=1.0, beta_A=0.9, beta_B=0.4, eta=0.05)
-        res = two_qubit_clausius(params, ResonantInteraction(1.0, theta=0.3), 0.0)
+        res = qubit_clausius(params, ResonantInteraction(1.0, theta=0.3), 0.0)
         assert abs(res.q_A) < 1e-12
         assert abs(res.q_B) < 1e-12
         assert abs(res.delta_mutual_info) < 1e-9
@@ -199,7 +197,7 @@ class TestClausius:
             inter = ResonantInteraction(
                 rng.uniform(0.1, 2), a=rng.uniform(-1, 1), theta=rng.uniform(0, 2 * np.pi)
             )
-            res = two_qubit_clausius(params, inter, rng.uniform(0, 6))
+            res = qubit_clausius(params, inter, rng.uniform(0, 6))
             assert (params.beta_A - params.beta_B) * res.q_A >= -1e-10
             assert res.delta_mutual_info >= -1e-10
             assert res.clausius_lhs >= -1e-9
@@ -211,7 +209,7 @@ class TestClausius:
             inter = ResonantInteraction(
                 rng.uniform(0.1, 2), a=rng.uniform(-1, 1), theta=rng.uniform(0, 2 * np.pi)
             )
-            res = two_qubit_clausius(params, inter, rng.uniform(0, 6))
+            res = qubit_clausius(params, inter, rng.uniform(0, 6))
             assert abs(res.q_A + res.q_B) < 1e-10
 
     def test_anomaly_consumes_correlations(self):
@@ -221,7 +219,7 @@ class TestClausius:
             omega=4.135e-12, beta_A=1 / 4.3e-12, beta_B=1 / 3.66e-12, eta=-0.19
         )
         inter = ResonantInteraction(np.pi * 215.1, 0.0, np.pi / 2)
-        res = two_qubit_clausius(params, inter, 1e-4)
+        res = qubit_clausius(params, inter, 1e-4)
         assert res.q_A > 0
         assert res.delta_mutual_info < 0
         assert res.clausius_lhs >= -1e-9
@@ -229,7 +227,11 @@ class TestClausius:
     def test_qutrit_report(self):
         rng = np.random.default_rng(15)
         params = random_two_qutrit_params(rng)
-        res = two_qutrit_clausius(params, PartialSwapInteraction(1.0, 3), 0.9)
+        local = qutrit_hamiltonian(params.omegas)
+        h = PartialSwapInteraction(1.0, 3).hamiltonian()
+        res = clausius_report(
+            two_qutrit_thermal(params), h, local, local, params.beta_A, params.beta_B, 0.9
+        )
         assert abs(res.q_A + res.q_B) < 1e-10
         assert res.entropy_production >= -1e-9
 
