@@ -221,6 +221,10 @@ def nc_bound_theorem2(a_max: float, p_d1: float, p_d2: float) -> NcBound:
     )
 
 
+# Relative width at which the bisection stops refining a crossing.
+CROSSING_REL_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class Crossing:
     """A refined crossing of the heat curve with a noncontextual bound."""
@@ -252,7 +256,7 @@ def find_critical_times(
     t_max: float,
     lower_bound_fn: Callable | None = None,
     n_grid: int = 100_000,
-    rel_tol: float = 1e-10,
+    rel_tol: float = CROSSING_REL_TOL,
     t_min: float = 0.0,
 ) -> list[Crossing]:
     """Ordered crossing times of the heat curve with the bound(s) on [t_min, t_max].

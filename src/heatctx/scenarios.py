@@ -2,9 +2,11 @@
 
 A scenario bundles a correlated thermal state, an energy-conserving
 interaction, a time grid, and units. Sweeps evaluate the closed-form heat on
-the full grid (cross-checked against the trace formula on a seeded 1% sample),
-the noncontextual bounds, per-point violation flags, the mutual-information
-change, and the bound-crossing times.
+the full grid, check it against the trace formula on every grid point, and
+evaluate the noncontextual bounds, per-point violation flags, the
+mutual-information change, and the bound-crossing times. A ``SweepResult``
+holds these as numpy columns, one entry per grid point, and CSV and JSON are
+rendered straight from the columns.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, asdict, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,9 +37,9 @@ from .dynamics import (
 from .thermo import (
     heat_closed_form_2qubit_thermal,
     heat_closed_form_qutrit,
-    heat_trace,
 )
 from .contextuality import (
+    CROSSING_REL_TOL,
     Crossing,
     find_critical_times,
     sequential_b_factors,
@@ -46,9 +48,9 @@ from .contextuality import (
 UNITS = ("natural", "eV_seconds")
 FORMATS = ("csv", "json")
 
-CSV_HEADER = "t,heat,bound_upper,bound_lower,violates,delta_mutual_info"
+COLUMNS = ("t", "heat", "bound_upper", "bound_lower", "violates", "delta_mutual_info")
+CSV_HEADER = ",".join(COLUMNS)
 VIOLATION_REL_TOL = 1e-12
-CROSS_CHECK_FRACTION = 0.01
 CROSS_CHECK_TOL = 1e-9
 
 MICADEI_J_HZ = 215.1
@@ -87,7 +89,6 @@ class ScenarioConfig:
     units: str = "natural"
     output_path: str | None = None
     output_format: str = "csv"
-    seed: int = 0
 
     def __post_init__(self):
         if self.scenario not in FAMILIES:
@@ -133,12 +134,13 @@ class ScenarioConfig:
             units=raw.get("units", "natural"),
             output_path=out.get("path"),
             output_format=out.get("format", "csv"),
-            seed=int(raw.get("seed", 0)),
         )
 
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One grid point of a sweep; its fields are the ``COLUMNS``."""
+
     t: float
     heat: float
     bound_upper: float
@@ -149,13 +151,52 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep as numpy columns named by ``COLUMNS``, one entry per grid point."""
+
     config: ScenarioConfig
-    records: list[SweepRecord]
+    t: np.ndarray
+    heat: np.ndarray
+    bound_upper: np.ndarray
+    bound_lower: np.ndarray
+    violates: np.ndarray  # bool
+    delta_mutual_info: np.ndarray
     crossings: list[Crossing]
 
     @property
+    def records(self) -> _Records:
+        """The columns as one SweepRecord per grid point, built as they are read."""
+        return _Records(self)
+
+    @property
     def critical_times(self) -> list[float]:
-        return [c.time for c in self.crossings if not c.grazing]
+        """Non-grazing crossing times, each instant once.
+
+        Where the heat passes through the common zero of both bounds, both
+        sides cross at the same instant; times that agree within the
+        bisection tolerance are merged.
+        """
+        times: list[float] = []
+        for c in self.crossings:
+            if c.grazing or (times and c.time - times[-1] <= CROSSING_REL_TOL * c.time):
+                continue
+            times.append(c.time)
+        return times
+
+
+class _Records:
+    """Read-only view of a SweepResult: its length, SweepRecords by index and in order."""
+
+    def __init__(self, result: SweepResult):
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result.t)
+
+    def __getitem__(self, i: int) -> SweepRecord:
+        return SweepRecord(*(getattr(self._result, name)[i].item() for name in COLUMNS))
+
+    def __iter__(self) -> Iterator[SweepRecord]:
+        return map(SweepRecord, *(getattr(self._result, name).tolist() for name in COLUMNS))
 
 
 def builtin_micadei() -> ScenarioConfig:
@@ -182,7 +223,6 @@ def builtin_micadei() -> ScenarioConfig:
         interaction={"g": math.pi * MICADEI_J_HZ, "a": 0.0, "theta": math.pi / 2},
         time_grid=TimeGrid(t_min=0.0, t_max=5e-3, n_points=100_000),
         output_format="csv",
-        seed=0,
     )
 
 
@@ -205,7 +245,6 @@ def builtin_qutrit_demo() -> ScenarioConfig:
         interaction={"g": 1.0},
         time_grid=TimeGrid(t_min=0.0, t_max=3.0, n_points=30_000),
         output_format="csv",
-        seed=0,
     )
 
 
@@ -414,8 +453,21 @@ class _ScenarioEngine:
     def heat(self, t):
         return self.family.heat(self.params, self.g, self.theta, t)
 
-    def heat_trace_at(self, t: float) -> float:
-        return heat_trace(self.rho, self.h_int, self.h_local, t)
+    def heat_trace_at(self, t):
+        """Trace-formula <Q_A> at time(s) t; a scalar t gives a float.
+
+        In the eigenbasis H_int = V diag(w) V^dag, with C = (V^dag rho V) o
+        (V^dag (H_A x 1) V)^T, Tr{rho(t) (H_A x 1)} = sum_ij C_ij
+        e^{-it(w_i - w_j)} and its t = 0 value sum_ij C_ij = Tr{rho (H_A x 1)}:
+        O(d^2) per time, no matrix exponential.
+        """
+        w, v = eig_hermitian(self.h_int.matrix)
+        h_full = np.kron(self.h_local.matrix, np.eye(self.rho.dims[1]))
+        c = (v.conj().T @ self.rho.matrix @ v) * (v.conj().T @ h_full @ v).T
+        t = np.asarray(t, dtype=float)
+        phases = np.exp(-1j * np.multiply.outer(t, w))  # (..., d)
+        q = ((phases @ c) * phases.conj()).sum(axis=-1).real - c.sum().real
+        return q if q.ndim else float(q)
 
     # -- bounds -------------------------------------------------------------
 
@@ -478,8 +530,22 @@ def _batched_entropy(rhos: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)
 
 
+def _check_against_trace(engine: _ScenarioEngine, ts: np.ndarray, heat: np.ndarray) -> None:
+    """NumericsError at the worst grid point where the closed form leaves the trace formula."""
+    q_ref = engine.heat_trace_at(ts)
+    deviation = np.abs(q_ref - heat)
+    allowed = CROSS_CHECK_TOL * np.maximum(max(abs(engine.a_max), 1.0e-300), np.abs(q_ref))
+    bad = np.flatnonzero(deviation > allowed)
+    if bad.size:
+        i = bad[np.argmax(deviation[bad] / allowed[bad])]
+        raise NumericsError(
+            f"closed-form heat deviates from trace formula at t={ts[i]:g}: "
+            f"{heat[i]:.17g} vs {q_ref[i]:.17g}"
+        )
+
+
 def run_sweep(config: ScenarioConfig) -> SweepResult:
-    """Evaluate the sweep; deterministic given the config (seed included)."""
+    """Evaluate the sweep as columns; deterministic given the config."""
     engine = _ScenarioEngine(config)
     ts = config.time_grid.times()
     heat = np.asarray(engine.heat(ts), dtype=float)
@@ -487,18 +553,7 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     upper = np.asarray(upper, dtype=float)
     lower = np.asarray(lower, dtype=float)
 
-    # Closed form vs trace formula on a seeded 1% sample of the grid.
-    rng = np.random.default_rng(config.seed)
-    n_sample = max(1, int(len(ts) * CROSS_CHECK_FRACTION))
-    sample = rng.choice(len(ts), size=n_sample, replace=False)
-    scale = max(abs(engine.a_max), 1.0e-300)
-    for i in sample:
-        q_ref = engine.heat_trace_at(float(ts[i]))
-        if abs(q_ref - heat[i]) > CROSS_CHECK_TOL * max(scale, abs(q_ref)):
-            raise NumericsError(
-                f"closed-form heat deviates from trace formula at t={ts[i]:g}: "
-                f"{heat[i]:.17g} vs {q_ref:.17g}"
-            )
+    _check_against_trace(engine, ts, heat)
 
     # Delta mutual information, batched over the grid.
     if config.time_grid.t_min == 0:
@@ -512,65 +567,71 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     )
     violates = (heat > upper + tol) | (heat < lower - tol)
 
-    crossings = engine.crossings()
-
-    records = [
-        SweepRecord(
-            t=float(ts[i]),
-            heat=float(heat[i]),
-            bound_upper=float(upper[i]),
-            bound_lower=float(lower[i]),
-            violates=bool(violates[i]),
-            delta_mutual_info=float(delta_i[i]),
-        )
-        for i in range(len(ts))
-    ]
-    return SweepResult(config=config, records=records, crossings=crossings)
+    columns = (ts, heat, upper, lower, violates, delta_i)  # in COLUMNS order
+    return SweepResult(config, *columns, crossings=engine.crossings())
 
 
 # -- emission ----------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+def _json_values(column: np.ndarray) -> list:
+    """The column's floats, whose str is json's spelling; NaN and +-Infinity as text."""
+    values = column.tolist()
+    for i in np.flatnonzero(~np.isfinite(column)):
+        values[i] = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(values[i])]
+    return values
 
 
-def format_csv(records: list[SweepRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.t),
-                    _fmt(r.heat),
-                    _fmt(r.bound_upper),
-                    _fmt(r.bound_lower),
-                    "true" if r.violates else "false",
-                    _fmt(r.delta_mutual_info),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _rows(result: SweepResult, template: str, floats: Callable) -> Iterator[str]:
+    """``template`` filled per grid point: floats via ``floats``, flags as true/false."""
+    columns = [
+        list(map(("false", "true").__getitem__, result.violates.tolist()))
+        if name == "violates"
+        else floats(getattr(result, name))
+        for name in COLUMNS
+    ]
+    return map(template.__mod__, zip(*columns))
+
+
+_CSV_ROW = ",".join("%s" if name == "violates" else "%.16e" for name in COLUMNS)
+# One element of the records array in json.dumps's indent-2 layout.
+_JSON_RECORD = "    {\n" + ",\n".join(f'      "{name}": %s' for name in COLUMNS) + "\n    }"
+
+
+def format_csv(result: SweepResult) -> str:
+    rows = _rows(result, _CSV_ROW, np.ndarray.tolist)
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def format_json(result: SweepResult) -> str:
+    """The sweep as json.dumps(payload, indent=2), byte for byte.
+
+    json.dumps lays out everything but the records; they are rendered from the
+    columns and put in place of the empty list. Only top-level keys sit at an
+    indent of exactly two spaces, so the split point is unique.
+    """
     payload = {
         "config": result.config.to_dict(),
-        "records": [asdict(r) for r in result.records],
+        "records": [],
         "critical_times": result.critical_times,
         "crossings": [
             {"time": c.time, "side": c.side, "grazing": c.grazing}
             for c in result.crossings
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2) + "\n"
+    if not len(result.t):
+        return text
+    head, tail = text.split('\n  "records": []', 1)
+    records = ",\n".join(_rows(result, _JSON_RECORD, _json_values))
+    return f'{head}\n  "records": [\n{records}\n  ]{tail}'
 
 
 def emit(result: SweepResult, fmt: str, path: str) -> None:
     """Write the sweep output to disk; IO errors carry the path."""
     if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
-    text = format_csv(result.records) if fmt == "csv" else format_json(result)
+    text = format_csv(result) if fmt == "csv" else format_json(result)
     try:
         with open(path, "w") as fh:
             fh.write(text)

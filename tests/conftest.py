@@ -4,15 +4,20 @@ All randomness flows through seeded np.random.default_rng instances created
 per test, so every run is reproducible.
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 
 from heatctx import (
+    SweepResult,
     TwoQubitThermalParams,
     TwoQutritThermalParams,
     clausius_report,
     two_qubit_thermal,
     zeeman_hamiltonian,
 )
+from heatctx.scenarios import COLUMNS, CSV_HEADER
 
 
 def random_hermitian(rng, d):
@@ -48,6 +53,38 @@ def population_form_heat(p01, p10, eta, xi, g, theta, omega, t):
     """
     x = g * np.asarray(t, dtype=float)
     return omega * ((p01 - p10) * np.sin(x) ** 2 + eta * np.sin(2 * x) * np.sin(xi - theta))
+
+
+def reference_csv(records):
+    """Reference: the record-by-record CSV rendering, one SweepRecord per line."""
+    lines = [CSV_HEADER]
+    for r in records:
+        floats = [r.t, r.heat, r.bound_upper, r.bound_lower]
+        fields = [f"{x:.16e}" for x in floats] + ["true" if r.violates else "false"]
+        lines.append(",".join(fields + [f"{r.delta_mutual_info:.16e}"]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(result):
+    """Reference: the whole payload, records as dicts, through json.dumps(indent=2)."""
+    payload = {
+        "config": result.config.to_dict(),
+        "records": [asdict(r) for r in result.records],
+        "critical_times": result.critical_times,
+        "crossings": [
+            {"time": c.time, "side": c.side, "grazing": c.grazing} for c in result.crossings
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def result_from_records(config, records, crossings=()):
+    """A SweepResult whose columns hold the given SweepRecords."""
+    columns = {
+        name: np.array([getattr(r, name) for r in records], dtype=float) for name in COLUMNS
+    }
+    columns["violates"] = columns["violates"].astype(bool)
+    return SweepResult(config=config, crossings=list(crossings), **columns)
 
 
 def qubit_clausius(params, interaction, t):

@@ -276,7 +276,7 @@ def test_criterion_8_qutrit_analytic_crossings():
 def test_criterion_9_determinism():
     ok = True
     for config in (builtin_micadei(), builtin_qutrit_demo()):
-        a = format_csv(run_sweep(config).records)
-        b = format_csv(run_sweep(config).records)
+        a = format_csv(run_sweep(config))
+        b = format_csv(run_sweep(config))
         ok = ok and a == b
     report(9, "repeated builtin runs give byte-identical CSV", ok)

@@ -6,14 +6,25 @@ test here then covers it.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from heatctx import ScenarioConfig, format_csv, nc_bound_theorem1, nc_bound_theorem2, run_sweep
+from heatctx import (
+    NumericsError,
+    ScenarioConfig,
+    format_csv,
+    format_json,
+    heat_trace,
+    nc_bound_theorem1,
+    nc_bound_theorem2,
+    run_sweep,
+)
 from heatctx.cli import main
 from heatctx.scenarios import FACTORS, FAMILIES, _ScenarioEngine
+from conftest import reference_csv, reference_json
 
 EXAMPLES = {
     "two_qubit_resonant": dict(
@@ -77,7 +88,6 @@ def example_config(name):
         scenario=name,
         units="natural",
         time_grid={"t_min": 0.0, "t_max": 6.0, "n_points": 400},
-        seed=3,
         **EXAMPLES[name],
     )
     return json.loads(json.dumps(raw))
@@ -100,6 +110,40 @@ class TestFamily:
         for t, q in zip(ts, heat):
             assert abs(q - engine.heat_trace_at(float(t))) <= 1e-10 * engine.a_max
 
+    def test_trace_kernel_matches_heat_trace(self, name):
+        engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
+        ts = seeded_times(6.0)
+        batched = engine.heat_trace_at(ts)
+        for t, q in zip(ts, batched):
+            ref = heat_trace(engine.rho, engine.h_int, engine.h_local, float(t))
+            assert abs(q - ref) <= 1e-12 * engine.a_max
+            assert abs(engine.heat_trace_at(float(t)) - q) <= 1e-15 * engine.a_max
+        assert type(engine.heat_trace_at(float(ts[0]))) is float
+
+    def test_oracle_covers_every_grid_point(self, name, monkeypatch):
+        # One grid point off by 1e-6 a_max: a 1 % sample would miss it 99 times in 100.
+        config = ScenarioConfig.from_dict(example_config(name))
+        ts = config.time_grid.times()
+        t_bad = ts[np.random.default_rng(5).integers(len(ts))]
+        family = FAMILIES[name]
+        a_max = _ScenarioEngine(config).a_max
+
+        def heat(params, g, theta, t):
+            q = family.heat(params, g, theta, t)
+            return np.where(np.asarray(t) == t_bad, q + 1e-6 * a_max, q)
+
+        monkeypatch.setitem(FAMILIES, name, replace(family, heat=heat))
+        with pytest.raises(NumericsError, match=f"t={t_bad:g}:"):
+            run_sweep(config)
+
+    @pytest.mark.parametrize("t_min", [0.0, 0.7])
+    def test_emission_matches_the_reference(self, name, t_min):
+        raw = example_config(name)
+        raw["time_grid"] = {"t_min": t_min, "t_max": 6.0, "n_points": 301}
+        result = run_sweep(ScenarioConfig.from_dict(raw))
+        assert format_csv(result) == reference_csv(result.records)
+        assert format_json(result) == reference_json(result)
+
     def test_bounds_follow_the_theorems(self, name):
         engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
         ts = seeded_times(6.0)
@@ -121,9 +165,28 @@ class TestFamily:
             main, ["sweep", "--config", str(cfg_path), "--output", str(out_path)]
         )
         assert result.exit_code == 0, result.output
-        expect = format_csv(run_sweep(ScenarioConfig.from_dict(raw)).records)
+        expect = format_csv(run_sweep(ScenarioConfig.from_dict(raw)))
         assert out_path.read_text() == expect
         assert len(expect.strip().split("\n")) == 401
+
+
+def test_critical_times_list_each_instant_once():
+    # At t = k pi / g the qutrit heat passes through the common zero of both
+    # bounds, so both sides cross there at the same instant.
+    raw = example_config("qutrit_partial_swap")
+    raw["time_grid"]["n_points"] = 4000
+    result = run_sweep(ScenarioConfig.from_dict(raw))
+    g = result.config.interaction["g"]
+    for k in (1, 2):
+        at_zero = [c for c in result.crossings if abs(c.time - k * math.pi / g) < 1e-9]
+        assert sorted(c.side for c in at_zero) == ["lower", "upper"]
+        assert [t for t in result.critical_times if abs(t - k * math.pi / g) < 1e-9] == [
+            at_zero[0].time
+        ]
+    times = result.critical_times
+    assert times == sorted(times)
+    assert len(times) == len([c for c in result.crossings if not c.grazing]) - 2
+    assert all(b - a > 1e-10 * b for a, b in zip(times, times[1:]))
 
 
 BAD_CASES = [

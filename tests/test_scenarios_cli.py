@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from heatctx import (
     qutrit_critical_times_analytic,
 )
 from heatctx.cli import main
+from conftest import reference_csv, reference_json, result_from_records
 from heatctx.scenarios import (
     CSV_HEADER,
     FACTORS,
@@ -42,13 +44,18 @@ def small_config(**overrides):
         state={"omega": 1.0, "T_A": 2.0, "T_B": 1.0, "eta": -0.1, "xi": 0.0},
         interaction={"g": 1.0, "a": 0.0, "theta": math.pi / 2},
         time_grid={"t_min": 0.0, "t_max": 6.0, "n_points": 3000},
-        seed=1,
     )
     base.update(overrides)
     return ScenarioConfig.from_dict(base)
 
 
 class TestConfig:
+    def test_config_with_a_seed_still_loads(self):
+        # Older configs carry "seed"; with no sampled oracle it has no meaning and is ignored.
+        with_seed = small_config(seed=4)
+        assert with_seed == small_config()
+        assert "seed" not in with_seed.to_dict()
+
     def test_time_grid_validation(self):
         with pytest.raises(ConfigError):
             TimeGrid(t_min=-1.0, t_max=1.0, n_points=10)
@@ -116,8 +123,8 @@ class TestRunSweep:
 
     def test_deterministic_csv(self):
         config = small_config()
-        a = format_csv(run_sweep(config).records)
-        b = format_csv(run_sweep(config).records)
+        a = format_csv(run_sweep(config))
+        b = format_csv(run_sweep(config))
         assert a == b
 
     def test_no_coherence_no_violation(self):
@@ -180,7 +187,9 @@ class TestRunSweep:
 
 class TestEmission:
     def test_empty_records_header_only(self):
-        assert format_csv([]) == CSV_HEADER + "\n"
+        empty = result_from_records(small_config(), [])
+        assert format_csv(empty) == CSV_HEADER + "\n"
+        assert format_json(empty) == reference_json(empty)
 
     def test_single_record_round_trip(self):
         rec = SweepRecord(
@@ -191,7 +200,9 @@ class TestEmission:
             violates=True,
             delta_mutual_info=-3.3e-4,
         )
-        text = format_csv([rec])
+        result = result_from_records(small_config(), [rec])
+        assert len(result.records) == 1 and list(result.records) == [rec] == [result.records[-1]]
+        text = format_csv(result)
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         fields = lines[1].split(",")
@@ -206,6 +217,21 @@ class TestEmission:
         assert set(payload) == {"config", "records", "critical_times", "crossings"}
         assert len(payload["records"]) == 500
         assert all(isinstance(t, float) for t in payload["critical_times"])
+
+    def test_non_finite_columns_match_the_reference(self):
+        # json spells these NaN / Infinity / -Infinity, CSV nan / inf / -inf.
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -1.7976931348623157e308]
+        result = run_sweep(small_config(time_grid={"t_min": 0, "t_max": 6.0, "n_points": 40}))
+        columns = {}
+        floats = ("t", "heat", "bound_upper", "bound_lower", "delta_mutual_info")
+        for k, name in enumerate(floats):
+            col = getattr(result, name).copy()
+            col[k : k + len(special)] = special
+            columns[name] = col
+        odd = replace(result, **columns)
+        assert np.isnan(odd.heat).any() and np.isinf(odd.delta_mutual_info).any()
+        assert format_csv(odd) == reference_csv(odd.records)
+        assert format_json(odd) == reference_json(odd)
 
 
 class TestUnits:
