@@ -31,6 +31,7 @@ from .states import (
     DensityMatrix,
     TwoQubitThermalParams,
     TwoQutritThermalParams,
+    entropies,
     gibbs_state,
     mutual_information,
     qutrit_hamiltonian,
@@ -46,6 +47,7 @@ from .dynamics import (
     ResonantInteraction,
     check_energy_conservation,
     evolve_interaction_picture,
+    evolve_on_grid,
     interaction_unitary,
     resonant_decomposition_factors,
     swap_operator,

@@ -1,6 +1,6 @@
 """Command-line interface for sweeps, decompositions, and diagnostics.
 
-Exit codes: 0 success, 2 configuration error, 3 numerics error.
+Exit codes: 0 success, 3 numerics error, 2 any other heatctx error.
 HEATCTX_OUTPUT_DIR sets the default output directory for sweep artifacts.
 """
 
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -15,13 +16,7 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DecompositionError,
-    NotAStateError,
-    NumericsError,
-    ParamError,
-)
+from .errors import ConfigError, HeatctxError, NumericsError
 from .contextuality import extract_stochastic_reversibility, find_minimal_pd
 from .dynamics import interaction_unitary
 from .scenarios import (
@@ -40,18 +35,18 @@ BUILTINS = {"micadei": builtin_micadei, "qutrit-demo": builtin_qutrit_demo}
 
 
 def _cli_errors(fn):
-    """Map domain errors to the documented exit codes."""
+    """Map domain errors to the documented exit codes: numerics 3, any other 2."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, ParamError, NotAStateError, DecompositionError) as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
         except NumericsError as exc:
             click.echo(f"numerics error: {exc}", err=True)
             sys.exit(3)
+        except HeatctxError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
 
     return wrapper
 
@@ -139,12 +134,18 @@ def critical_time(config_path, builtin, t_max, n_points):
         click.echo("no crossings on the grid")
         return
     for c in crossings:
-        tag = " (grazing)" if c.grazing else ""
-        click.echo(f"{c.time:.12e}  {c.side}{tag}")
+        click.echo(f"{c.time:.12e}  {c.side}")
+
+
+def _finite_time(t: float) -> float:
+    if not math.isfinite(t):
+        raise ConfigError(f"--t must be finite, got {t}")
+    return t
 
 
 def _build_unitary(kind, g, a, theta, local_dim, t):
     """(unitary, analytic p_d) for a named interaction factor at time t."""
+    t = _finite_time(t)
     factor = FACTORS[kind]
     u = interaction_unitary(factor.generator(g, a, theta, local_dim), t)
     return u, float(factor.p_d(g * t, a))
@@ -205,6 +206,7 @@ def choi(kind, g, a, theta, local_dim, t, p_d):
 @_cli_errors
 def clausius(config_path, builtin, t_max, n_points, t):
     """Heat, mutual-information change, and entropy production at one time."""
+    t = _finite_time(t)
     config = _load_config(config_path, builtin, t_max, n_points)
     engine = _ScenarioEngine(config)
     beta_a, beta_b = engine.params.beta_A, engine.params.beta_B

@@ -61,12 +61,9 @@ def unitary_to_superoperator(u: UnitaryOp | np.ndarray) -> Superoperator:
 def choi_matrix(s: Superoperator) -> HermitianOp:
     """Unnormalized Choi matrix: Lambda = sum_ij |i><j| kron C(|i><j|)."""
     d = s.dim
-    lam = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            # vec(|i><j|) with column stacking is the basis vector j*d + i
-            block = s.matrix[:, j * d + i].reshape(d, d, order="F")
-            lam[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
+    # vec(|i><j|) is basis vector j*d + i and C(|i><j|)[a, b] is row b*d + a,
+    # so Lambda[(i, a), (j, b)] = S[(b, a), (j, i)].
+    lam = s.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
     lam = (lam + dagger(lam)) / 2
     return HermitianOp(lam)
 
@@ -106,6 +103,18 @@ def _cptp_verdict(c: Superoperator) -> tuple[np.ndarray, bool]:
     return eigs, ok
 
 
+def _residual_channel(m: Superoperator, p_d: float) -> Superoperator:
+    """The C of M = (1 - p_d) id + p_d C; at p_d = 0, M must be the identity."""
+    ident = np.eye(m.dim * m.dim, dtype=complex)
+    if p_d == 0:
+        if max_norm(m.matrix - ident) > 1e-12:
+            raise DecompositionError(
+                "p_d = 0 claimed but the symmetrized map is not the identity"
+            )
+        return Superoperator.identity(m.dim)
+    return Superoperator(m.dim, (m.matrix - (1 - p_d) * ident) / p_d)
+
+
 def extract_stochastic_reversibility(
     u: UnitaryOp | np.ndarray, p_d_claimed: float
 ) -> DecompositionReport:
@@ -116,16 +125,7 @@ def extract_stochastic_reversibility(
     """
     if not 0 <= p_d_claimed <= 1:
         raise ParamError(f"p_d must lie in [0, 1], got {p_d_claimed}")
-    m = _symmetrized_conjugation(u)
-    ident = np.eye(m.dim * m.dim, dtype=complex)
-    if p_d_claimed == 0:
-        if max_norm(m.matrix - ident) > 1e-12:
-            raise DecompositionError(
-                "p_d = 0 claimed but the symmetrized map is not the identity"
-            )
-        c = Superoperator.identity(m.dim)
-    else:
-        c = Superoperator(m.dim, (m.matrix - (1 - p_d_claimed) * ident) / p_d_claimed)
+    c = _residual_channel(_symmetrized_conjugation(u), p_d_claimed)
     eigs, ok = _cptp_verdict(c)
     return DecompositionReport(
         p_d=float(p_d_claimed),
@@ -144,15 +144,11 @@ def find_minimal_pd(
     map is already the identity.
     """
     m = _symmetrized_conjugation(u)
-    ident = np.eye(m.dim * m.dim, dtype=complex)
-    if max_norm(m.matrix - ident) <= 1e-12:
-        report = extract_stochastic_reversibility(u, 0.0)
-        return 0.0, report
+    if max_norm(m.matrix - np.eye(m.dim * m.dim)) <= 1e-12:
+        return 0.0, extract_stochastic_reversibility(u, 0.0)
 
     def feasible(p: float) -> bool:
-        c = Superoperator(m.dim, (m.matrix - (1 - p) * ident) / p)
-        _, ok = _cptp_verdict(c)
-        return ok
+        return _cptp_verdict(_residual_channel(m, p))[1]
 
     if not feasible(1.0):
         raise DecompositionError("no p_d <= 1 yields a CPTP residual channel")
@@ -231,7 +227,6 @@ class Crossing:
 
     time: float
     side: str  # "upper" or "lower"
-    grazing: bool = False
 
 
 def _refine_bisection(f, lo: float, hi: float, rel_tol: float) -> float:
@@ -261,18 +256,17 @@ def find_critical_times(
 ) -> list[Crossing]:
     """Ordered crossing times of the heat curve with the bound(s) on [t_min, t_max].
 
-    Scans a uniform grid from t_min to t_max, brackets sign changes of
+    Scans a uniform grid from t_min to t_max for strict sign changes of
     heat - upper bound (and of lower bound - heat when a lower bound is
-    supplied), and refines each
-    bracket by bisection to relative tolerance 1e-10. Tangential touchings
-    (a grid point exactly on the bound with no sign change) are flagged as
-    grazing. An empty list means no crossing, which is a valid outcome.
+    supplied) and refines each bracket by bisection to relative tolerance
+    1e-10. An interior grid point exactly on the bound, between neighbours
+    of opposite sign, is a crossing at that grid time; a touch without sign
+    change, such as the common zero at t = 0, is none. An empty list means
+    no crossing, which is a valid outcome.
     """
     if not 0 <= t_min < t_max:
         raise ParamError(f"need 0 <= t_min < t_max, got t_min={t_min}, t_max={t_max}")
     ts = np.linspace(t_min, t_max, int(n_grid))
-    # At t = 0 heat and bounds both vanish, so a scan from 0 skips its first bracket.
-    first = 1 if t_min == 0 else 0
     heat = np.asarray(heat_fn(ts), dtype=float)
 
     sides = [("upper", np.asarray(bound_fn(ts), dtype=float), +1)]
@@ -287,16 +281,12 @@ def find_critical_times(
             return _s * (float(np.asarray(_fn_heat(t))) - float(np.asarray(_fn_bound(t))))
 
         s = np.sign(diff)
-        for i in np.flatnonzero(np.diff(s[first:]) != 0) + first:
-            if s[i] == 0:
-                continue  # exact zero handled as its own bracket endpoint
+        for i in np.flatnonzero(s[:-1] * s[1:] < 0):
             root = _refine_bisection(f, ts[i], ts[i + 1], rel_tol)
             crossings.append(Crossing(time=float(root), side=side))
-        # Exact touchings without sign change are grazing points.
-        interior = np.flatnonzero(s[1:-1] == 0) + 1
-        for i in interior:
-            if s[i - 1] == s[i + 1] and s[i - 1] != 0:
-                crossings.append(Crossing(time=float(ts[i]), side=side, grazing=True))
+        for i in np.flatnonzero(s[1:-1] == 0) + 1:
+            if s[i - 1] * s[i + 1] < 0:
+                crossings.append(Crossing(time=float(ts[i]), side=side))
 
     crossings.sort(key=lambda c: c.time)
     return crossings

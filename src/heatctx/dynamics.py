@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericsError, ParamError
+from .errors import DimensionError, ParamError
 from .linalg import (
     HermitianOp,
     UnitaryOp,
     as_matrix,
     dagger,
+    eig_hermitian,
     expm_hermitian_generator,
     kron,
     max_norm,
@@ -123,25 +124,22 @@ def interaction_unitary(h_int, t: float) -> UnitaryOp:
     return UnitaryOp(expm_hermitian_generator(as_matrix(h_int), -1j * t))
 
 
-def evolve_interaction_picture(
-    rho: DensityMatrix,
-    h_int,
-    t: float,
-    locals_check: tuple | None = None,
-) -> DensityMatrix:
-    """Conjugate rho by U_I(t) = e^{-i t H_I}.
+def evolve_on_grid(rho: DensityMatrix, h_int, ts) -> np.ndarray:
+    """rho(t) = U(t) rho U(t)^dag at every t of ts, as an (N, d, d) array.
 
-    When ``locals_check`` = (H_A, H_B) is given, energy conservation of the
-    interaction against those locals is enforced first.
+    U(t) = V diag(e^{-i t w}) V^dag from one eigendecomposition
+    H_I = V diag(w) V^dag; V is checked unitary once, so every U(t) is.
     """
-    if locals_check is not None:
-        ok, residual = check_energy_conservation(h_int, *locals_check)
-        if not ok:
-            raise NumericsError(
-                f"interaction is not energy conserving (residual {residual:.3g})"
-            )
-    u = interaction_unitary(h_int, t).matrix
-    out = u @ rho.matrix @ dagger(u)
+    w, v = eig_hermitian(h_int)
+    v = UnitaryOp(v).matrix
+    phases = np.exp(-1j * np.outer(ts, w))  # (N, d)
+    u = np.einsum("ij,nj,kj->nik", v, phases, v.conj())
+    return np.einsum("nij,jk,nlk->nil", u, rho.matrix, u.conj())
+
+
+def evolve_interaction_picture(rho: DensityMatrix, h_int, t: float) -> DensityMatrix:
+    """Conjugate rho by U_I(t) = e^{-i t H_I}."""
+    out = evolve_on_grid(rho, h_int, [t])[0]
     out = (out + dagger(out)) / 2
     return DensityMatrix(out, rho.dims)
 

@@ -24,6 +24,7 @@ from .linalg import eig_hermitian
 from .states import (
     TwoQubitThermalParams,
     TwoQutritThermalParams,
+    entropies,
     two_qubit_thermal,
     two_qutrit_thermal,
     zeeman_hamiltonian,
@@ -33,6 +34,7 @@ from .dynamics import (
     NonResonantInteraction,
     PartialSwapInteraction,
     ResonantInteraction,
+    evolve_on_grid,
 )
 from .thermo import (
     heat_closed_form_2qubit_thermal,
@@ -169,7 +171,7 @@ class SweepResult:
 
     @property
     def critical_times(self) -> list[float]:
-        """Non-grazing crossing times, each instant once.
+        """Crossing times, each instant once.
 
         Where the heat passes through the common zero of both bounds, both
         sides cross at the same instant; times that agree within the
@@ -177,7 +179,7 @@ class SweepResult:
         """
         times: list[float] = []
         for c in self.crossings:
-            if c.grazing or (times and c.time - times[-1] <= CROSSING_REL_TOL * c.time):
+            if times and c.time - times[-1] <= CROSSING_REL_TOL * c.time:
                 continue
             times.append(c.time)
         return times
@@ -508,26 +510,11 @@ class _ScenarioEngine:
 
     def delta_mutual_info(self, ts: np.ndarray) -> np.ndarray:
         """Batched I(t) - I(0); the global entropy cancels under unitaries."""
-        w, v = eig_hermitian(self.h_int.matrix)
         d_a, d_b = self.rho.dims
-        phases = np.exp(-1j * np.outer(ts, w))  # (N, d)
-        # U(t) = V diag(phases) V^dag, batched over the grid
-        u = np.einsum("ij,nj,kj->nik", v, phases, v.conj())
-        rho_t = np.einsum("nij,jk,nlk->nil", u, self.rho.matrix, u.conj())
-        r4 = rho_t.reshape(-1, d_a, d_b, d_a, d_b)
-        rho_a = np.einsum("nijkj->nik", r4)
-        rho_b = np.einsum("nijil->njl", r4)
-        s_a = _batched_entropy(rho_a)
-        s_b = _batched_entropy(rho_b)
+        r4 = evolve_on_grid(self.rho, self.h_int, ts).reshape(-1, d_a, d_b, d_a, d_b)
+        s_a = entropies(np.einsum("nijkj->nik", r4))
+        s_b = entropies(np.einsum("nijil->njl", r4))
         return (s_a - s_a[0]) + (s_b - s_b[0])
-
-
-def _batched_entropy(rhos: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(rhos)
-    w = np.clip(w, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(w > 0, -w * np.log(np.where(w > 0, w, 1.0)), 0.0)
-    return terms.sum(axis=-1)
 
 
 def _check_against_trace(engine: _ScenarioEngine, ts: np.ndarray, heat: np.ndarray) -> None:
@@ -614,10 +601,7 @@ def format_json(result: SweepResult) -> str:
         "config": result.config.to_dict(),
         "records": [],
         "critical_times": result.critical_times,
-        "crossings": [
-            {"time": c.time, "side": c.side, "grazing": c.grazing}
-            for c in result.crossings
-        ],
+        "crossings": [{"time": c.time, "side": c.side} for c in result.crossings],
     }
     text = json.dumps(payload, indent=2) + "\n"
     if not len(result.t):

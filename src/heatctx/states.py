@@ -17,12 +17,12 @@ import numpy as np
 from .errors import (
     DimensionError,
     NotAStateError,
+    NumericsError,
     ParamError,
     SupportError,
 )
 from .linalg import (
     HermitianOp,
-    as_matrix,
     dagger,
     eig_hermitian,
     max_norm,
@@ -45,6 +45,8 @@ class DensityMatrix:
         dims = tuple(int(d) for d in self.dims)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"density matrix must be square, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise NumericsError("density matrix contains NaN or Inf entries")
         if int(np.prod(dims)) != m.shape[0]:
             raise DimensionError(
                 f"subsystem dims {dims} do not match matrix dimension {m.shape[0]}"
@@ -153,19 +155,26 @@ def two_qubit_thermal(params: TwoQubitThermalParams) -> DensityMatrix:
         raise NotAStateError(
             f"two-qubit thermal parameters give a non-positive matrix: {exc}"
         ) from exc
-    _check_thermal_marginals(state, p.omega, p.beta_A, p.beta_B)
+    h = zeeman_hamiltonian(p.omega)
+    check_thermal_marginals(state, (h, h), (p.beta_A, p.beta_B), STATE_TOL, NotAStateError)
     return state
 
 
-def _check_thermal_marginals(state, omega, beta_A, beta_B, tol=STATE_TOL):
-    h = zeeman_hamiltonian(omega)
-    for keep, beta in ((0, beta_A), (1, beta_B)):
+def check_thermal_marginals(state: DensityMatrix, h_locals, betas, tol: float, error) -> None:
+    """Raise ``error`` unless each marginal is the Gibbs state of its local
+    Hamiltonian at its beta to ``tol`` in max-norm.
+
+    DimensionError when a local Hamiltonian does not match its subsystem.
+    """
+    for keep, (h, beta) in enumerate(zip(h_locals, betas)):
         want = gibbs_state(h, beta).matrix
-        got = state.marginal(keep).matrix
-        if max_norm(got - want) > tol:
-            raise NotAStateError(
-                f"marginal {keep} deviates from its Gibbs state by {max_norm(got - want):.3g}"
+        if len(state.dims) != 2 or want.shape[0] != state.dims[keep]:
+            raise DimensionError(
+                f"local Hamiltonian {keep} has dim {want.shape[0]}, state dims {state.dims}"
             )
+        dev = max_norm(state.marginal(keep).matrix - want)
+        if dev > tol:
+            raise error(f"marginal {keep} deviates from Gibbs(beta={beta:g}) by {dev:.3g}")
 
 
 @dataclass(frozen=True)
@@ -223,17 +232,21 @@ def two_qutrit_thermal(params: TwoQutritThermalParams) -> DensityMatrix:
     return state
 
 
-def _spectrum(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    m = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
-    w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-    return np.clip(w, 0.0, None)
+def entropies(rhos: np.ndarray) -> np.ndarray:
+    """-sum lambda ln lambda in nats of each matrix in a stack (..., d, d), 0 ln 0 := 0.
+
+    Eigenvalues below 0 (round-off) are clipped to 0.
+    """
+    w = np.linalg.eigvalsh(rhos)
+    w = np.clip(w, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(w > 0, -w * np.log(np.where(w > 0, w, 1.0)), 0.0)
+    return terms.sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda ln lambda in nats, with 0 ln 0 := 0."""
-    w = _spectrum(rho)
-    nz = w[w > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(entropies(rho.matrix))
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -265,9 +278,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, support_tol=1e-10
             raise SupportError(
                 f"rho has weight {weight:.3g} outside the support of sigma"
             )
-    wr = _spectrum(rho)
-    nz = wr[wr > 0]
-    tr_rho_log_rho = float(np.sum(nz * np.log(nz)))
+    tr_rho_log_rho = -float(entropies(rho.matrix))
     log_sigma_evals = np.log(np.where(kernel, 1.0, ws))  # kernel rows carry ~0 weight
     log_sigma = (vs * log_sigma_evals) @ dagger(vs)
     tr_rho_log_sigma = float(np.real(np.trace(rho.matrix @ log_sigma)))

@@ -14,6 +14,7 @@ from heatctx import (
     TwoQubitThermalParams,
     TwoQutritThermalParams,
     clausius_report,
+    eig_hermitian,
     two_qubit_thermal,
     zeeman_hamiltonian,
 )
@@ -71,11 +72,29 @@ def reference_json(result):
         "config": result.config.to_dict(),
         "records": [asdict(r) for r in result.records],
         "critical_times": result.critical_times,
-        "crossings": [
-            {"time": c.time, "side": c.side, "grazing": c.grazing} for c in result.crossings
-        ],
+        "crossings": [{"time": c.time, "side": c.side} for c in result.crossings],
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_delta_mutual_info(rho, h_int, ts):
+    """Reference: the sweep's I(t) - I(0) as written inline before the shared kernels."""
+    w, v = eig_hermitian(h_int.matrix)
+    d_a, d_b = rho.dims
+    phases = np.exp(-1j * np.outer(ts, w))  # (N, d)
+    u = np.einsum("ij,nj,kj->nik", v, phases, v.conj())
+    rho_t = np.einsum("nij,jk,nlk->nil", u, rho.matrix, u.conj())
+    r4 = rho_t.reshape(-1, d_a, d_b, d_a, d_b)
+
+    def entropy(rhos):
+        w = np.clip(np.linalg.eigvalsh(rhos), 0.0, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(w > 0, -w * np.log(np.where(w > 0, w, 1.0)), 0.0)
+        return terms.sum(axis=-1)
+
+    s_a = entropy(np.einsum("nijkj->nik", r4))
+    s_b = entropy(np.einsum("nijil->njl", r4))
+    return (s_a - s_a[0]) + (s_b - s_b[0])
 
 
 def result_from_records(config, records, crossings=()):

@@ -261,8 +261,7 @@ def test_criterion_8_qutrit_analytic_crossings():
         )
         by_side = {}
         for c in crossings:
-            if not c.grazing:
-                by_side.setdefault(c.side, c.time)
+            by_side.setdefault(c.side, c.time)
         for side, expect in (("upper", tau_u), ("lower", tau_l)):
             if side not in by_side:
                 ok = False

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from heatctx import (
+    Crossing,
     DecompositionError,
     NonResonantInteraction,
     ParamError,
@@ -69,6 +70,20 @@ class TestChoi:
         w = np.linalg.eigvalsh(lam)
         assert np.allclose(w, [0, 0, 0, 2], atol=1e-12)
         assert np.trace(lam).real == pytest.approx(2.0)
+
+    def test_matches_the_blockwise_construction(self):
+        # Lambda assembled block by block: block (i, j) is C(|i><j|).
+        rng = np.random.default_rng(12)
+        for k in range(200):
+            d = (2, 3, 4, 9)[k % 4]
+            m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+            s = Superoperator(d, m)
+            lam = np.zeros((d * d, d * d), dtype=complex)
+            for i in range(d):
+                for j in range(d):
+                    block = m[:, j * d + i].reshape(d, d, order="F")
+                    lam[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
+            assert np.array_equal(choi_matrix(s).matrix, (lam + lam.conj().T) / 2)
 
     def test_unitary_conjugation_choi_is_rank_one(self):
         rng = np.random.default_rng(9)
@@ -223,6 +238,18 @@ class TestCriticalTimes:
         assert len(out) == 1
         assert out[0].time == pytest.approx(1.0, rel=1e-9)
         assert out[0].side == "upper"
+
+    def test_touch_is_no_crossing(self):
+        out = find_critical_times(
+            lambda t: (np.asarray(t) - 1) ** 2, lambda t: 0 * np.asarray(t), 2.0, n_grid=5
+        )
+        assert out == []
+
+    def test_grid_point_on_the_bound_is_the_crossing(self):
+        out = find_critical_times(
+            lambda t: np.asarray(t) - 1, lambda t: 0 * np.asarray(t), 2.0, n_grid=5
+        )
+        assert out == [Crossing(time=1.0, side="upper")]
 
     def test_lower_bound_crossing(self):
         out = find_critical_times(

@@ -114,17 +114,6 @@ def test_evolution_preserves_spectrum():
     assert abs(np.trace(out.matrix) - 1) < 1e-12
 
 
-def test_locals_check_rejects_bad_interaction():
-    from heatctx.errors import NumericsError
-
-    rng = np.random.default_rng(4)
-    rho = DensityMatrix(random_density(rng, 4), (2, 2))
-    h_bad = kron(SX, np.eye(2))
-    local = zeeman_hamiltonian(1.0)
-    with pytest.raises(NumericsError):
-        evolve_interaction_picture(rho, h_bad, 0.5, locals_check=(local, local))
-
-
 class TestResonantFactors:
     def test_a_equals_one_gives_identity_factor(self):
         u1, _ = resonant_decomposition_factors(ResonantInteraction(1.0, a=1.0), 0.8)

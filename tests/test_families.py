@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from heatctx import (
     NumericsError,
     ScenarioConfig,
+    clausius_report,
     format_csv,
     format_json,
     heat_trace,
@@ -24,7 +25,7 @@ from heatctx import (
 )
 from heatctx.cli import main
 from heatctx.scenarios import FACTORS, FAMILIES, _ScenarioEngine
-from conftest import reference_csv, reference_json
+from conftest import reference_csv, reference_delta_mutual_info, reference_json
 
 EXAMPLES = {
     "two_qubit_resonant": dict(
@@ -137,6 +138,31 @@ class TestFamily:
             run_sweep(config)
 
     @pytest.mark.parametrize("t_min", [0.0, 0.7])
+    def test_delta_mutual_info_matches_the_reference(self, name, t_min):
+        raw = example_config(name)
+        raw["time_grid"]["t_min"] = t_min
+        config = ScenarioConfig.from_dict(raw)
+        engine = _ScenarioEngine(config)
+        ts = config.time_grid.times()
+        if t_min == 0:
+            expect = reference_delta_mutual_info(engine.rho, engine.h_int, ts)
+        else:
+            expect = reference_delta_mutual_info(engine.rho, engine.h_int, np.r_[0.0, ts])[1:]
+        assert np.array_equal(run_sweep(config).delta_mutual_info, expect)
+
+    def test_clausius_delta_mutual_info_matches_the_sweep(self, name):
+        config = ScenarioConfig.from_dict(example_config(name))
+        result = run_sweep(config)
+        engine = _ScenarioEngine(config)
+        p = engine.params
+        for i in np.random.default_rng(8).integers(1, len(result.t), size=5):
+            report = clausius_report(
+                engine.rho, engine.h_int, engine.h_local, engine.h_local,
+                p.beta_A, p.beta_B, float(result.t[i]),
+            )
+            assert abs(report.delta_mutual_info - result.delta_mutual_info[i]) <= 1e-12
+
+    @pytest.mark.parametrize("t_min", [0.0, 0.7])
     def test_emission_matches_the_reference(self, name, t_min):
         raw = example_config(name)
         raw["time_grid"] = {"t_min": t_min, "t_max": 6.0, "n_points": 301}
@@ -185,7 +211,7 @@ def test_critical_times_list_each_instant_once():
         ]
     times = result.critical_times
     assert times == sorted(times)
-    assert len(times) == len([c for c in result.crossings if not c.grazing]) - 2
+    assert len(times) == len(result.crossings) - 2
     assert all(b - a > 1e-10 * b for a, b in zip(times, times[1:]))
 
 

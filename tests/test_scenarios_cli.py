@@ -148,7 +148,7 @@ class TestRunSweep:
         params = _qutrit_params(config.state)
         zeta, xi = qutrit_heat_coefficients(params)
         tau_u, tau_l = qutrit_critical_times_analytic(zeta, xi, max(params.omegas), g)
-        by_side = {c.side: c.time for c in result.crossings if not c.grazing}
+        by_side = {c.side: c.time for c in result.crossings}
         expect = tau_u if xi > 0 else tau_l
         side = "upper" if xi > 0 else "lower"
         assert by_side[side] == pytest.approx(expect, rel=1e-8)
@@ -337,6 +337,29 @@ class TestCli:
         result = runner.invoke(main, ["clausius", "--config", str(cfg_path), "--t", "0.5"])
         assert result.exit_code == 0, result.output
         assert "entropy_production" in result.output
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["clausius", "--builtin", "micadei"],
+            ["verify-decomposition", "--interaction", "partial-swap"],
+            ["choi", "--interaction", "nonresonant"],
+        ],
+    )
+    def test_non_finite_time_exits_2(self, command, t):
+        result = CliRunner().invoke(main, [*command, "--t", t])
+        assert result.exit_code == 2, result.output
+        assert "--t must be finite" in result.output
+
+    def test_clausius_support_error_exits_2(self, tmp_path):
+        # At T_A = 0.001 the evolved marginal of A leaves the support of its Gibbs state.
+        config = small_config(state={"omega": 1.0, "T_A": 0.001, "T_B": 1.0})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config.to_dict()))
+        result = CliRunner().invoke(main, ["clausius", "--config", str(cfg_path), "--t", "0.5"])
+        assert result.exit_code == 2, result.output
+        assert "outside the support" in result.output
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEATCTX_OUTPUT_DIR", str(tmp_path))

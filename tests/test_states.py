@@ -4,6 +4,7 @@ import pytest
 from heatctx import (
     DensityMatrix,
     NotAStateError,
+    NumericsError,
     ParamError,
     SupportError,
     TwoQubitThermalParams,
@@ -41,6 +42,13 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(NotAStateError):
+            DensityMatrix(m, (2,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(NumericsError):
             DensityMatrix(m, (2,))
 
     def test_marginal_of_product(self):

@@ -3,6 +3,7 @@ import pytest
 
 from heatctx import (
     DensityMatrix,
+    DimensionError,
     NonResonantInteraction,
     NonThermalMarginalsError,
     PartialSwapInteraction,
@@ -242,6 +243,15 @@ class TestClausius:
         local = zeeman_hamiltonian(1.0)
         with pytest.raises(NonThermalMarginalsError):
             clausius_report(rho, h, local, local, 0.5, 0.9, 0.3)
+
+    def test_mismatched_local_dims_rejected(self):
+        params = TwoQubitThermalParams(omega=1.0, beta_A=0.9, beta_B=0.4)
+        h = ResonantInteraction(1.0).hamiltonian()
+        qutrit = qutrit_hamiltonian((0.0, 1.0, 2.0))
+        with pytest.raises(DimensionError):
+            clausius_report(
+                two_qubit_thermal(params), h, qutrit, zeeman_hamiltonian(1.0), 0.9, 0.4, 0.3
+            )
 
     def test_nu0_has_no_effect_on_heat(self):
         base = TwoQubitThermalParams(omega=1.0, beta_A=0.9, beta_B=0.4, eta=0.05)
