@@ -147,7 +147,13 @@ def _build_unitary(kind, g, a, theta, local_dim, t):
     """(unitary, analytic p_d) for a named interaction factor at time t."""
     t = _finite_time(t)
     factor = FACTORS[kind]
-    u = interaction_unitary(factor.generator(g, a, theta, local_dim), t)
+    h = factor.generator(g, a, theta, local_dim)
+    if h.dim != local_dim**2:
+        raise ConfigError(
+            f"--interaction {kind} acts on dimension {h.dim}; "
+            f"--local-dim {local_dim} needs {local_dim**2}"
+        )
+    u = interaction_unitary(h, t)
     return u, float(factor.p_d(g * t, a))
 
 

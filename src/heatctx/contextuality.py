@@ -8,6 +8,7 @@ with trace d for a trace-preserving map on dimension d.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,10 +72,8 @@ def choi_matrix(s: Superoperator) -> HermitianOp:
 def trace_preservation_residual(s: Superoperator) -> float:
     """Max-norm deviation of Tr{C(|i><j|)} from delta_ij."""
     d = s.dim
-    t = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            t[i, j] = np.trace(s.matrix[:, j * d + i].reshape(d, d, order="F"))
+    # S[(b, a), (j, i)] is C(|i><j|)[a, b], so the trace sums the diagonal a = b.
+    t = np.einsum("aaji->ij", s.matrix.reshape(d, d, d, d))
     return max_norm(t - np.eye(d))
 
 
@@ -96,11 +95,23 @@ def _symmetrized_conjugation(u: UnitaryOp | np.ndarray) -> Superoperator:
     return Superoperator(s_u.dim, (s_u.matrix + s_ud.matrix) / 2)
 
 
-def _cptp_verdict(c: Superoperator) -> tuple[np.ndarray, bool]:
-    eigs = np.linalg.eigvalsh(choi_matrix(c).matrix)
-    tp_residual = trace_preservation_residual(c)
-    ok = bool(eigs.min() >= CHOI_EIGENVALUE_FLOOR and tp_residual <= TRACE_PRESERVATION_TOL)
-    return eigs, ok
+def _cptp_verdict(c: Superoperator) -> bool:
+    """C is trace preserving to 1e-9 and its Choi spectrum lies above the floor.
+
+    The spectrum test is a Cholesky factorization of Lambda - floor * 1, which
+    succeeds when that matrix is positive definite, i.e. when every Choi
+    eigenvalue exceeds the floor: the test eigvalsh(Lambda).min() >= floor
+    without the spectrum. The two can differ only for a smallest eigenvalue
+    within rounding of the floor.
+    """
+    if not trace_preservation_residual(c) <= TRACE_PRESERVATION_TOL:
+        return False
+    lam = choi_matrix(c).matrix
+    try:
+        np.linalg.cholesky(lam - CHOI_EIGENVALUE_FLOOR * np.eye(lam.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _residual_channel(m: Superoperator, p_d: float) -> Superoperator:
@@ -115,6 +126,17 @@ def _residual_channel(m: Superoperator, p_d: float) -> Superoperator:
     return Superoperator(m.dim, (m.matrix - (1 - p_d) * ident) / p_d)
 
 
+def _decomposition_report(m: Superoperator, p_d: float) -> DecompositionReport:
+    """The report for M at p_d; the only place the Choi spectrum is computed."""
+    c = _residual_channel(m, p_d)
+    return DecompositionReport(
+        p_d=float(p_d),
+        residual_channel=c,
+        choi_eigenvalues=np.linalg.eigvalsh(choi_matrix(c).matrix),
+        is_cptp=_cptp_verdict(c),
+    )
+
+
 def extract_stochastic_reversibility(
     u: UnitaryOp | np.ndarray, p_d_claimed: float
 ) -> DecompositionReport:
@@ -125,14 +147,7 @@ def extract_stochastic_reversibility(
     """
     if not 0 <= p_d_claimed <= 1:
         raise ParamError(f"p_d must lie in [0, 1], got {p_d_claimed}")
-    c = _residual_channel(_symmetrized_conjugation(u), p_d_claimed)
-    eigs, ok = _cptp_verdict(c)
-    return DecompositionReport(
-        p_d=float(p_d_claimed),
-        residual_channel=c,
-        choi_eigenvalues=eigs,
-        is_cptp=ok,
-    )
+    return _decomposition_report(_symmetrized_conjugation(u), p_d_claimed)
 
 
 def find_minimal_pd(
@@ -141,25 +156,27 @@ def find_minimal_pd(
     """Smallest p_d in (0, 1] keeping the extracted channel CPTP, by bisection.
 
     Useful for validating analytic p_d values; returns 0 when the symmetrized
-    map is already the identity.
+    map is already the identity. The search stops when the bracket is at
+    most ``tol`` wide (``tol`` must be finite and positive) or cannot be
+    split further in floating point.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParamError(f"tol must be finite and positive, got {tol}")
     m = _symmetrized_conjugation(u)
     if max_norm(m.matrix - np.eye(m.dim * m.dim)) <= 1e-12:
-        return 0.0, extract_stochastic_reversibility(u, 0.0)
-
-    def feasible(p: float) -> bool:
-        return _cptp_verdict(_residual_channel(m, p))[1]
-
-    if not feasible(1.0):
+        return 0.0, _decomposition_report(m, 0.0)
+    if not _cptp_verdict(_residual_channel(m, 1.0)):
         raise DecompositionError("no p_d <= 1 yields a CPTP residual channel")
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if mid > 0 and feasible(mid):
+        if mid in (lo, hi):
+            break
+        if _cptp_verdict(_residual_channel(m, mid)):
             hi = mid
         else:
             lo = mid
-    return hi, extract_stochastic_reversibility(u, hi)
+    return hi, _decomposition_report(m, hi)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,14 @@ from heatctx import (
     two_qubit_thermal,
     zeeman_hamiltonian,
 )
+from heatctx.contextuality import (
+    CHOI_EIGENVALUE_FLOOR,
+    MINIMAL_PD_TOL,
+    TRACE_PRESERVATION_TOL,
+    _residual_channel,
+    _symmetrized_conjugation,
+    choi_matrix,
+)
 from heatctx.scenarios import COLUMNS, CSV_HEADER
 
 
@@ -95,6 +103,49 @@ def reference_delta_mutual_info(rho, h_int, ts):
     s_a = entropy(np.einsum("nijkj->nik", r4))
     s_b = entropy(np.einsum("nijil->njl", r4))
     return (s_a - s_a[0]) + (s_b - s_b[0])
+
+
+def reference_tp_residual(s):
+    """Reference: max |Tr{C(|i><j|)} - delta_ij|, one np.trace per matrix element."""
+    d = s.dim
+    t = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            t[i, j] = np.trace(s.matrix[:, j * d + i].reshape(d, d, order="F"))
+    return float(np.max(np.abs(t - np.eye(d))))
+
+
+def reference_cptp_verdict(c):
+    """Reference: the verdict read off the full Choi spectrum."""
+    eigs = np.linalg.eigvalsh(choi_matrix(c).matrix)
+    return bool(
+        eigs.min() >= CHOI_EIGENVALUE_FLOOR
+        and reference_tp_residual(c) <= TRACE_PRESERVATION_TOL
+    )
+
+
+def reference_minimal_pd(u, tol=MINIMAL_PD_TOL):
+    """Reference: the eigvalsh-based bisection for the minimal p_d.
+
+    Returns (p, is_cptp of the extraction at p), as the bisection stood
+    before the Cholesky verdict.
+    """
+    m = _symmetrized_conjugation(u)
+    if np.max(np.abs(m.matrix - np.eye(m.dim * m.dim))) <= 1e-12:
+        return 0.0, True
+
+    def feasible(p):
+        return reference_cptp_verdict(_residual_channel(m, p))
+
+    assert feasible(1.0)
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if mid > 0 and feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, feasible(hi)
 
 
 def result_from_records(config, records, crossings=()):

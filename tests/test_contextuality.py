@@ -26,11 +26,41 @@ from heatctx import (
     unitary_to_superoperator,
 )
 
-from heatctx.scenarios import _ScenarioEngine
+from heatctx import contextuality
+from heatctx.contextuality import (
+    CHOI_EIGENVALUE_FLOOR,
+    _cptp_verdict,
+    _residual_channel,
+    _symmetrized_conjugation,
+)
+from heatctx.scenarios import FACTORS, _ScenarioEngine
 
-from conftest import random_density, random_unitary
+from conftest import (
+    random_density,
+    random_unitary,
+    reference_cptp_verdict,
+    reference_minimal_pd,
+    reference_tp_residual,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+# Every named factor on qubits, plus the qutrit partial SWAP (d = 9).
+FACTOR_CASES = [(kind, 2) for kind in FACTORS] + [("partial-swap", 3)]
+
+
+def factor_unitary(kind, local_dim, g, t, a=0.0, theta=0.0):
+    return interaction_unitary(FACTORS[kind].generator(g, a, theta, local_dim), t)
+
+
+def seeded_factor_unitaries(kind, local_dim, seed, n):
+    """n unitaries of one factor: g t log-uniform on [1e-5, 2 pi], random g, a, theta."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        gt = float(np.exp(rng.uniform(np.log(1e-5), np.log(2 * np.pi))))
+        g = rng.uniform(0.2, 2.0)
+        a, theta = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2 * np.pi)
+        yield factor_unitary(kind, local_dim, g, gt / g, a, theta)
 
 
 class TestSuperoperator:
@@ -95,6 +125,39 @@ class TestChoi:
             assert trace_preservation_residual(s) < 1e-12
 
 
+def map_with_choi(lam):
+    """The superoperator whose Choi matrix is lam (the Choi reshape is its own inverse)."""
+    d = int(round(np.sqrt(lam.shape[0])))
+    return Superoperator(d, lam.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d))
+
+
+class TestCptpVerdict:
+    @pytest.mark.parametrize("min_eig,ok", [(-2e-9, False), (-0.5e-9, True)])
+    def test_choi_floor(self, min_eig, ok):
+        # A classical qubit channel: its Choi matrix is diag(P(a|i)), rows summing to 1.
+        lam = np.diag([1 - min_eig, min_eig, 0.5, 0.5]).astype(complex)
+        s = map_with_choi(lam)
+        assert np.array_equal(choi_matrix(s).matrix, lam)
+        assert np.linalg.eigvalsh(lam).min() == min_eig
+        assert _cptp_verdict(s) is ok
+        assert reference_cptp_verdict(s) is ok
+
+    def test_not_trace_preserving(self):
+        s = map_with_choi(np.diag([1.0, 1e-8, 0.5, 0.5]).astype(complex))
+        assert trace_preservation_residual(s) == pytest.approx(1e-8)
+        assert _cptp_verdict(s) is False
+
+    def test_tp_residual_matches_the_loop(self):
+        # The einsum sums each trace in another order than np.trace: a few ulps apart.
+        rng = np.random.default_rng(12)
+        for k in range(200):
+            d = (2, 3, 4, 9)[k % 4]
+            m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+            s = Superoperator(d, m)
+            ref = reference_tp_residual(s)
+            assert abs(trace_preservation_residual(s) - ref) <= 1e-15 * max(1.0, ref)
+
+
 class TestDecomposition:
     def test_partial_swap_channel_is_swap_conjugation(self):
         g, t = 1.0, 0.8
@@ -137,6 +200,15 @@ class TestDecomposition:
         with pytest.raises(ParamError):
             extract_stochastic_reversibility(ident, 1.5)
 
+    @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
+    def test_verdict_agrees_with_the_spectrum(self, kind, local_dim):
+        rng = np.random.default_rng(5)
+        for u in seeded_factor_unitaries(kind, local_dim, seed=31, n=20):
+            for p_d in (rng.uniform(), 1.0):
+                report = extract_stochastic_reversibility(u, p_d)
+                floor_ok = report.choi_eigenvalues.min() >= CHOI_EIGENVALUE_FLOOR
+                assert report.is_cptp == floor_ok
+
 
 class TestMinimalPd:
     def test_identity_gives_zero(self):
@@ -163,6 +235,57 @@ class TestMinimalPd:
             u = interaction_unitary(NonResonantInteraction(g).hamiltonian(), t)
             p, _ = find_minimal_pd(u)
             assert p <= np.sin(g * t / 2) ** 2 + 1e-8
+
+    @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
+    def test_factors_match_the_eigvalsh_reference(self, kind, local_dim):
+        for gt in (1e-3, 0.3, 0.8, np.pi / 2, 2.9):
+            u = factor_unitary(kind, local_dim, 1.0, gt, a=0.4, theta=0.7)
+            p, report = find_minimal_pd(u)
+            assert (p, report.is_cptp) == reference_minimal_pd(u)
+
+    @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
+    def test_seeded_times_match_the_eigvalsh_reference(self, kind, local_dim):
+        for u in seeded_factor_unitaries(kind, local_dim, seed=29, n=12):
+            p, report = find_minimal_pd(u)
+            assert (p, report.is_cptp) == reference_minimal_pd(u)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_unitaries_match_the_eigvalsh_reference(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(20):
+            u = random_unitary(rng, d)
+            p, report = find_minimal_pd(u)
+            assert (p, report.is_cptp) == reference_minimal_pd(u)
+
+    @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
+    def test_closing_report_is_the_report_at_p(self, kind, local_dim):
+        for u in seeded_factor_unitaries(kind, local_dim, seed=37, n=8):
+            p, report = find_minimal_pd(u)
+            assert report.p_d == p
+            assert report.is_cptp
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        u = factor_unitary("partial-swap", 2, 1.0, 0.8)
+        with pytest.raises(ParamError):
+            find_minimal_pd(u, tol)
+
+    def test_tol_below_one_ulp_stops_at_adjacent_floats(self, monkeypatch):
+        verdict = contextuality._cptp_verdict
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            if len(calls) > 200:
+                raise RuntimeError("the bisection makes no progress")
+            return verdict(c)
+
+        monkeypatch.setattr(contextuality, "_cptp_verdict", counted)
+        u = factor_unitary("partial-swap", 2, 1.0, np.pi / 4)
+        p, report = find_minimal_pd(u, 1e-30)
+        assert p == pytest.approx(0.5, abs=1e-8) and report.is_cptp
+        below = _residual_channel(_symmetrized_conjugation(u), np.nextafter(p, 0.0))
+        assert not verdict(below)
 
 
 class TestBounds:

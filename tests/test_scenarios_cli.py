@@ -352,6 +352,24 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "--t must be finite" in result.output
 
+    @pytest.mark.parametrize(
+        "kind,local_dim",
+        [
+            ("resonant-exchange", 3),
+            ("resonant-detuning", 3),
+            ("nonresonant", 7),
+            ("nonresonant", 1),
+            ("partial-swap", 4),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["verify-decomposition", "--minimal"], ["choi"]])
+    def test_local_dim_the_factor_does_not_act_on_exits_2(self, command, kind, local_dim):
+        args = [*command, "--interaction", kind, "--local-dim", str(local_dim), "--t", "0.8"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "config error" in result.output
+
     def test_clausius_support_error_exits_2(self, tmp_path):
         # At T_A = 0.001 the evolved marginal of A leaves the support of its Gibbs state.
         config = small_config(state={"omega": 1.0, "T_A": 0.001, "T_B": 1.0})
