@@ -95,15 +95,23 @@ def _symmetrized_conjugation(u: UnitaryOp | np.ndarray) -> Superoperator:
     return Superoperator(s_u.dim, (s_u.matrix + s_ud.matrix) / 2)
 
 
-def _cptp_verdict(c: Superoperator) -> bool:
-    """C is trace preserving to 1e-9 and its Choi spectrum lies above the floor.
+def _cptp_verdict(c: Superoperator | np.ndarray) -> bool:
+    """Whether a channel is CPTP: its Choi spectrum lies above the floor.
 
-    The spectrum test is a Cholesky factorization of Lambda - floor * 1, which
+    A ``Superoperator`` must also be trace preserving to 1e-9, and its
+    spectrum test is a Cholesky factorization of Lambda - floor * 1, which
     succeeds when that matrix is positive definite, i.e. when every Choi
     eigenvalue exceeds the floor: the test eigvalsh(Lambda).min() >= floor
     without the spectrum. The two can differ only for a smallest eigenvalue
     within rounding of the floor.
+
+    An array is the d x d Schur multiplier A of a unitary's residual channel
+    (``_schur_multiplier``), which preserves the trace exactly and whose Choi
+    spectrum is eig(A) plus zeros; the test is eigvalsh(A).min() >= floor,
+    the predicate a ``DecompositionReport`` reads off the same spectrum.
     """
+    if not isinstance(c, Superoperator):
+        return bool(np.linalg.eigvalsh(c)[0] >= CHOI_EIGENVALUE_FLOOR)
     if not trace_preservation_residual(c) <= TRACE_PRESERVATION_TOL:
         return False
     lam = choi_matrix(c).matrix
@@ -112,6 +120,29 @@ def _cptp_verdict(c: Superoperator) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _eigenbasis_gaps(u: UnitaryOp | np.ndarray) -> np.ndarray:
+    """G_ij = |lambda_i - lambda_j|^2 / 2 over the eigenvalues of U, validated unitary.
+
+    With U = V diag(lambda) V^dag, the symmetrized map multiplies entry (i, j)
+    of V^dag X V by Re(lambda_i conj(lambda_j)) = 1 - G_ij. The gap form keeps
+    the small differences that 1 - Re(lambda_i conj(lambda_j)) cancels.
+    """
+    um = u.matrix if isinstance(u, UnitaryOp) else UnitaryOp(u).matrix
+    lam = np.linalg.eigvals(um)
+    return np.abs(lam[:, None] - lam[None, :]) ** 2 / 2
+
+
+def _schur_multiplier(gaps: np.ndarray, p_d: float) -> np.ndarray:
+    """A = 1 - G / p_d: the residual channel C in the eigenbasis of U.
+
+    C of M = (1 - p_d) id + p_d C multiplies entry (i, j) by A_ij, so its
+    Choi spectrum is eig(A) plus d^2 - d zeros, and A_ii = 1 makes it trace
+    preserving exactly. At p_d = 0 the residual channel is the identity,
+    whose multiplier is all ones.
+    """
+    return 1 - gaps / p_d if p_d else np.ones_like(gaps)
 
 
 def _residual_channel(m: Superoperator, p_d: float) -> Superoperator:
@@ -126,14 +157,18 @@ def _residual_channel(m: Superoperator, p_d: float) -> Superoperator:
     return Superoperator(m.dim, (m.matrix - (1 - p_d) * ident) / p_d)
 
 
-def _decomposition_report(m: Superoperator, p_d: float) -> DecompositionReport:
-    """The report for M at p_d; the only place the Choi spectrum is computed."""
+def _decomposition_report(
+    m: Superoperator, gaps: np.ndarray, p_d: float
+) -> DecompositionReport:
+    """The report for M at p_d, its Choi spectrum and verdict read off eig(A)."""
     c = _residual_channel(m, p_d)
+    eigs = np.linalg.eigvalsh(_schur_multiplier(gaps, p_d))
+    spectrum = np.sort(np.concatenate([eigs, np.zeros(eigs.size * (eigs.size - 1))]))
     return DecompositionReport(
         p_d=float(p_d),
         residual_channel=c,
-        choi_eigenvalues=np.linalg.eigvalsh(choi_matrix(c).matrix),
-        is_cptp=_cptp_verdict(c),
+        choi_eigenvalues=spectrum,
+        is_cptp=bool(spectrum[0] >= CHOI_EIGENVALUE_FLOOR),
     )
 
 
@@ -143,11 +178,12 @@ def extract_stochastic_reversibility(
     """Extract C from (1/2)U(.)U^dag + (1/2)U^dag(.)U = (1-p_d) id + p_d C.
 
     The residual is zero by construction, so the verdict rests entirely on
-    whether the extracted C is CPTP.
+    whether the extracted C is CPTP, decided in the eigenbasis of U.
     """
     if not 0 <= p_d_claimed <= 1:
         raise ParamError(f"p_d must lie in [0, 1], got {p_d_claimed}")
-    return _decomposition_report(_symmetrized_conjugation(u), p_d_claimed)
+    gaps = _eigenbasis_gaps(u)
+    return _decomposition_report(_symmetrized_conjugation(u), gaps, p_d_claimed)
 
 
 def find_minimal_pd(
@@ -156,27 +192,29 @@ def find_minimal_pd(
     """Smallest p_d in (0, 1] keeping the extracted channel CPTP, by bisection.
 
     Useful for validating analytic p_d values; returns 0 when the symmetrized
-    map is already the identity. The search stops when the bracket is at
-    most ``tol`` wide (``tol`` must be finite and positive) or cannot be
-    split further in floating point.
+    map is already the identity. Each step is a d x d verdict on the Schur
+    multiplier A(p_d). The search stops when the bracket is at most ``tol``
+    wide (``tol`` must be finite and positive) or cannot be split further in
+    floating point.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParamError(f"tol must be finite and positive, got {tol}")
+    gaps = _eigenbasis_gaps(u)
     m = _symmetrized_conjugation(u)
     if max_norm(m.matrix - np.eye(m.dim * m.dim)) <= 1e-12:
-        return 0.0, _decomposition_report(m, 0.0)
-    if not _cptp_verdict(_residual_channel(m, 1.0)):
+        return 0.0, _decomposition_report(m, gaps, 0.0)
+    if not _cptp_verdict(_schur_multiplier(gaps, 1.0)):
         raise DecompositionError("no p_d <= 1 yields a CPTP residual channel")
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if mid in (lo, hi):
             break
-        if _cptp_verdict(_residual_channel(m, mid)):
+        if _cptp_verdict(_schur_multiplier(gaps, mid)):
             hi = mid
         else:
             lo = mid
-    return hi, _decomposition_report(m, hi)
+    return hi, _decomposition_report(m, gaps, hi)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,10 @@ class NonResonantInteraction:
 
     g: float
 
+    def __post_init__(self):
+        if not self.g > 0:
+            raise ParamError(f"g must be positive, got {self.g}")
+
     def hamiltonian(self) -> HermitianOp:
         h = np.zeros((4, 4), dtype=complex)
         h[1, 1] = h[2, 2] = 1.0

@@ -89,8 +89,8 @@ def test_criterion_3_decomposition_feasibility():
         t = rng.uniform(0.0, 2 * math.pi / g)
         p_d1 = math.sin((a - 1.0) * g * t / 2) ** 2
         p_d2 = math.sin(g * t) ** 2
-        if min(p_d1, p_d2) < 1e-4:
-            continue  # p_d near 0 amplifies roundoff in the extracted channel
+        if min(p_d1, p_d2) < 1e-10:
+            continue  # below g t ~ 1e-5 a U in doubles cannot resolve its eigenvalue gaps
         u1, u2 = resonant_decomposition_factors(ResonantInteraction(g, a, theta), t)
         ok = ok and extract_stochastic_reversibility(u1, p_d1).is_cptp
         ok = ok and extract_stochastic_reversibility(u2, p_d2).is_cptp
@@ -100,7 +100,7 @@ def test_criterion_3_decomposition_feasibility():
         g = rng.uniform(0.1, 2.0)
         t = rng.uniform(0.0, 2 * math.pi / g)
         p_d = math.sin(g * t / 2) ** 2
-        if p_d < 1e-4:
+        if p_d < 1e-10:
             continue
         u = interaction_unitary(NonResonantInteraction(g).hamiltonian(), t)
         ok = ok and extract_stochastic_reversibility(u, p_d).is_cptp

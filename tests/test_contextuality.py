@@ -5,6 +5,7 @@ from heatctx import (
     Crossing,
     DecompositionError,
     NonResonantInteraction,
+    NumericsError,
     ParamError,
     PartialSwapInteraction,
     ResonantInteraction,
@@ -30,7 +31,9 @@ from heatctx import contextuality
 from heatctx.contextuality import (
     CHOI_EIGENVALUE_FLOOR,
     _cptp_verdict,
+    _eigenbasis_gaps,
     _residual_channel,
+    _schur_multiplier,
     _symmetrized_conjugation,
 )
 from heatctx.scenarios import FACTORS, _ScenarioEngine
@@ -53,14 +56,32 @@ def factor_unitary(kind, local_dim, g, t, a=0.0, theta=0.0):
     return interaction_unitary(FACTORS[kind].generator(g, a, theta, local_dim), t)
 
 
-def seeded_factor_unitaries(kind, local_dim, seed, n):
-    """n unitaries of one factor: g t log-uniform on [1e-5, 2 pi], random g, a, theta."""
+def seeded_factor_unitaries(kind, local_dim, seed, n, gt_range=(1e-5, 2 * np.pi)):
+    """n (unitary, g t, analytic p_d) of one factor: g t log-uniform, random g, a, theta."""
     rng = np.random.default_rng(seed)
     for _ in range(n):
-        gt = float(np.exp(rng.uniform(np.log(1e-5), np.log(2 * np.pi))))
+        gt = float(np.exp(rng.uniform(*np.log(gt_range))))
         g = rng.uniform(0.2, 2.0)
         a, theta = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2 * np.pi)
-        yield factor_unitary(kind, local_dim, g, gt / g, a, theta)
+        u = factor_unitary(kind, local_dim, g, gt / g, a, theta)
+        yield u, gt, float(FACTORS[kind].p_d(gt, a))
+
+
+# Below this g t the eigvalsh reference divides the roundoff of the d^2 x d^2
+# Choi matrix by a p_d near 0 and misjudges; there the analytic p_d is the
+# reference.
+REFERENCE_GT_MIN = 0.05
+
+
+def assert_matches_the_reference(u, gt, p_analytic):
+    p, report = find_minimal_pd(u)
+    ref_p, ref_cptp = reference_minimal_pd(u)
+    if gt >= REFERENCE_GT_MIN:
+        assert (p, report.is_cptp) == (ref_p, ref_cptp)
+    else:
+        assert report.is_cptp
+        assert p <= ref_p
+        assert abs(p - p_analytic) <= 1e-9
 
 
 class TestSuperoperator:
@@ -200,10 +221,17 @@ class TestDecomposition:
         with pytest.raises(ParamError):
             extract_stochastic_reversibility(ident, 1.5)
 
+    def test_a_non_unitary_is_rejected(self):
+        # A_ii = 1, and with it trace preservation, holds only for a unitary U.
+        with pytest.raises(NumericsError):
+            extract_stochastic_reversibility(np.diag([1.0, 1.0 + 1e-8]), 0.5)
+        with pytest.raises(NumericsError):
+            find_minimal_pd(np.diag([1.0, 0.5]))
+
     @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
     def test_verdict_agrees_with_the_spectrum(self, kind, local_dim):
         rng = np.random.default_rng(5)
-        for u in seeded_factor_unitaries(kind, local_dim, seed=31, n=20):
+        for u, _, _ in seeded_factor_unitaries(kind, local_dim, seed=31, n=20):
             for p_d in (rng.uniform(), 1.0):
                 report = extract_stochastic_reversibility(u, p_d)
                 floor_ok = report.choi_eigenvalues.min() >= CHOI_EIGENVALUE_FLOOR
@@ -240,14 +268,12 @@ class TestMinimalPd:
     def test_factors_match_the_eigvalsh_reference(self, kind, local_dim):
         for gt in (1e-3, 0.3, 0.8, np.pi / 2, 2.9):
             u = factor_unitary(kind, local_dim, 1.0, gt, a=0.4, theta=0.7)
-            p, report = find_minimal_pd(u)
-            assert (p, report.is_cptp) == reference_minimal_pd(u)
+            assert_matches_the_reference(u, gt, float(FACTORS[kind].p_d(gt, 0.4)))
 
     @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
     def test_seeded_times_match_the_eigvalsh_reference(self, kind, local_dim):
-        for u in seeded_factor_unitaries(kind, local_dim, seed=29, n=12):
-            p, report = find_minimal_pd(u)
-            assert (p, report.is_cptp) == reference_minimal_pd(u)
+        for u, gt, p_analytic in seeded_factor_unitaries(kind, local_dim, seed=29, n=12):
+            assert_matches_the_reference(u, gt, p_analytic)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_unitaries_match_the_eigvalsh_reference(self, d):
@@ -259,7 +285,7 @@ class TestMinimalPd:
 
     @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
     def test_closing_report_is_the_report_at_p(self, kind, local_dim):
-        for u in seeded_factor_unitaries(kind, local_dim, seed=37, n=8):
+        for u, _, _ in seeded_factor_unitaries(kind, local_dim, seed=37, n=8):
             p, report = find_minimal_pd(u)
             assert report.p_d == p
             assert report.is_cptp
@@ -284,8 +310,39 @@ class TestMinimalPd:
         u = factor_unitary("partial-swap", 2, 1.0, np.pi / 4)
         p, report = find_minimal_pd(u, 1e-30)
         assert p == pytest.approx(0.5, abs=1e-8) and report.is_cptp
-        below = _residual_channel(_symmetrized_conjugation(u), np.nextafter(p, 0.0))
-        assert not verdict(below)
+        below = np.nextafter(p, 0.0)
+        assert not verdict(_schur_multiplier(_eigenbasis_gaps(u), below))
+        assert not verdict(_residual_channel(_symmetrized_conjugation(u), below))
+
+
+class TestSmallPd:
+    """The p_d -> 0 corner, where the d^2 x d^2 Choi matrix divides roundoff by p_d."""
+
+    @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
+    def test_analytic_pd_is_cptp_and_minimal(self, kind, local_dim):
+        rng = np.random.default_rng(53)
+        for gt in np.logspace(-5, -2, 13):
+            g = rng.uniform(0.2, 2.0)
+            a, theta = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2 * np.pi)
+            u = factor_unitary(kind, local_dim, g, gt / g, a, theta)
+            p_analytic = float(FACTORS[kind].p_d(gt, a))
+            assert extract_stochastic_reversibility(u, p_analytic).is_cptp
+            p, report = find_minimal_pd(u)
+            assert abs(p - p_analytic) <= 1e-9
+            assert report.is_cptp
+
+    @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
+    def test_spectrum_matches_the_choi_matrix(self, kind, local_dim):
+        # eig(A) plus d^2 - d zeros is the spectrum of the d^2 x d^2 Choi matrix.
+        rng = np.random.default_rng(59)
+        cases = seeded_factor_unitaries(kind, local_dim, seed=61, n=20, gt_range=(0.05, np.pi))
+        for u, _, p_analytic in cases:
+            for p_d in (p_analytic, rng.uniform(p_analytic, 1.0), 1.0):
+                report = extract_stochastic_reversibility(u, p_d)
+                choi = np.linalg.eigvalsh(choi_matrix(report.residual_channel).matrix)
+                assert np.max(np.abs(report.choi_eigenvalues - choi)) <= 1e-9
+                d = u.dim
+                assert np.count_nonzero(report.choi_eigenvalues == 0.0) >= d * d - d
 
 
 class TestBounds:

@@ -329,6 +329,22 @@ class TestCli:
         assert len(values) == 16
         assert max(values) == pytest.approx(4.0, abs=1e-9)
 
+    def test_choi_prints_the_multiplier_spectrum_and_exact_zeros(self):
+        args = ["choi", "--interaction", "partial-swap", "--local-dim", "3", "--t", "0.8"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0
+        values = [float(x) for x in result.output.split()]
+        assert len(values) == 81
+        assert values.count(0.0) >= 81 - 9
+        assert values == sorted(values)
+
+    @pytest.mark.parametrize("kind", list(FACTORS))
+    def test_minimal_pd_near_zero_is_cptp(self, kind):
+        args = ["verify-decomposition", "--interaction", kind, "--t", "1e-4", "--minimal"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "cptp: yes" in result.output
+
     def test_clausius_command(self, tmp_path):
         config = small_config()
         cfg_path = tmp_path / "cfg.json"
@@ -369,6 +385,14 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "config error" in result.output
+
+    @pytest.mark.parametrize("g", ["-1", "0"])
+    @pytest.mark.parametrize("kind", list(FACTORS))
+    @pytest.mark.parametrize("command", [["verify-decomposition"], ["choi"]])
+    def test_non_positive_g_exits_2(self, command, kind, g):
+        result = CliRunner().invoke(main, [*command, "--interaction", kind, "--g", g, "--t", "0.5"])
+        assert result.exit_code == 2, result.output
+        assert "g must be positive" in result.output
 
     def test_clausius_support_error_exits_2(self, tmp_path):
         # At T_A = 0.001 the evolved marginal of A leaves the support of its Gibbs state.
