@@ -24,7 +24,6 @@ from .linalg import (
     eig_hermitian,
     expm_hermitian_generator,
     kron,
-    kron_all,
     partial_trace,
 )
 from .states import (
@@ -49,7 +48,6 @@ from .dynamics import (
     evolve_interaction_picture,
     evolve_on_grid,
     interaction_unitary,
-    resonant_decomposition_factors,
     swap_operator,
 )
 from .thermo import (

@@ -147,14 +147,3 @@ def evolve_interaction_picture(rho: DensityMatrix, h_int, t: float) -> DensityMa
     out = (out + dagger(out)) / 2
     return DensityMatrix(out, rho.dims)
 
-
-def resonant_decomposition_factors(
-    params: ResonantInteraction, t: float
-) -> tuple[UnitaryOp, UnitaryOp]:
-    """Commuting factors (U1, U2) of the resonant evolution.
-
-    U1 = e^{-i t H_a}, U2 = e^{-i t H_theta}; U2 @ U1 reproduces e^{-i t H_I}.
-    """
-    u1 = interaction_unitary(params.detuning_part(), t)
-    u2 = interaction_unitary(params.exchange_part(), t)
-    return u1, u2

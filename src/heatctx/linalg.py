@@ -89,13 +89,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def kron_all(*ms) -> np.ndarray:
-    out = as_matrix(ms[0])
-    for m in ms[1:]:
-        out = np.kron(out, as_matrix(m))
-    return out
-
-
 def partial_trace(m, dims, keep: int) -> np.ndarray:
     """Trace out every subsystem except ``keep``.
 

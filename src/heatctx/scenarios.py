@@ -24,7 +24,8 @@ from .linalg import eig_hermitian
 from .states import (
     TwoQubitThermalParams,
     TwoQutritThermalParams,
-    entropies,
+    bipartite_marginals,
+    mutual_information_change,
     two_qubit_thermal,
     two_qutrit_thermal,
     zeeman_hamiltonian,
@@ -111,23 +112,26 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
-        try:
-            grid = raw.get("time_grid")
-            if not isinstance(grid, dict):
-                raise ConfigError("time_grid must be an object with t_min/t_max/n_points")
-            tg = TimeGrid(
-                t_min=float(grid["t_min"]),
-                t_max=float(grid["t_max"]),
-                n_points=int(grid["n_points"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"time_grid is missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"time_grid has a non-numeric field: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        grid = raw.get("time_grid")
+        if not isinstance(grid, dict):
+            raise ConfigError("time_grid must be an object with t_min/t_max/n_points")
+        t_min, t_max, n_points = (
+            _finite("time_grid", grid, key) for key in ("t_min", "t_max", "n_points")
+        )
+        if not n_points.is_integer():
+            raise ConfigError(f"time_grid.n_points must be an integer, got {n_points}")
+        tg = TimeGrid(t_min=t_min, t_max=t_max, n_points=int(n_points))
         for req, kind in (("scenario", str), ("state", dict), ("interaction", dict)):
             if not isinstance(raw.get(req), kind):
                 raise ConfigError(f"config field {req!r} is missing or not a {kind.__name__}")
-        out = raw.get("output", {}) or {}
+        out = raw.get("output", {})
+        if not isinstance(out, dict):
+            raise ConfigError(f"output must be an object with path/format, got {out!r}")
+        for key in ("path", "format"):
+            if key in out and not isinstance(out[key], str):
+                raise ConfigError(f"output.{key} must be a string, got {out[key]!r}")
         return ScenarioConfig(
             scenario=raw["scenario"],
             state=dict(raw["state"]),
@@ -256,10 +260,12 @@ _REQUIRED = object()
 
 
 def _finite(section: str, fields: dict, key: str, default=_REQUIRED) -> float:
-    """fields[key] as a finite float (``default`` when absent), else ConfigError."""
+    """fields[key] as a finite float, not a bool (``default`` when absent), else ConfigError."""
     value = fields.get(key, default)
     if value is _REQUIRED:
         raise ConfigError(f"{section} is missing field {key!r}")
+    if isinstance(value, bool):
+        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
     try:
         v = float(value)
     except (TypeError, ValueError) as exc:
@@ -510,11 +516,8 @@ class _ScenarioEngine:
 
     def delta_mutual_info(self, ts: np.ndarray) -> np.ndarray:
         """Batched I(t) - I(0); the global entropy cancels under unitaries."""
-        d_a, d_b = self.rho.dims
-        r4 = evolve_on_grid(self.rho, self.h_int, ts).reshape(-1, d_a, d_b, d_a, d_b)
-        s_a = entropies(np.einsum("nijkj->nik", r4))
-        s_b = entropies(np.einsum("nijil->njl", r4))
-        return (s_a - s_a[0]) + (s_b - s_b[0])
+        rho_t = evolve_on_grid(self.rho, self.h_int, ts)
+        return mutual_information_change(*bipartite_marginals(rho_t, self.rho.dims))
 
 
 def _check_against_trace(engine: _ScenarioEngine, ts: np.ndarray, heat: np.ndarray) -> None:

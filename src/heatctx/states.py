@@ -23,6 +23,7 @@ from .errors import (
 )
 from .linalg import (
     HermitianOp,
+    as_matrix,
     dagger,
     eig_hermitian,
     max_norm,
@@ -172,7 +173,7 @@ def check_thermal_marginals(state: DensityMatrix, h_locals, betas, tol: float, e
             raise DimensionError(
                 f"local Hamiltonian {keep} has dim {want.shape[0]}, state dims {state.dims}"
             )
-        dev = max_norm(state.marginal(keep).matrix - want)
+        dev = max_norm(partial_trace(state.matrix, state.dims, keep) - want)
         if dev > tol:
             raise error(f"marginal {keep} deviates from Gibbs(beta={beta:g}) by {dev:.3g}")
 
@@ -244,6 +245,22 @@ def entropies(rhos: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)
 
 
+def bipartite_marginals(rhos: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_A, rho_B) of each bipartite state in a stack (N, d_A d_B, d_A d_B)."""
+    d_a, d_b = dims
+    r4 = rhos.reshape(-1, d_a, d_b, d_a, d_b)
+    return np.einsum("nijkj->nik", r4), np.einsum("nijil->njl", r4)
+
+
+def mutual_information_change(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
+    """I(A:B) along a unitary orbit minus I(A:B) of its first state, from the marginals.
+
+    The global entropy stays constant under a unitary, so it cancels.
+    """
+    s_a, s_b = entropies(rho_a), entropies(rho_b)
+    return (s_a - s_a[0]) + (s_b - s_b[0])
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda ln lambda in nats, with 0 ln 0 := 0."""
     return float(entropies(rho.matrix))
@@ -260,26 +277,33 @@ def mutual_information(rho: DensityMatrix) -> float:
     )
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, support_tol=1e-10) -> float:
+def relative_entropy(
+    rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray, support_tol=1e-10
+) -> float:
     """S(rho || sigma) = Tr{rho ln rho - rho ln sigma} in nats.
 
-    Raises SupportError when rho has weight on the kernel of sigma.
+    An array is taken as a density matrix as it is, unvalidated: pass one
+    only when it was derived from validated states. Raises SupportError when
+    rho has weight on the kernel of sigma.
     """
-    if rho.dim != sigma.dim:
+    rho, sigma = (
+        x.matrix if isinstance(x, DensityMatrix) else as_matrix(x) for x in (rho, sigma)
+    )
+    if rho.shape != sigma.shape:
         raise DimensionError("relative entropy needs equal dimensions")
-    ws, vs = eig_hermitian(sigma.matrix)
+    ws, vs = eig_hermitian(sigma)
     ws = np.clip(ws, 0.0, None)
     kernel = ws <= support_tol
     if np.any(kernel):
         weight = np.real(
-            np.einsum("ij,jk,ki->", dagger(vs[:, kernel]), rho.matrix, vs[:, kernel])
+            np.einsum("ij,jk,ki->", dagger(vs[:, kernel]), rho, vs[:, kernel])
         )
         if weight > support_tol:
             raise SupportError(
                 f"rho has weight {weight:.3g} outside the support of sigma"
             )
-    tr_rho_log_rho = -float(entropies(rho.matrix))
+    tr_rho_log_rho = -float(entropies(rho))
     log_sigma_evals = np.log(np.where(kernel, 1.0, ws))  # kernel rows carry ~0 weight
     log_sigma = (vs * log_sigma_evals) @ dagger(vs)
-    tr_rho_log_sigma = float(np.real(np.trace(rho.matrix @ log_sigma)))
+    tr_rho_log_sigma = float(np.real(np.trace(rho @ log_sigma)))
     return tr_rho_log_rho - tr_rho_log_sigma

@@ -17,11 +17,12 @@ from .states import (
     DensityMatrix,
     TwoQubitThermalParams,
     TwoQutritThermalParams,
+    bipartite_marginals,
     check_thermal_marginals,
-    mutual_information,
+    mutual_information_change,
     relative_entropy,
 )
-from .dynamics import evolve_interaction_picture
+from .dynamics import evolve_interaction_picture, evolve_on_grid
 
 THERMAL_MARGIN_TOL = 1e-8
 
@@ -120,21 +121,25 @@ def clausius_report(
             = beta_A <Q_A> + beta_B <Q_B> - Delta I(A:B)
     to 1e-9 and returns all pieces. Requires thermal marginals at the given
     betas (to 1e-8, looser than construction so externally loaded states pass).
+    rho was validated when it was built; the evolved state and the four
+    marginals derived from it are plain arrays.
     """
     ha, hb = as_matrix(h_a_local), as_matrix(h_b_local)
     check_thermal_marginals(
         rho, (ha, hb), (beta_A, beta_B), THERMAL_MARGIN_TOL, NonThermalMarginalsError
     )
 
-    evolved = evolve_interaction_picture(rho, h_int, t)
-    change = evolved.matrix - rho.matrix
+    evolved = evolve_on_grid(rho, h_int, [t])[0]
+    change = evolved - rho.matrix
     q_a = float(np.real(np.trace(change @ kron(ha, np.eye(hb.shape[0])))))
     q_b = float(np.real(np.trace(change @ kron(np.eye(ha.shape[0]), hb))))
 
-    delta_i = mutual_information(evolved) - mutual_information(rho)
-    entropy_production = relative_entropy(
-        evolved.marginal(0), rho.marginal(0)
-    ) + relative_entropy(evolved.marginal(1), rho.marginal(1))
+    # Row 0 holds the marginals of rho, row 1 those of the evolved state.
+    rho_a, rho_b = bipartite_marginals(np.stack([rho.matrix, evolved]), rho.dims)
+    delta_i = float(mutual_information_change(rho_a, rho_b)[1])
+    entropy_production = relative_entropy(rho_a[1], rho_a[0]) + relative_entropy(
+        rho_b[1], rho_b[0]
+    )
 
     identity_gap = abs(entropy_production - (beta_A * q_a + beta_B * q_b - delta_i))
     if identity_gap > 1e-9:

@@ -26,7 +26,6 @@ from heatctx import (
     nc_bound_theorem2,
     qutrit_critical_times_analytic,
     qutrit_hamiltonian,
-    resonant_decomposition_factors,
     run_sweep,
     sequential_b_factors,
     two_qubit_thermal,
@@ -91,7 +90,9 @@ def test_criterion_3_decomposition_feasibility():
         p_d2 = math.sin(g * t) ** 2
         if min(p_d1, p_d2) < 1e-10:
             continue  # below g t ~ 1e-5 a U in doubles cannot resolve its eigenvalue gaps
-        u1, u2 = resonant_decomposition_factors(ResonantInteraction(g, a, theta), t)
+        inter = ResonantInteraction(g, a, theta)
+        u1 = interaction_unitary(inter.detuning_part(), t)
+        u2 = interaction_unitary(inter.exchange_part(), t)
         ok = ok and extract_stochastic_reversibility(u1, p_d1).is_cptp
         ok = ok and extract_stochastic_reversibility(u2, p_d2).is_cptp
         checked += 1

@@ -20,7 +20,6 @@ from heatctx import (
     nc_bound_theorem1,
     nc_bound_theorem2,
     qutrit_critical_times_analytic,
-    resonant_decomposition_factors,
     sequential_b_factors,
     swap_operator,
     trace_preservation_residual,
@@ -160,13 +159,13 @@ class TestCptpVerdict:
         s = map_with_choi(lam)
         assert np.array_equal(choi_matrix(s).matrix, lam)
         assert np.linalg.eigvalsh(lam).min() == min_eig
-        assert _cptp_verdict(s) is ok
+        assert _cptp_verdict(lam) is ok
         assert reference_cptp_verdict(s) is ok
 
     def test_not_trace_preserving(self):
         s = map_with_choi(np.diag([1.0, 1e-8, 0.5, 0.5]).astype(complex))
         assert trace_preservation_residual(s) == pytest.approx(1e-8)
-        assert _cptp_verdict(s) is False
+        assert reference_cptp_verdict(s) is False
 
     def test_tp_residual_matches_the_loop(self):
         # The einsum sums each trace in another order than np.trace: a few ulps apart.
@@ -183,10 +182,11 @@ class TestDecomposition:
     def test_partial_swap_channel_is_swap_conjugation(self):
         g, t = 1.0, 0.8
         u = interaction_unitary(PartialSwapInteraction(g, 2).hamiltonian(), t)
-        report = extract_stochastic_reversibility(u, np.sin(g * t) ** 2)
-        assert report.is_cptp
+        p_d = np.sin(g * t) ** 2
+        assert extract_stochastic_reversibility(u, p_d).is_cptp
+        c = _residual_channel(_symmetrized_conjugation(u), p_d)
         swap_conj = unitary_to_superoperator(swap_operator(2))
-        assert np.max(np.abs(report.residual_channel.matrix - swap_conj.matrix)) < 1e-10
+        assert np.max(np.abs(c.matrix - swap_conj.matrix)) < 1e-10
 
     def test_nonresonant_choi_spectrum(self):
         g, t = 0.7, 1.3
@@ -236,6 +236,28 @@ class TestDecomposition:
                 report = extract_stochastic_reversibility(u, p_d)
                 floor_ok = report.choi_eigenvalues.min() >= CHOI_EIGENVALUE_FLOOR
                 assert report.is_cptp == floor_ok
+
+    def test_certification_builds_no_superoperator(self, monkeypatch):
+        original = Superoperator.__post_init__
+        built = []
+
+        def counted(self):
+            built.append(self.dim)
+            original(self)
+
+        monkeypatch.setattr(Superoperator, "__post_init__", counted)
+        for kind, local_dim in FACTOR_CASES:
+            for u, _, p_analytic in seeded_factor_unitaries(kind, local_dim, seed=43, n=4):
+                extract_stochastic_reversibility(u, p_analytic)
+                find_minimal_pd(u)
+        ident = UnitaryOp(np.eye(4, dtype=complex))
+        extract_stochastic_reversibility(ident, 0.0)
+        find_minimal_pd(ident)
+        with pytest.raises(DecompositionError):
+            extract_stochastic_reversibility(factor_unitary("nonresonant", 2, 1.0, 0.5), 0.0)
+        assert built == []
+        unitary_to_superoperator(ident)  # the count sees the d^2 x d^2 reference
+        assert built == [4]
 
 
 class TestMinimalPd:
@@ -312,7 +334,6 @@ class TestMinimalPd:
         assert p == pytest.approx(0.5, abs=1e-8) and report.is_cptp
         below = np.nextafter(p, 0.0)
         assert not verdict(_schur_multiplier(_eigenbasis_gaps(u), below))
-        assert not verdict(_residual_channel(_symmetrized_conjugation(u), below))
 
 
 class TestSmallPd:
@@ -339,7 +360,8 @@ class TestSmallPd:
         for u, _, p_analytic in cases:
             for p_d in (p_analytic, rng.uniform(p_analytic, 1.0), 1.0):
                 report = extract_stochastic_reversibility(u, p_d)
-                choi = np.linalg.eigvalsh(choi_matrix(report.residual_channel).matrix)
+                c = _residual_channel(_symmetrized_conjugation(u), p_d)
+                choi = np.linalg.eigvalsh(choi_matrix(c).matrix)
                 assert np.max(np.abs(report.choi_eigenvalues - choi)) <= 1e-9
                 d = u.dim
                 assert np.count_nonzero(report.choi_eigenvalues == 0.0) >= d * d - d

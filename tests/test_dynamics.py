@@ -12,7 +12,6 @@ from heatctx import (
     interaction_unitary,
     kron,
     qutrit_hamiltonian,
-    resonant_decomposition_factors,
     swap_operator,
     zeeman_hamiltonian,
 )
@@ -114,13 +113,21 @@ def test_evolution_preserves_spectrum():
     assert abs(np.trace(out.matrix) - 1) < 1e-12
 
 
+def resonant_factors(inter, t):
+    """(U1, U2) = (e^{-i t H_a}, e^{-i t H_theta}), the commuting factors of e^{-i t H_I}."""
+    return (
+        interaction_unitary(inter.detuning_part(), t),
+        interaction_unitary(inter.exchange_part(), t),
+    )
+
+
 class TestResonantFactors:
     def test_a_equals_one_gives_identity_factor(self):
-        u1, _ = resonant_decomposition_factors(ResonantInteraction(1.0, a=1.0), 0.8)
+        u1, _ = resonant_factors(ResonantInteraction(1.0, a=1.0), 0.8)
         assert np.max(np.abs(u1.matrix - np.eye(4))) < 1e-14
 
     def test_zero_time(self):
-        u1, u2 = resonant_decomposition_factors(
+        u1, u2 = resonant_factors(
             ResonantInteraction(1.0, a=0.3, theta=0.4), 0.0
         )
         assert np.allclose(u1.matrix, np.eye(4))
@@ -129,7 +136,7 @@ class TestResonantFactors:
     def test_product_reconstructs_full_unitary(self):
         inter = ResonantInteraction(1.0, a=0.0, theta=np.pi / 2)
         t = 0.3
-        u1, u2 = resonant_decomposition_factors(inter, t)
+        u1, u2 = resonant_factors(inter, t)
         full = interaction_unitary(inter.hamiltonian(), t)
         assert np.max(np.abs(u2.matrix @ u1.matrix - full.matrix)) < 1e-12
 
@@ -140,5 +147,5 @@ class TestResonantFactors:
                 rng.uniform(0.1, 2), a=rng.uniform(-2, 2), theta=rng.uniform(0, 2 * np.pi)
             )
             t = rng.uniform(0, 5)
-            u1, u2 = resonant_decomposition_factors(inter, t)
+            u1, u2 = resonant_factors(inter, t)
             assert np.max(np.abs(u1.matrix @ u2.matrix - u2.matrix @ u1.matrix)) < 1e-12

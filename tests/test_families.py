@@ -215,15 +215,29 @@ def test_critical_times_list_each_instant_once():
     assert all(b - a > 1e-10 * b for a, b in zip(times, times[1:]))
 
 
+# Edits to the shape and JSON types of a config: section None edits a
+# top-level field, and key None replaces the whole config with the value.
+SHAPE_BAD = [
+    (None, None, [1, 2]),
+    (None, "output", "x"),
+    ("output", "path", 1),
+    ("output", "format", 1),
+    ("state", "T_A", True),
+    ("time_grid", "n_points", 2.5),
+]
+
 BAD_CASES = [
     (name, *edit) for name in sorted(FAMILIES) for edit in COMMON_BAD + FAMILY_BAD[name]
-]
+] + [(name, *edit) for name in sorted(FAMILIES) for edit in SHAPE_BAD]
 
 
 @pytest.mark.parametrize("name,section,key,value", BAD_CASES)
 def test_invalid_config_exits_2(name, section, key, value, tmp_path):
     raw = example_config(name)
-    raw[section][key] = value
+    if key is None:
+        raw = value
+    else:
+        (raw if section is None else raw.setdefault(section, {}))[key] = value
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(raw))
     runner = CliRunner()
@@ -232,3 +246,10 @@ def test_invalid_config_exits_2(name, section, key, value, tmp_path):
         assert result.exit_code == 2, (args, result.output, result.exception)
         assert isinstance(result.exception, SystemExit)
         assert "config error" in result.output
+
+
+def test_integral_n_points_may_be_written_as_a_float():
+    raw = example_config("qutrit_partial_swap")
+    raw["time_grid"]["n_points"] = 1e5
+    grid = ScenarioConfig.from_dict(json.loads(json.dumps(raw))).time_grid
+    assert grid.n_points == 100_000 and type(grid.n_points) is int

@@ -10,7 +10,6 @@ from heatctx import (
     eig_hermitian,
     expm_hermitian_generator,
     kron,
-    kron_all,
     partial_trace,
 )
 from heatctx.errors import NumericsError
@@ -57,7 +56,6 @@ def test_kron_associativity_random():
         left = kron(kron(a, b), c)
         right = kron(a, kron(b, c))
         assert np.max(np.abs(left - right)) < 1e-14
-    assert np.allclose(kron_all(a, b, c), left)
 
 
 def test_partial_trace_product_state():

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from heatctx import (
     ConfigError,
+    DensityMatrix,
     ScenarioConfig,
     SweepRecord,
     TimeGrid,
@@ -402,6 +403,23 @@ class TestCli:
         result = CliRunner().invoke(main, ["clausius", "--config", str(cfg_path), "--t", "0.5"])
         assert result.exit_code == 2, result.output
         assert "outside the support" in result.output
+
+    @pytest.mark.parametrize("builtin,t,most", [("micadei", "1e-4", 5), ("qutrit-demo", "0.7", 3)])
+    def test_clausius_validates_states_where_they_are_built(self, builtin, t, most, monkeypatch):
+        # The state builder and the Gibbs references of the thermal-marginal
+        # checks build DensityMatrix objects; the evolved state and the
+        # marginals that clausius_report derives from it stay arrays.
+        original = DensityMatrix.__post_init__
+        built = []
+
+        def counted(self):
+            built.append(self.dims)
+            original(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        result = CliRunner().invoke(main, ["clausius", "--builtin", builtin, "--t", t])
+        assert result.exit_code == 0, result.output
+        assert 0 < len(built) <= most
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEATCTX_OUTPUT_DIR", str(tmp_path))
