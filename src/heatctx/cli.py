@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigError, HeatctxError, NumericsError
 from .contextuality import extract_stochastic_reversibility, find_minimal_pd
-from .dynamics import interaction_unitary
 from .scenarios import (
     FACTORS,
     ScenarioConfig,
@@ -143,8 +142,8 @@ def _finite_time(t: float) -> float:
     return t
 
 
-def _build_unitary(kind, g, a, theta, local_dim, t):
-    """(unitary, analytic p_d) for a named interaction factor at time t."""
+def _factor_generator(kind, g, a, theta, local_dim, t):
+    """(generator, analytic p_d at time t) of a named interaction factor."""
     t = _finite_time(t)
     factor = FACTORS[kind]
     h = factor.generator(g, a, theta, local_dim)
@@ -153,8 +152,7 @@ def _build_unitary(kind, g, a, theta, local_dim, t):
             f"--interaction {kind} acts on dimension {h.dim}; "
             f"--local-dim {local_dim} needs {local_dim**2}"
         )
-    u = interaction_unitary(h, t)
-    return u, float(factor.p_d(g * t, a))
+    return h, float(factor.p_d(g * t, a))
 
 
 _INTERACTION_OPTIONS = [
@@ -179,15 +177,15 @@ def _with_interaction_options(fn):
 @click.option("--minimal", is_flag=True, help="Also search for the minimal feasible p_d.")
 @_cli_errors
 def verify_decomposition(kind, g, a, theta, local_dim, t, p_d, minimal):
-    """Check the stochastic-reversibility decomposition of a named unitary."""
-    u, p_analytic = _build_unitary(kind, g, a, theta, local_dim, t)
+    """Check the stochastic-reversibility decomposition of a named interaction factor."""
+    h, p_analytic = _factor_generator(kind, g, a, theta, local_dim, t)
     claimed = p_analytic if p_d is None else p_d
-    report = extract_stochastic_reversibility(u, claimed)
+    report = extract_stochastic_reversibility(h, t, claimed)
     click.echo(f"p_d = {report.p_d:.12g}  (analytic {p_analytic:.12g})")
     click.echo(f"min Choi eigenvalue = {report.choi_eigenvalues.min():.3e}")
     click.echo(f"cptp: {'yes' if report.is_cptp else 'no'}")
     if minimal:
-        p_min, _ = find_minimal_pd(u)
+        p_min, _ = find_minimal_pd(h, t)
         click.echo(f"minimal feasible p_d = {p_min:.12g}")
     if not report.is_cptp:
         sys.exit(3)
@@ -199,9 +197,9 @@ def verify_decomposition(kind, g, a, theta, local_dim, t, p_d, minimal):
 @_cli_errors
 def choi(kind, g, a, theta, local_dim, t, p_d):
     """Print the Choi spectrum of the extracted residual channel."""
-    u, p_analytic = _build_unitary(kind, g, a, theta, local_dim, t)
+    h, p_analytic = _factor_generator(kind, g, a, theta, local_dim, t)
     claimed = p_analytic if p_d is None else p_d
-    report = extract_stochastic_reversibility(u, claimed)
+    report = extract_stochastic_reversibility(h, t, claimed)
     for ev in np.sort(report.choi_eigenvalues):
         click.echo(f"{ev:.12e}")
 

@@ -5,8 +5,10 @@ vectorized operators (vec stacks columns, so vec(A X B) = (B^T kron A) vec X);
 the Choi matrix is the unnormalized one, Lambda = sum_ij |i><j| kron C(|i><j|),
 with trace d for a trace-preserving map on dimension d.
 
-Certification never builds these d^2 x d^2 maps: every verdict is decided on
-a d x d matrix in the eigenbasis of U. ``unitary_to_superoperator``,
+Certification takes the generator H and the time t of U = e^{-itH} and never
+builds U or these d^2 x d^2 maps: every verdict is decided on a d x d matrix
+in the eigenbasis of H, from its eigenvalues w alone, so it holds down to
+g t = 1e-8 and below. ``unitary_to_superoperator``,
 ``_symmetrized_conjugation``, ``_residual_channel``, ``choi_matrix`` and
 ``trace_preservation_residual`` are the reference the tests compare it with.
 """
@@ -20,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DecompositionError, DimensionError, ParamError
-from .linalg import HermitianOp, UnitaryOp, as_matrix, dagger, max_norm
+from .linalg import HermitianOp, UnitaryOp, as_matrix, dagger, eig_hermitian, max_norm
 
 CHOI_EIGENVALUE_FLOOR = -1e-9
 TRACE_PRESERVATION_TOL = 1e-9
@@ -109,20 +111,22 @@ def _cptp_verdict(a: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(a)[0] >= CHOI_EIGENVALUE_FLOOR)
 
 
-def _eigenbasis_gaps(u: UnitaryOp | np.ndarray) -> np.ndarray:
-    """G_ij = |lambda_i - lambda_j|^2 / 2 over the eigenvalues of U, validated unitary.
+def _eigenbasis_gaps(h_int, t: float) -> np.ndarray:
+    """G_ij = 2 sin^2((w_i - w_j) t / 2) over the eigenvalues w of the generator.
 
-    With U = V diag(lambda) V^dag, the symmetrized map multiplies entry (i, j)
-    of V^dag X V by Re(lambda_i conj(lambda_j)) = 1 - G_ij. The gap form keeps
-    the small differences that 1 - Re(lambda_i conj(lambda_j)) cancels.
+    With H = V diag(w) V^dag, U = e^{-itH} has eigenvalues lambda = e^{-iwt},
+    and the symmetrized map multiplies entry (i, j) of V^dag X V by
+    cos((w_i - w_j) t) = 1 - G_ij. The sine form keeps the small gaps that
+    1 - cos cancels, and G_ii = 0 exactly.
     """
-    um = u.matrix if isinstance(u, UnitaryOp) else UnitaryOp(u).matrix
-    lam = np.linalg.eigvals(um)
-    return np.abs(lam[:, None] - lam[None, :]) ** 2 / 2
+    if not math.isfinite(t):
+        raise ParamError(f"t must be finite, got {t}")
+    w, _ = eig_hermitian(h_int)
+    return 2 * np.sin(np.subtract.outer(w, w) * (t / 2)) ** 2
 
 
 def _schur_multiplier(gaps: np.ndarray, p_d: float) -> np.ndarray:
-    """A = 1 - G / p_d: the residual channel C in the eigenbasis of U.
+    """A = 1 - G / p_d: the residual channel C in the eigenbasis of H.
 
     C of M = (1 - p_d) id + p_d C multiplies entry (i, j) by A_ij, so its
     Choi spectrum is eig(A) plus d^2 - d zeros, and A_ii = 1 makes it trace
@@ -159,42 +163,32 @@ def _decomposition_report(gaps: np.ndarray, p_d: float) -> DecompositionReport:
     )
 
 
-def extract_stochastic_reversibility(
-    u: UnitaryOp | np.ndarray, p_d_claimed: float
-) -> DecompositionReport:
-    """Extract C from (1/2)U(.)U^dag + (1/2)U^dag(.)U = (1-p_d) id + p_d C.
+def extract_stochastic_reversibility(h_int, t: float, p_d_claimed: float) -> DecompositionReport:
+    """Extract C from (1/2)U(.)U^dag + (1/2)U^dag(.)U = (1-p_d) id + p_d C, U = e^{-itH}.
 
     The residual is zero by construction, so the verdict rests entirely on
-    whether the extracted C is CPTP, decided in the eigenbasis of U.
+    whether the extracted C is CPTP, decided in the eigenbasis of H.
     """
     if not 0 <= p_d_claimed <= 1:
         raise ParamError(f"p_d must lie in [0, 1], got {p_d_claimed}")
-    return _decomposition_report(_eigenbasis_gaps(u), p_d_claimed)
+    return _decomposition_report(_eigenbasis_gaps(h_int, t), p_d_claimed)
 
 
-def find_minimal_pd(
-    u: UnitaryOp | np.ndarray, tol: float = MINIMAL_PD_TOL
-) -> tuple[float, DecompositionReport]:
+def find_minimal_pd(h_int, t: float) -> tuple[float, DecompositionReport]:
     """Smallest p_d in (0, 1] keeping the extracted channel CPTP, by bisection.
 
     Useful for validating analytic p_d values; returns 0 when the symmetrized
     map is already the identity. Each step is a d x d verdict on the Schur
-    multiplier A(p_d). The search stops when the bracket is at most ``tol``
-    wide (``tol`` must be finite and positive) or cannot be split further in
-    floating point.
+    multiplier A(p_d); the search stops when the bracket is at most
+    ``MINIMAL_PD_TOL`` wide. p_d = 1 is always feasible:
+    A(1)_ij = cos((w_i - w_j) t) is a Gram matrix.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParamError(f"tol must be finite and positive, got {tol}")
-    gaps = _eigenbasis_gaps(u)
+    gaps = _eigenbasis_gaps(h_int, t)
     if gaps.max() <= IDENTITY_GAP_TOL:
         return 0.0, _decomposition_report(gaps, 0.0)
-    if not _cptp_verdict(_schur_multiplier(gaps, 1.0)):
-        raise DecompositionError("no p_d <= 1 yields a CPTP residual channel")
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > MINIMAL_PD_TOL:
         mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            break
         if _cptp_verdict(_schur_multiplier(gaps, mid)):
             hi = mid
         else:
@@ -269,11 +263,11 @@ class Crossing:
     side: str  # "upper" or "lower"
 
 
-def _refine_bisection(f, lo: float, hi: float, rel_tol: float) -> float:
+def _refine_bisection(f, lo: float, hi: float) -> float:
     flo = f(lo)
     for _ in range(200):
         mid = (lo + hi) / 2
-        if hi - lo <= rel_tol * max(abs(mid), 1e-300):
+        if hi - lo <= CROSSING_REL_TOL * max(abs(mid), 1e-300):
             return mid
         fm = f(mid)
         if fm == 0.0:
@@ -291,7 +285,6 @@ def find_critical_times(
     t_max: float,
     lower_bound_fn: Callable | None = None,
     n_grid: int = 100_000,
-    rel_tol: float = CROSSING_REL_TOL,
     t_min: float = 0.0,
 ) -> list[Crossing]:
     """Ordered crossing times of the heat curve with the bound(s) on [t_min, t_max].
@@ -322,7 +315,7 @@ def find_critical_times(
 
         s = np.sign(diff)
         for i in np.flatnonzero(s[:-1] * s[1:] < 0):
-            root = _refine_bisection(f, ts[i], ts[i + 1], rel_tol)
+            root = _refine_bisection(f, ts[i], ts[i + 1])
             crossings.append(Crossing(time=float(root), side=side))
         for i in np.flatnonzero(s[1:-1] == 0) + 1:
             if s[i - 1] * s[i + 1] < 0:

@@ -73,8 +73,8 @@ class DensityMatrix:
         return DensityMatrix(red, (self.dims[keep],))
 
 
-def gibbs_state(h, beta: float) -> DensityMatrix:
-    """Thermal state e^{-beta h} / Z, diagonal in the eigenbasis of h."""
+def _gibbs_matrix(h, beta: float) -> np.ndarray:
+    """e^{-beta h} / Z as a plain array, diagonal in the eigenbasis of h."""
     if not np.isfinite(beta) or beta < 0:
         raise ParamError(f"beta must be finite and >= 0, got {beta}")
     w, v = eig_hermitian(h)
@@ -82,7 +82,12 @@ def gibbs_state(h, beta: float) -> DensityMatrix:
     ew = np.exp(-beta * (w - w.min()))
     ew /= ew.sum()
     rho = (v * ew) @ dagger(v)
-    rho = (rho + dagger(rho)) / 2
+    return (rho + dagger(rho)) / 2
+
+
+def gibbs_state(h, beta: float) -> DensityMatrix:
+    """Thermal state e^{-beta h} / Z, validated."""
+    rho = _gibbs_matrix(h, beta)
     return DensityMatrix(rho, (rho.shape[0],))
 
 
@@ -168,7 +173,7 @@ def check_thermal_marginals(state: DensityMatrix, h_locals, betas, tol: float, e
     DimensionError when a local Hamiltonian does not match its subsystem.
     """
     for keep, (h, beta) in enumerate(zip(h_locals, betas)):
-        want = gibbs_state(h, beta).matrix
+        want = _gibbs_matrix(h, beta)
         if len(state.dims) != 2 or want.shape[0] != state.dims[keep]:
             raise DimensionError(
                 f"local Hamiltonian {keep} has dim {want.shape[0]}, state dims {state.dims}"

@@ -4,7 +4,9 @@ All randomness flows through seeded np.random.default_rng instances created
 per test, so every run is reproducible.
 """
 
+import importlib
 import json
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -124,7 +126,7 @@ def reference_cptp_verdict(c):
     )
 
 
-def reference_minimal_pd(u, tol=MINIMAL_PD_TOL):
+def reference_minimal_pd(u):
     """Reference: the eigvalsh-based bisection for the minimal p_d.
 
     Returns (p, is_cptp of the extraction at p), as the bisection stood
@@ -139,13 +141,35 @@ def reference_minimal_pd(u, tol=MINIMAL_PD_TOL):
 
     assert feasible(1.0)
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > MINIMAL_PD_TOL:
         mid = (lo + hi) / 2
         if mid > 0 and feasible(mid):
             hi = mid
         else:
             lo = mid
     return hi, feasible(hi)
+
+
+def count_calls(monkeypatch, targets):
+    """Count the calls of each (module, name) target, in every heatctx module holding it.
+
+    Returns a dict from name to count that the wrappers update in place.
+    """
+    calls = {}
+    for module_name, name in targets:
+        owner = importlib.import_module(module_name)
+        original = getattr(owner, name)
+        calls[name] = 0
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        holders = [m for k, m in list(sys.modules.items()) if k.split(".")[0] == "heatctx"]
+        for module in [owner, *(m for m in holders if m is not owner)]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def result_from_records(config, records, crossings=()):

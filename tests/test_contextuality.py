@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from heatctx import (
     Crossing,
@@ -10,7 +11,6 @@ from heatctx import (
     PartialSwapInteraction,
     ResonantInteraction,
     Superoperator,
-    UnitaryOp,
     builtin_micadei,
     choi_matrix,
     extract_stochastic_reversibility,
@@ -26,19 +26,20 @@ from heatctx import (
     unitary_to_superoperator,
 )
 
-from heatctx import contextuality
 from heatctx.contextuality import (
     CHOI_EIGENVALUE_FLOOR,
     _cptp_verdict,
-    _eigenbasis_gaps,
     _residual_channel,
-    _schur_multiplier,
     _symmetrized_conjugation,
 )
+from heatctx import dynamics
+from heatctx.cli import main
 from heatctx.scenarios import FACTORS, _ScenarioEngine
 
 from conftest import (
+    count_calls,
     random_density,
+    random_hermitian,
     random_unitary,
     reference_cptp_verdict,
     reference_minimal_pd,
@@ -51,19 +52,19 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 FACTOR_CASES = [(kind, 2) for kind in FACTORS] + [("partial-swap", 3)]
 
 
-def factor_unitary(kind, local_dim, g, t, a=0.0, theta=0.0):
-    return interaction_unitary(FACTORS[kind].generator(g, a, theta, local_dim), t)
+def factor_generator(kind, local_dim, g, a=0.0, theta=0.0):
+    return FACTORS[kind].generator(g, a, theta, local_dim)
 
 
-def seeded_factor_unitaries(kind, local_dim, seed, n, gt_range=(1e-5, 2 * np.pi)):
-    """n (unitary, g t, analytic p_d) of one factor: g t log-uniform, random g, a, theta."""
+def seeded_factor_cases(kind, local_dim, seed, n, gt_range=(1e-5, 2 * np.pi)):
+    """n (generator, t, g t, analytic p_d) of one factor: g t log-uniform, random g, a, theta."""
     rng = np.random.default_rng(seed)
     for _ in range(n):
         gt = float(np.exp(rng.uniform(*np.log(gt_range))))
         g = rng.uniform(0.2, 2.0)
         a, theta = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2 * np.pi)
-        u = factor_unitary(kind, local_dim, g, gt / g, a, theta)
-        yield u, gt, float(FACTORS[kind].p_d(gt, a))
+        h = factor_generator(kind, local_dim, g, a, theta)
+        yield h, gt / g, gt, float(FACTORS[kind].p_d(gt, a))
 
 
 # Below this g t the eigvalsh reference divides the roundoff of the d^2 x d^2
@@ -72,9 +73,9 @@ def seeded_factor_unitaries(kind, local_dim, seed, n, gt_range=(1e-5, 2 * np.pi)
 REFERENCE_GT_MIN = 0.05
 
 
-def assert_matches_the_reference(u, gt, p_analytic):
-    p, report = find_minimal_pd(u)
-    ref_p, ref_cptp = reference_minimal_pd(u)
+def assert_matches_the_reference(h, t, gt, p_analytic):
+    p, report = find_minimal_pd(h, t)
+    ref_p, ref_cptp = reference_minimal_pd(interaction_unitary(h, t))
     if gt >= REFERENCE_GT_MIN:
         assert (p, report.is_cptp) == (ref_p, ref_cptp)
     else:
@@ -181,17 +182,17 @@ class TestCptpVerdict:
 class TestDecomposition:
     def test_partial_swap_channel_is_swap_conjugation(self):
         g, t = 1.0, 0.8
-        u = interaction_unitary(PartialSwapInteraction(g, 2).hamiltonian(), t)
+        h = PartialSwapInteraction(g, 2).hamiltonian()
         p_d = np.sin(g * t) ** 2
-        assert extract_stochastic_reversibility(u, p_d).is_cptp
-        c = _residual_channel(_symmetrized_conjugation(u), p_d)
+        assert extract_stochastic_reversibility(h, t, p_d).is_cptp
+        c = _residual_channel(_symmetrized_conjugation(interaction_unitary(h, t)), p_d)
         swap_conj = unitary_to_superoperator(swap_operator(2))
         assert np.max(np.abs(c.matrix - swap_conj.matrix)) < 1e-10
 
     def test_nonresonant_choi_spectrum(self):
         g, t = 0.7, 1.3
-        u = interaction_unitary(NonResonantInteraction(g).hamiltonian(), t)
-        report = extract_stochastic_reversibility(u, np.sin(g * t / 2) ** 2)
+        h = NonResonantInteraction(g).hamiltonian()
+        report = extract_stochastic_reversibility(h, t, np.sin(g * t / 2) ** 2)
         assert report.is_cptp
         w = np.sort(report.choi_eigenvalues)
         assert np.max(np.abs(w[:15])) < 1e-9
@@ -201,39 +202,44 @@ class TestDecomposition:
         g, t = 1.0, 0.6
         for theta in (0.0, np.pi / 4, np.pi / 2):
             inter = ResonantInteraction(g, a=0.0, theta=theta)
-            u = interaction_unitary(inter.exchange_part(), t)
-            report = extract_stochastic_reversibility(u, np.sin(g * t) ** 2)
+            report = extract_stochastic_reversibility(inter.exchange_part(), t, np.sin(g * t) ** 2)
             assert report.is_cptp
             w = np.sort(report.choi_eigenvalues)
             assert np.max(np.abs(w[:15])) < 1e-9
             assert w[15] == pytest.approx(4.0, abs=1e-9)
 
     def test_pd_zero_requires_identity(self):
-        u = interaction_unitary(NonResonantInteraction(1.0).hamiltonian(), 0.5)
+        h = NonResonantInteraction(1.0).hamiltonian()
         with pytest.raises(DecompositionError):
-            extract_stochastic_reversibility(u, 0.0)
-        ident = UnitaryOp(np.eye(4, dtype=complex))
-        report = extract_stochastic_reversibility(ident, 0.0)
+            extract_stochastic_reversibility(h, 0.5, 0.0)
+        report = extract_stochastic_reversibility(h, 0.0, 0.0)  # U(0) is the identity
         assert report.is_cptp and report.p_d == 0.0
 
     def test_out_of_range_pd(self):
-        ident = UnitaryOp(np.eye(2, dtype=complex))
         with pytest.raises(ParamError):
-            extract_stochastic_reversibility(ident, 1.5)
+            extract_stochastic_reversibility(np.zeros((2, 2)), 0.5, 1.5)
 
     def test_a_non_unitary_is_rejected(self):
-        # A_ii = 1, and with it trace preservation, holds only for a unitary U.
+        # e^{-itH} is unitary, and the channel trace preserving, only for a Hermitian H.
         with pytest.raises(NumericsError):
-            extract_stochastic_reversibility(np.diag([1.0, 1.0 + 1e-8]), 0.5)
+            extract_stochastic_reversibility(np.array([[0.0, 1.0], [1.0 + 1e-8, 0.0]]), 0.5, 0.5)
         with pytest.raises(NumericsError):
-            find_minimal_pd(np.diag([1.0, 0.5]))
+            find_minimal_pd(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_time_is_rejected(self, t):
+        h = PartialSwapInteraction(1.0, 2).hamiltonian()
+        with pytest.raises(ParamError, match="t must be finite"):
+            extract_stochastic_reversibility(h, t, 0.5)
+        with pytest.raises(ParamError, match="t must be finite"):
+            find_minimal_pd(h, t)
 
     @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
     def test_verdict_agrees_with_the_spectrum(self, kind, local_dim):
         rng = np.random.default_rng(5)
-        for u, _, _ in seeded_factor_unitaries(kind, local_dim, seed=31, n=20):
+        for h, t, _, _ in seeded_factor_cases(kind, local_dim, seed=31, n=20):
             for p_d in (rng.uniform(), 1.0):
-                report = extract_stochastic_reversibility(u, p_d)
+                report = extract_stochastic_reversibility(h, t, p_d)
                 floor_ok = report.choi_eigenvalues.min() >= CHOI_EIGENVALUE_FLOOR
                 assert report.is_cptp == floor_ok
 
@@ -246,35 +252,49 @@ class TestDecomposition:
             original(self)
 
         monkeypatch.setattr(Superoperator, "__post_init__", counted)
+        # Nor U(t), nor a general eigensolver: one eig_hermitian of the generator.
+        u_trip = count_calls(
+            monkeypatch,
+            [
+                ("heatctx.dynamics", "interaction_unitary"),
+                ("heatctx.linalg", "expm_hermitian_generator"),
+                ("numpy.linalg", "eigvals"),
+            ],
+        )
         for kind, local_dim in FACTOR_CASES:
-            for u, _, p_analytic in seeded_factor_unitaries(kind, local_dim, seed=43, n=4):
-                extract_stochastic_reversibility(u, p_analytic)
-                find_minimal_pd(u)
-        ident = UnitaryOp(np.eye(4, dtype=complex))
-        extract_stochastic_reversibility(ident, 0.0)
-        find_minimal_pd(ident)
+            for command in (["verify-decomposition", "--minimal"], ["choi"]):
+                args = [*command, "--interaction", kind, "--local-dim", str(local_dim)]
+                result = CliRunner().invoke(main, [*args, "--t", "0.8"])
+                assert result.exit_code == 0, result.output
+        for kind, local_dim in FACTOR_CASES:
+            for h, t, _, p_analytic in seeded_factor_cases(kind, local_dim, seed=43, n=4):
+                extract_stochastic_reversibility(h, t, p_analytic)
+                find_minimal_pd(h, t)
+        h = factor_generator("nonresonant", 2, 1.0)
+        extract_stochastic_reversibility(h, 0.0, 0.0)
+        find_minimal_pd(h, 0.0)
         with pytest.raises(DecompositionError):
-            extract_stochastic_reversibility(factor_unitary("nonresonant", 2, 1.0, 0.5), 0.0)
+            extract_stochastic_reversibility(h, 0.5, 0.0)
         assert built == []
-        unitary_to_superoperator(ident)  # the count sees the d^2 x d^2 reference
+        assert u_trip == {"interaction_unitary": 0, "expm_hermitian_generator": 0, "eigvals": 0}
+        unitary_to_superoperator(dynamics.interaction_unitary(h, 0.5))  # the counts see the reference
         assert built == [4]
+        assert u_trip == {"interaction_unitary": 1, "expm_hermitian_generator": 1, "eigvals": 0}
 
 
 class TestMinimalPd:
     def test_identity_gives_zero(self):
-        p, report = find_minimal_pd(UnitaryOp(np.eye(4, dtype=complex)))
+        p, report = find_minimal_pd(np.zeros((4, 4)), 0.8)
         assert p == 0.0 and report.is_cptp
 
     def test_partial_swap_quarter(self):
-        u = interaction_unitary(PartialSwapInteraction(1.0, 2).hamiltonian(), np.pi / 4)
-        p, report = find_minimal_pd(u)
+        p, report = find_minimal_pd(PartialSwapInteraction(1.0, 2).hamiltonian(), np.pi / 4)
         assert p == pytest.approx(0.5, abs=1e-8)
         assert report.is_cptp
 
     def test_detuning_factor(self):
         inter = ResonantInteraction(1.0, a=0.0)
-        u = interaction_unitary(inter.detuning_part(), 0.6)
-        p, _ = find_minimal_pd(u)
+        p, _ = find_minimal_pd(inter.detuning_part(), 0.6)
         assert p == pytest.approx(np.sin(0.3) ** 2, abs=1e-8)
 
     def test_never_exceeds_analytic(self):
@@ -282,58 +302,35 @@ class TestMinimalPd:
         for _ in range(10):
             g = rng.uniform(0.2, 1.5)
             t = rng.uniform(0.2, 2.5)
-            u = interaction_unitary(NonResonantInteraction(g).hamiltonian(), t)
-            p, _ = find_minimal_pd(u)
+            p, _ = find_minimal_pd(NonResonantInteraction(g).hamiltonian(), t)
             assert p <= np.sin(g * t / 2) ** 2 + 1e-8
 
     @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
     def test_factors_match_the_eigvalsh_reference(self, kind, local_dim):
+        h = factor_generator(kind, local_dim, 1.0, a=0.4, theta=0.7)
         for gt in (1e-3, 0.3, 0.8, np.pi / 2, 2.9):
-            u = factor_unitary(kind, local_dim, 1.0, gt, a=0.4, theta=0.7)
-            assert_matches_the_reference(u, gt, float(FACTORS[kind].p_d(gt, 0.4)))
+            assert_matches_the_reference(h, gt, gt, float(FACTORS[kind].p_d(gt, 0.4)))
 
     @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
     def test_seeded_times_match_the_eigvalsh_reference(self, kind, local_dim):
-        for u, gt, p_analytic in seeded_factor_unitaries(kind, local_dim, seed=29, n=12):
-            assert_matches_the_reference(u, gt, p_analytic)
+        for h, t, gt, p_analytic in seeded_factor_cases(kind, local_dim, seed=29, n=12):
+            assert_matches_the_reference(h, t, gt, p_analytic)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_unitaries_match_the_eigvalsh_reference(self, d):
+        # U = e^{-itH} of a random generator, its eigenphases spread over the circle.
         rng = np.random.default_rng(40 + d)
         for _ in range(20):
-            u = random_unitary(rng, d)
-            p, report = find_minimal_pd(u)
-            assert (p, report.is_cptp) == reference_minimal_pd(u)
+            h, t = random_hermitian(rng, d), rng.uniform(0.5, 3.0)
+            p, report = find_minimal_pd(h, t)
+            assert (p, report.is_cptp) == reference_minimal_pd(interaction_unitary(h, t))
 
     @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
     def test_closing_report_is_the_report_at_p(self, kind, local_dim):
-        for u, _, _ in seeded_factor_unitaries(kind, local_dim, seed=37, n=8):
-            p, report = find_minimal_pd(u)
+        for h, t, _, _ in seeded_factor_cases(kind, local_dim, seed=37, n=8):
+            p, report = find_minimal_pd(h, t)
             assert report.p_d == p
             assert report.is_cptp
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-    def test_tol_must_be_finite_and_positive(self, tol):
-        u = factor_unitary("partial-swap", 2, 1.0, 0.8)
-        with pytest.raises(ParamError):
-            find_minimal_pd(u, tol)
-
-    def test_tol_below_one_ulp_stops_at_adjacent_floats(self, monkeypatch):
-        verdict = contextuality._cptp_verdict
-        calls = []
-
-        def counted(c):
-            calls.append(c)
-            if len(calls) > 200:
-                raise RuntimeError("the bisection makes no progress")
-            return verdict(c)
-
-        monkeypatch.setattr(contextuality, "_cptp_verdict", counted)
-        u = factor_unitary("partial-swap", 2, 1.0, np.pi / 4)
-        p, report = find_minimal_pd(u, 1e-30)
-        assert p == pytest.approx(0.5, abs=1e-8) and report.is_cptp
-        below = np.nextafter(p, 0.0)
-        assert not verdict(_schur_multiplier(_eigenbasis_gaps(u), below))
 
 
 class TestSmallPd:
@@ -341,14 +338,16 @@ class TestSmallPd:
 
     @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
     def test_analytic_pd_is_cptp_and_minimal(self, kind, local_dim):
+        # At g t = 1e-7 and 1e-8 a U stored in doubles loses the eigenvalue
+        # gaps; the generator's spectrum keeps them.
         rng = np.random.default_rng(53)
-        for gt in np.logspace(-5, -2, 13):
+        for gt in [*np.logspace(-5, -2, 13), 1e-7, 1e-8]:
             g = rng.uniform(0.2, 2.0)
             a, theta = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2 * np.pi)
-            u = factor_unitary(kind, local_dim, g, gt / g, a, theta)
+            h = factor_generator(kind, local_dim, g, a, theta)
             p_analytic = float(FACTORS[kind].p_d(gt, a))
-            assert extract_stochastic_reversibility(u, p_analytic).is_cptp
-            p, report = find_minimal_pd(u)
+            assert extract_stochastic_reversibility(h, gt / g, p_analytic).is_cptp
+            p, report = find_minimal_pd(h, gt / g)
             assert abs(p - p_analytic) <= 1e-9
             assert report.is_cptp
 
@@ -356,14 +355,15 @@ class TestSmallPd:
     def test_spectrum_matches_the_choi_matrix(self, kind, local_dim):
         # eig(A) plus d^2 - d zeros is the spectrum of the d^2 x d^2 Choi matrix.
         rng = np.random.default_rng(59)
-        cases = seeded_factor_unitaries(kind, local_dim, seed=61, n=20, gt_range=(0.05, np.pi))
-        for u, _, p_analytic in cases:
+        cases = seeded_factor_cases(kind, local_dim, seed=61, n=20, gt_range=(0.05, np.pi))
+        for h, t, _, p_analytic in cases:
+            u = interaction_unitary(h, t)
             for p_d in (p_analytic, rng.uniform(p_analytic, 1.0), 1.0):
-                report = extract_stochastic_reversibility(u, p_d)
+                report = extract_stochastic_reversibility(h, t, p_d)
                 c = _residual_channel(_symmetrized_conjugation(u), p_d)
                 choi = np.linalg.eigvalsh(choi_matrix(c).matrix)
                 assert np.max(np.abs(report.choi_eigenvalues - choi)) <= 1e-9
-                d = u.dim
+                d = h.dim
                 assert np.count_nonzero(report.choi_eigenvalues == 0.0) >= d * d - d
 
 

@@ -346,6 +346,16 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "cptp: yes" in result.output
 
+    @pytest.mark.parametrize("t", ["1e-7", "1e-8"])
+    @pytest.mark.parametrize(
+        "kind,local_dim", [(kind, 2) for kind in FACTORS] + [("partial-swap", 3)]
+    )
+    def test_minimal_pd_where_u_cannot_resolve_the_gaps_is_cptp(self, kind, local_dim, t):
+        args = ["verify-decomposition", "--interaction", kind, "--local-dim", str(local_dim)]
+        result = CliRunner().invoke(main, [*args, "--t", t, "--minimal"])
+        assert result.exit_code == 0, result.output
+        assert "cptp: yes" in result.output
+
     def test_clausius_command(self, tmp_path):
         config = small_config()
         cfg_path = tmp_path / "cfg.json"
@@ -404,11 +414,11 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "outside the support" in result.output
 
-    @pytest.mark.parametrize("builtin,t,most", [("micadei", "1e-4", 5), ("qutrit-demo", "0.7", 3)])
+    @pytest.mark.parametrize("builtin,t,most", [("micadei", "1e-4", 1), ("qutrit-demo", "0.7", 1)])
     def test_clausius_validates_states_where_they_are_built(self, builtin, t, most, monkeypatch):
-        # The state builder and the Gibbs references of the thermal-marginal
-        # checks build DensityMatrix objects; the evolved state and the
-        # marginals that clausius_report derives from it stay arrays.
+        # Only the state builder builds a DensityMatrix; the Gibbs references of
+        # the thermal-marginal checks, the evolved state and the marginals that
+        # clausius_report derives from it stay arrays.
         original = DensityMatrix.__post_init__
         built = []
 
