@@ -26,7 +26,7 @@ from .linalg import HermitianOp, UnitaryOp, as_matrix, dagger, eig_hermitian, ma
 
 CHOI_EIGENVALUE_FLOOR = -1e-9
 TRACE_PRESERVATION_TOL = 1e-9
-MINIMAL_PD_TOL = 1e-9
+MINIMAL_PD_TOL = 1e-9  # relative width of the minimal-p_d bracket
 IDENTITY_GAP_TOL = 1e-12  # every G_ij below it: the symmetrized map is the identity
 
 
@@ -179,16 +179,20 @@ def find_minimal_pd(h_int, t: float) -> tuple[float, DecompositionReport]:
 
     Useful for validating analytic p_d values; returns 0 when the symmetrized
     map is already the identity. Each step is a d x d verdict on the Schur
-    multiplier A(p_d); the search stops when the bracket is at most
-    ``MINIMAL_PD_TOL`` wide. p_d = 1 is always feasible:
-    A(1)_ij = cos((w_i - w_j) t) is a Gram matrix.
+    multiplier A(p_d). The bisection is geometric, mid = sqrt(lo hi), on
+    [G_max / 4, 1] and stops when the bracket is at most ``MINIMAL_PD_TOL``
+    times its upper end wide, so p_d resolves to 1e-9 relative however small
+    it is. p_d = 1 is always feasible: A(1)_ij = cos((w_i - w_j) t) is a Gram
+    matrix. G_max / 4 never is: there the 2 x 2 principal minor of A on the
+    pair with the largest gap is 1 - (1 - 4)^2 = -8.
     """
     gaps = _eigenbasis_gaps(h_int, t)
-    if gaps.max() <= IDENTITY_GAP_TOL:
+    g_max = gaps.max()
+    if g_max <= IDENTITY_GAP_TOL:
         return 0.0, _decomposition_report(gaps, 0.0)
-    lo, hi = 0.0, 1.0
-    while hi - lo > MINIMAL_PD_TOL:
-        mid = (lo + hi) / 2
+    lo, hi = g_max / 4, 1.0
+    while hi - lo > MINIMAL_PD_TOL * hi:
+        mid = math.sqrt(lo * hi)
         if _cptp_verdict(_schur_multiplier(gaps, mid)):
             hi = mid
         else:

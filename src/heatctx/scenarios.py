@@ -7,6 +7,10 @@ evaluate the noncontextual bounds, per-point violation flags, the
 mutual-information change, and the bound-crossing times. A ``SweepResult``
 holds these as numpy columns, one entry per grid point, and CSV and JSON are
 rendered straight from the columns.
+
+The per-point work that needs more than O(1) memory, the evolved states of
+the ΔI column and the output text, runs ``SWEEP_BLOCK`` grid points at a
+time, so a sweep holds its O(N) columns plus one block.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .states import (
     TwoQubitThermalParams,
     TwoQutritThermalParams,
     bipartite_marginals,
+    entropies,
     mutual_information_change,
     two_qubit_thermal,
     two_qutrit_thermal,
@@ -55,6 +60,7 @@ COLUMNS = ("t", "heat", "bound_upper", "bound_lower", "violates", "delta_mutual_
 CSV_HEADER = ",".join(COLUMNS)
 VIOLATION_REL_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-9
+SWEEP_BLOCK = 4096  # grid points whose states, or output rows, exist at once
 
 MICADEI_J_HZ = 215.1
 MICADEI_OMEGA_EV = 4.135e-12
@@ -515,9 +521,23 @@ class _ScenarioEngine:
     # -- mutual information -------------------------------------------------
 
     def delta_mutual_info(self, ts: np.ndarray) -> np.ndarray:
-        """Batched I(t) - I(0); the global entropy cancels under unitaries."""
-        rho_t = evolve_on_grid(self.rho, self.h_int, ts)
-        return mutual_information_change(*bipartite_marginals(rho_t, self.rho.dims))
+        """Batched I(t) - I(0); the global entropy cancels under unitaries.
+
+        The states are evolved one ``SWEEP_BLOCK`` of times at a time and only
+        their marginal entropies are kept. Every einsum and eigensolve acts
+        per grid point, so the blocks do not change a bit of the result.
+        """
+        s_a, s_b = np.empty(len(ts)), np.empty(len(ts))
+        for block in _blocks(len(ts)):
+            rho_t = evolve_on_grid(self.rho, self.h_int, ts[block])
+            rho_a, rho_b = bipartite_marginals(rho_t, self.rho.dims)
+            s_a[block], s_b[block] = entropies(rho_a), entropies(rho_b)
+        return mutual_information_change(s_a, s_b)
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``SWEEP_BLOCK`` grid points covering range(n)."""
+    return (slice(lo, lo + SWEEP_BLOCK) for lo in range(0, n, SWEEP_BLOCK))
 
 
 def _check_against_trace(engine: _ScenarioEngine, ts: np.ndarray, heat: np.ndarray) -> None:
@@ -572,34 +592,36 @@ def _json_values(column: np.ndarray) -> list:
     return values
 
 
-def _rows(result: SweepResult, template: str, floats: Callable) -> Iterator[str]:
-    """``template`` filled per grid point: floats via ``floats``, flags as true/false."""
+def _rows(result: SweepResult, block: slice, template: str, floats: Callable) -> Iterator[str]:
+    """``template`` filled per grid point of ``block``: floats via ``floats``, flags as true/false."""
     columns = [
-        list(map(("false", "true").__getitem__, result.violates.tolist()))
+        list(map(("false", "true").__getitem__, result.violates[block].tolist()))
         if name == "violates"
-        else floats(getattr(result, name))
+        else floats(getattr(result, name)[block])
         for name in COLUMNS
     ]
     return map(template.__mod__, zip(*columns))
 
 
-_CSV_ROW = ",".join("%s" if name == "violates" else "%.16e" for name in COLUMNS)
+_CSV_ROW = ",".join("%s" if name == "violates" else "%.16e" for name in COLUMNS) + "\n"
 # One element of the records array in json.dumps's indent-2 layout.
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{name}": %s' for name in COLUMNS) + "\n    }"
 
 
-def format_csv(result: SweepResult) -> str:
-    rows = _rows(result, _CSV_ROW, np.ndarray.tolist)
-    return "\n".join([CSV_HEADER, *rows]) + "\n"
+def _chunks(result: SweepResult, fmt: str) -> Iterator[str]:
+    """The sweep's CSV or JSON text in pieces of at most ``SWEEP_BLOCK`` records.
 
-
-def format_json(result: SweepResult) -> str:
-    """The sweep as json.dumps(payload, indent=2), byte for byte.
-
-    json.dumps lays out everything but the records; they are rendered from the
-    columns and put in place of the empty list. Only top-level keys sit at an
-    indent of exactly two spaces, so the split point is unique.
+    The JSON is json.dumps(payload, indent=2), byte for byte: json.dumps
+    lays out everything but the records, which are rendered from the columns
+    and put in place of the empty list. Only top-level keys sit at an indent
+    of exactly two spaces, so the split point is unique.
     """
+    blocks = _blocks(len(result.t))
+    if fmt == "csv":
+        yield CSV_HEADER + "\n"
+        for block in blocks:
+            yield "".join(_rows(result, block, _CSV_ROW, np.ndarray.tolist))
+        return
     payload = {
         "config": result.config.to_dict(),
         "records": [],
@@ -608,20 +630,32 @@ def format_json(result: SweepResult) -> str:
     }
     text = json.dumps(payload, indent=2) + "\n"
     if not len(result.t):
-        return text
+        yield text
+        return
     head, tail = text.split('\n  "records": []', 1)
-    records = ",\n".join(_rows(result, _JSON_RECORD, _json_values))
-    return f'{head}\n  "records": [\n{records}\n  ]{tail}'
+    yield head + '\n  "records": [\n'
+    for i, block in enumerate(blocks):
+        records = ",\n".join(_rows(result, block, _JSON_RECORD, _json_values))
+        yield ",\n" + records if i else records
+    yield "\n  ]" + tail
+
+
+def format_csv(result: SweepResult) -> str:
+    return "".join(_chunks(result, "csv"))
+
+
+def format_json(result: SweepResult) -> str:
+    """The sweep as json.dumps(payload, indent=2), byte for byte."""
+    return "".join(_chunks(result, "json"))
 
 
 def emit(result: SweepResult, fmt: str, path: str) -> None:
-    """Write the sweep output to disk; IO errors carry the path."""
+    """Write the sweep output to disk a block at a time; IO errors carry the path."""
     if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
-    text = format_csv(result) if fmt == "csv" else format_json(result)
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(_chunks(result, fmt))
     except OSError as exc:
         raise ConfigError(f"cannot write output to {path}: {exc}") from exc
 

@@ -257,12 +257,13 @@ def bipartite_marginals(rhos: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]
     return np.einsum("nijkj->nik", r4), np.einsum("nijil->njl", r4)
 
 
-def mutual_information_change(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    """I(A:B) along a unitary orbit minus I(A:B) of its first state, from the marginals.
+def mutual_information_change(s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
+    """I(A:B) along a unitary orbit minus I(A:B) of its first state.
 
-    The global entropy stays constant under a unitary, so it cancels.
+    ``s_a`` and ``s_b`` are the ``entropies`` of the marginals rho_A and rho_B
+    of each state. The global entropy stays constant under a unitary, so it
+    cancels.
     """
-    s_a, s_b = entropies(rho_a), entropies(rho_b)
     return (s_a - s_a[0]) + (s_b - s_b[0])
 
 

@@ -19,6 +19,7 @@ from .states import (
     TwoQutritThermalParams,
     bipartite_marginals,
     check_thermal_marginals,
+    entropies,
     mutual_information_change,
     relative_entropy,
 )
@@ -136,7 +137,7 @@ def clausius_report(
 
     # Row 0 holds the marginals of rho, row 1 those of the evolved state.
     rho_a, rho_b = bipartite_marginals(np.stack([rho.matrix, evolved]), rho.dims)
-    delta_i = float(mutual_information_change(rho_a, rho_b)[1])
+    delta_i = float(mutual_information_change(entropies(rho_a), entropies(rho_b))[1])
     entropy_production = relative_entropy(rho_a[1], rho_a[0]) + relative_entropy(
         rho_b[1], rho_b[0]
     )

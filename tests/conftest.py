@@ -6,6 +6,7 @@ per test, so every run is reproducible.
 
 import importlib
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -17,6 +18,7 @@ from heatctx import (
     TwoQutritThermalParams,
     clausius_report,
     eig_hermitian,
+    interaction_unitary,
     two_qubit_thermal,
     zeeman_hamiltonian,
 )
@@ -24,6 +26,7 @@ from heatctx.contextuality import (
     CHOI_EIGENVALUE_FLOOR,
     MINIMAL_PD_TOL,
     TRACE_PRESERVATION_TOL,
+    _eigenbasis_gaps,
     _residual_channel,
     _symmetrized_conjugation,
     choi_matrix,
@@ -126,24 +129,26 @@ def reference_cptp_verdict(c):
     )
 
 
-def reference_minimal_pd(u):
-    """Reference: the eigvalsh-based bisection for the minimal p_d.
+def reference_minimal_pd(h, t):
+    """Reference: the minimal p_d of U = e^{-itH} judged on the full Choi spectrum.
 
-    Returns (p, is_cptp of the extraction at p), as the bisection stood
-    before the Cholesky verdict.
+    Returns (p, is_cptp of the extraction at p). The search is
+    find_minimal_pd's geometric bisection on [G_max / 4, 1]; every verdict,
+    the two bracket ends included, is read off the d^2 x d^2 Choi matrix of
+    the residual channel of the symmetrized map of U.
     """
-    m = _symmetrized_conjugation(u)
+    m = _symmetrized_conjugation(interaction_unitary(h, t))
     if np.max(np.abs(m.matrix - np.eye(m.dim * m.dim))) <= 1e-12:
         return 0.0, True
 
     def feasible(p):
         return reference_cptp_verdict(_residual_channel(m, p))
 
-    assert feasible(1.0)
-    lo, hi = 0.0, 1.0
-    while hi - lo > MINIMAL_PD_TOL:
-        mid = (lo + hi) / 2
-        if mid > 0 and feasible(mid):
+    lo, hi = _eigenbasis_gaps(h, t).max() / 4, 1.0
+    assert feasible(hi) and not feasible(lo)
+    while hi - lo > MINIMAL_PD_TOL * hi:
+        mid = math.sqrt(lo * hi)
+        if feasible(mid):
             hi = mid
         else:
             lo = mid

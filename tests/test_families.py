@@ -16,6 +16,7 @@ from heatctx import (
     NumericsError,
     ScenarioConfig,
     clausius_report,
+    emit,
     format_csv,
     format_json,
     heat_trace,
@@ -24,7 +25,7 @@ from heatctx import (
     run_sweep,
 )
 from heatctx.cli import main
-from heatctx.scenarios import FACTORS, FAMILIES, _ScenarioEngine
+from heatctx.scenarios import FACTORS, FAMILIES, SWEEP_BLOCK, _ScenarioEngine
 from conftest import reference_csv, reference_delta_mutual_info, reference_json
 
 EXAMPLES = {
@@ -94,6 +95,10 @@ def example_config(name):
     return json.loads(json.dumps(raw))
 
 
+# A grid that crosses two block seams of the sweep and ends in a short block.
+SEAM_POINTS = 2 * SWEEP_BLOCK + 7
+
+
 def seeded_times(t_max, n=20):
     return np.sort(np.random.default_rng(20).uniform(0.0, t_max, n))
 
@@ -137,10 +142,11 @@ class TestFamily:
         with pytest.raises(NumericsError, match=f"t={t_bad:g}:"):
             run_sweep(config)
 
+    @pytest.mark.parametrize("n_points", [400, SEAM_POINTS])
     @pytest.mark.parametrize("t_min", [0.0, 0.7])
-    def test_delta_mutual_info_matches_the_reference(self, name, t_min):
+    def test_delta_mutual_info_matches_the_reference(self, name, t_min, n_points):
         raw = example_config(name)
-        raw["time_grid"]["t_min"] = t_min
+        raw["time_grid"].update(t_min=t_min, n_points=n_points)
         config = ScenarioConfig.from_dict(raw)
         engine = _ScenarioEngine(config)
         ts = config.time_grid.times()
@@ -162,13 +168,19 @@ class TestFamily:
             )
             assert abs(report.delta_mutual_info - result.delta_mutual_info[i]) <= 1e-12
 
+    @pytest.mark.parametrize("n_points", [301, SEAM_POINTS])
     @pytest.mark.parametrize("t_min", [0.0, 0.7])
-    def test_emission_matches_the_reference(self, name, t_min):
+    def test_emission_matches_the_reference(self, name, t_min, n_points, tmp_path):
         raw = example_config(name)
-        raw["time_grid"] = {"t_min": t_min, "t_max": 6.0, "n_points": 301}
+        raw["time_grid"] = {"t_min": t_min, "t_max": 6.0, "n_points": n_points}
         result = run_sweep(ScenarioConfig.from_dict(raw))
-        assert format_csv(result) == reference_csv(result.records)
-        assert format_json(result) == reference_json(result)
+        for fmt, text, expect in (
+            ("csv", format_csv(result), reference_csv(result.records)),
+            ("json", format_json(result), reference_json(result)),
+        ):
+            assert text == expect
+            emit(result, fmt, str(tmp_path / f"out.{fmt}"))
+            assert (tmp_path / f"out.{fmt}").read_text() == text
 
     def test_bounds_follow_the_theorems(self, name):
         engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))

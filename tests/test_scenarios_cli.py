@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from heatctx import (
     TimeGrid,
     builtin_micadei,
     builtin_qutrit_demo,
+    emit,
     format_csv,
     format_json,
     from_natural_units,
@@ -25,10 +28,12 @@ from heatctx import (
     qutrit_critical_times_analytic,
 )
 from heatctx.cli import main
+from heatctx.contextuality import IDENTITY_GAP_TOL, MINIMAL_PD_TOL
 from conftest import reference_csv, reference_json, result_from_records
 from heatctx.scenarios import (
     CSV_HEADER,
     FACTORS,
+    FORMATS,
     _ScenarioEngine,
     _two_qubit_params,
     _qutrit_params,
@@ -187,10 +192,13 @@ class TestRunSweep:
 
 
 class TestEmission:
-    def test_empty_records_header_only(self):
+    def test_empty_records_header_only(self, tmp_path):
         empty = result_from_records(small_config(), [])
         assert format_csv(empty) == CSV_HEADER + "\n"
         assert format_json(empty) == reference_json(empty)
+        for fmt, text in (("csv", format_csv(empty)), ("json", format_json(empty))):
+            emit(empty, fmt, str(tmp_path / f"out.{fmt}"))
+            assert (tmp_path / f"out.{fmt}").read_text() == text
 
     def test_single_record_round_trip(self):
         rec = SweepRecord(
@@ -233,6 +241,34 @@ class TestEmission:
         assert np.isnan(odd.heat).any() and np.isinf(odd.delta_mutual_info).any()
         assert format_csv(odd) == reference_csv(odd.records)
         assert format_json(odd) == reference_json(odd)
+
+
+class TestMemory:
+    """Peaks under tracemalloc, to which numpy reports its array buffers.
+
+    A sweep holds its O(N) columns plus one SWEEP_BLOCK of evolved states,
+    and emission one block of text. Holding every grid point's 9 x 9 state
+    (116 MiB) or the whole output text (13 MiB CSV, 19 MiB JSON) breaks the
+    bounds by 2x and more.
+    """
+
+    def test_qutrit_demo_sweep_and_emission_peaks(self, tmp_path):
+        mib = 2**20
+        emitted = {}
+        tracemalloc.start()
+        try:
+            result = run_sweep(builtin_qutrit_demo())
+            _, sweep_peak = tracemalloc.get_traced_memory()
+            for fmt in FORMATS:
+                tracemalloc.reset_peak()
+                held, _ = tracemalloc.get_traced_memory()
+                emit(result, fmt, str(tmp_path / f"out.{fmt}"))
+                emitted[fmt] = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert sweep_peak <= 48 * mib
+        assert emitted["csv"] <= 6 * mib
+        assert emitted["json"] <= 8 * mib
 
 
 class TestUnits:
@@ -339,12 +375,23 @@ class TestCli:
         assert values.count(0.0) >= 81 - 9
         assert values == sorted(values)
 
-    @pytest.mark.parametrize("kind", list(FACTORS))
-    def test_minimal_pd_near_zero_is_cptp(self, kind):
-        args = ["verify-decomposition", "--interaction", kind, "--t", "1e-4", "--minimal"]
-        result = CliRunner().invoke(main, args)
+    @pytest.mark.parametrize("t", ["1e-6", "1e-4"])
+    @pytest.mark.parametrize(
+        "kind,local_dim", [(kind, 2) for kind in FACTORS] + [("partial-swap", 3)]
+    )
+    def test_minimal_pd_near_zero_is_cptp(self, kind, local_dim, t):
+        args = ["verify-decomposition", "--interaction", kind, "--local-dim", str(local_dim)]
+        result = CliRunner().invoke(main, [*args, "--t", t, "--minimal"])
         assert result.exit_code == 0, result.output
         assert "cptp: yes" in result.output
+        # The minimal p_d resolves to 1e-9 relative; every factor here has
+        # G_max = 2 p_d, and at G_max <= 1e-12 the map counts as the identity.
+        analytic = float(re.search(r"\(analytic (\S+)\)", result.output).group(1))
+        minimal = float(re.search(r"minimal feasible p_d = (\S+)", result.output).group(1))
+        if 2 * analytic <= IDENTITY_GAP_TOL:
+            assert minimal == 0.0
+        else:
+            assert abs(minimal - analytic) <= 2 * MINIMAL_PD_TOL * analytic
 
     @pytest.mark.parametrize("t", ["1e-7", "1e-8"])
     @pytest.mark.parametrize(
