@@ -25,6 +25,8 @@ from .linalg import (
 from .states import DensityMatrix
 
 ENERGY_CONSERVATION_TOL = 1e-12
+EINSUM_BELOW = 256  # grid points below which the dense einsums' lower fixed cost wins
+_KERNEL_CHUNK = 1024  # grid points whose terms _evolve_live_terms holds at once
 
 
 @dataclass(frozen=True)
@@ -133,12 +135,135 @@ def evolve_on_grid(rho: DensityMatrix, h_int, ts) -> np.ndarray:
 
     U(t) = V diag(e^{-i t w}) V^dag from one eigendecomposition
     H_I = V diag(w) V^dag; V is checked unitary once, so every U(t) is.
+
+    Below ``EINSUM_BELOW`` grid points this is the two dense einsums
+    U(t) = "ij,nj,kj->nik" and rho(t) = "nij,jk,nlk->nil"; from there on the
+    term-skipping kernel ``_evolve_live_terms`` gives the same bits. Unoptimised
+    np.einsum sums each output's terms in row-major order of the summed
+    indices, into an accumulator that starts at +0. A running sum that starts
+    at +0 is never -0 (x + -x is +0), so adding a term that is +-0 leaves it
+    unchanged, and a term with an exactly zero factor is +-0. Energy
+    conservation makes V block diagonal, so most terms have a zero factor of
+    V or of rho; the kernel adds only the others, in einsum's order.
     """
     w, v = eig_hermitian(h_int)
     v = UnitaryOp(v).matrix
     phases = np.exp(-1j * np.outer(ts, w))  # (N, d)
+    if len(phases) >= EINSUM_BELOW:
+        return _evolve_live_terms(v, phases, rho.matrix)
     u = np.einsum("ij,nj,kj->nik", v, phases, v.conj())
     return np.einsum("nij,jk,nlk->nil", u, rho.matrix, u.conj())
+
+
+def _dealt(live: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row's True columns, in order, dealt one per round.
+
+    Round r is (rows, columns): every row with more than r True entries and
+    its r-th True column.
+    """
+    counts = live.sum(axis=1)
+    rows, cols = np.nonzero(live)
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return [(rows[rank == r], cols[rank == r]) for r in range(counts.max(initial=0))]
+
+
+@dataclass(frozen=True)
+class LiveTerms:
+    """The terms of U(t) rho U(t)^dag that are not exactly zero, in einsum's order.
+
+    ``u_entries`` are the flat indices i*d + k of the entries of U(t) that can
+    be nonzero: U_ik sums v_ij e^{-itw_j} conj(v_kj) over j. A round of
+    ``u_rounds`` is (positions in ``u_entries``, j, v_ij, conj(v_kj)); a round
+    of ``rho_rounds`` is (outputs i*d + l, positions of U_ij, rho_jk,
+    positions of U_lk). The r-th round adds every output's r-th live term.
+    """
+
+    u_entries: np.ndarray
+    u_rounds: list
+    rho_rounds: list
+
+    @classmethod
+    def of(cls, v: np.ndarray, rho: np.ndarray) -> "LiveTerms":
+        d = len(v)
+        nonzero = v != 0
+        u_live = nonzero[:, None, :] & nonzero[None, :, :]  # (i, k, j)
+        u_entries = np.flatnonzero(u_live.any(axis=2))
+        position = np.zeros(d * d, dtype=int)
+        position[u_entries] = np.arange(len(u_entries))
+        u_rounds = []
+        for at, j in _dealt(u_live.reshape(d * d, d)[u_entries]):
+            i, k = np.divmod(u_entries[at], d)
+            u_rounds.append((at, j, v[i, j][:, None], v[k, j].conj()[:, None]))
+        u_nonzero = np.zeros(d * d, dtype=bool)
+        u_nonzero[u_entries] = True
+        u_nonzero = u_nonzero.reshape(d, d)
+        live = u_nonzero[:, None, :, None] & (rho != 0) & u_nonzero[None, :, None, :]
+        rho_rounds = []
+        for out, jk in _dealt(live.reshape(d * d, d * d)):
+            (i, l), (j, k) = np.divmod(out, d), np.divmod(jk, d)
+            rho_rounds.append(
+                (out, position[i * d + j], rho[j, k][:, None], position[l * d + k])
+            )
+        return cls(u_entries, u_rounds, rho_rounds)
+
+    @property
+    def count(self) -> int:
+        """Live (j, k) terms of rho(t), summed over its d^2 outputs."""
+        return sum(len(out) for out, *_ in self.rho_rounds)
+
+
+def _evolve_live_terms(v: np.ndarray, phases: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The two einsums of ``evolve_on_grid``, bit for bit, from their live terms only.
+
+    Each term is ((a b) c) with the complex products formed as einsum forms
+    them, (ar br - ai bi, ar bi + ai br), in separate real operations (no
+    FMA). Grid points run along the rows of every array, ``_KERNEL_CHUNK``
+    of them at a time, so the temporaries stay a fraction of the output.
+    """
+    n, d = phases.shape
+    terms = LiveTerms.of(v, rho)
+    width = max((len(r[0]) for r in terms.u_rounds + terms.rho_rounds), default=0)
+    chunk = min(_KERNEL_CHUNK, n)
+    out = np.empty((n, d * d), dtype=complex)
+    u_re, u_im = np.empty((2, len(terms.u_entries), chunk))
+    acc_re, acc_im = np.empty((2, d * d, chunk))
+    buffers = np.empty((7, width, chunk))
+    for lo in range(0, n, chunk):
+        m = min(chunk, n - lo)
+        p = phases[lo : lo + m].T
+        p_re, p_im = np.ascontiguousarray(p.real), np.ascontiguousarray(p.imag)
+        ur, ui, sr, si = u_re[:, :m], u_im[:, :m], acc_re[:, :m], acc_im[:, :m]
+        for acc in (ur, ui, sr, si):
+            acc[...] = 0.0
+        for at, j, a, c in terms.u_rounds:  # U_ik += (v_ij e^{-itw_j}) conj(v_kj)
+            x_re, x_im, t_re, t_im, r_re, r_im, tmp = buffers[:, : len(at), :m]
+            np.take(p_re, j, axis=0, out=x_re)
+            np.take(p_im, j, axis=0, out=x_im)
+            _cmul(a.real, a.imag, x_re, x_im, t_re, t_im, tmp)
+            _cmul(t_re, t_im, c.real, c.imag, r_re, r_im, tmp)
+            ur[at] += r_re
+            ui[at] += r_im
+        for o, ij, b, lk in terms.rho_rounds:  # rho_il += (U_ij rho_jk) conj(U_lk)
+            x_re, x_im, t_re, t_im, r_re, r_im, tmp = buffers[:, : len(o), :m]
+            np.take(ur, ij, axis=0, out=x_re)
+            np.take(ui, ij, axis=0, out=x_im)
+            _cmul(x_re, x_im, b.real, b.imag, t_re, t_im, tmp)
+            np.take(ur, lk, axis=0, out=x_re)
+            np.negative(np.take(ui, lk, axis=0, out=x_im), out=x_im)
+            _cmul(t_re, t_im, x_re, x_im, r_re, r_im, tmp)
+            sr[o] += r_re
+            si[o] += r_im
+        out.real[lo : lo + m] = sr.T
+        out.imag[lo : lo + m] = si.T
+    return out.reshape(n, d, d)
+
+
+def _cmul(ar, ai, br, bi, out_re, out_im, tmp) -> None:
+    """(out_re, out_im) = (ar br - ai bi, ar bi + ai br); no output may alias an input."""
+    np.multiply(ar, br, out=out_re)
+    out_re -= np.multiply(ai, bi, out=tmp)
+    np.multiply(ar, bi, out=out_im)
+    out_im += np.multiply(ai, br, out=tmp)
 
 
 def evolve_interaction_picture(rho: DensityMatrix, h_int, t: float) -> DensityMatrix:

@@ -473,14 +473,19 @@ class _ScenarioEngine:
         In the eigenbasis H_int = V diag(w) V^dag, with C = (V^dag rho V) o
         (V^dag (H_A x 1) V)^T, Tr{rho(t) (H_A x 1)} = sum_ij C_ij
         e^{-it(w_i - w_j)} and its t = 0 value sum_ij C_ij = Tr{rho (H_A x 1)}:
-        O(d^2) per time, no matrix exponential.
+        O(d^2) per time, no matrix exponential. The (N, d) phases are built
+        one ``SWEEP_BLOCK`` of times at a time.
         """
         w, v = eig_hermitian(self.h_int.matrix)
         h_full = np.kron(self.h_local.matrix, np.eye(self.rho.dims[1]))
         c = (v.conj().T @ self.rho.matrix @ v) * (v.conj().T @ h_full @ v).T
         t = np.asarray(t, dtype=float)
-        phases = np.exp(-1j * np.multiply.outer(t, w))  # (..., d)
-        q = ((phases @ c) * phases.conj()).sum(axis=-1).real - c.sum().real
+        flat = t.reshape(-1)
+        q = np.empty(len(flat))
+        for block in _blocks(len(flat)):
+            phases = np.exp(-1j * np.outer(flat[block], w))  # (block, d)
+            q[block] = ((phases @ c) * phases.conj()).sum(axis=1).real
+        q = q.reshape(t.shape) - c.sum().real
         return q if q.ndim else float(q)
 
     # -- bounds -------------------------------------------------------------

@@ -90,14 +90,18 @@ def reference_json(result):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def reference_delta_mutual_info(rho, h_int, ts):
-    """Reference: the sweep's I(t) - I(0) as written inline before the shared kernels."""
+def reference_evolve_on_grid(rho, h_int, ts):
+    """Reference: rho(t) on the grid from the two dense einsums, U(t) then U rho U^dag."""
     w, v = eig_hermitian(h_int.matrix)
-    d_a, d_b = rho.dims
     phases = np.exp(-1j * np.outer(ts, w))  # (N, d)
     u = np.einsum("ij,nj,kj->nik", v, phases, v.conj())
-    rho_t = np.einsum("nij,jk,nlk->nil", u, rho.matrix, u.conj())
-    r4 = rho_t.reshape(-1, d_a, d_b, d_a, d_b)
+    return np.einsum("nij,jk,nlk->nil", u, rho.matrix, u.conj())
+
+
+def reference_delta_mutual_info(rho, h_int, ts):
+    """Reference: the sweep's I(t) - I(0) as written inline before the shared kernels."""
+    d_a, d_b = rho.dims
+    r4 = reference_evolve_on_grid(rho, h_int, ts).reshape(-1, d_a, d_b, d_a, d_b)
 
     def entropy(rhos):
         w = np.clip(np.linalg.eigvalsh(rhos), 0.0, None)

@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from heatctx import (
+    DensityMatrix,
     NumericsError,
     ScenarioConfig,
     clausius_report,
@@ -25,8 +26,16 @@ from heatctx import (
     run_sweep,
 )
 from heatctx.cli import main
+from heatctx.dynamics import EINSUM_BELOW, LiveTerms, evolve_on_grid
+from heatctx.linalg import eig_hermitian
 from heatctx.scenarios import FACTORS, FAMILIES, SWEEP_BLOCK, _ScenarioEngine
-from conftest import reference_csv, reference_delta_mutual_info, reference_json
+from conftest import (
+    random_density,
+    reference_csv,
+    reference_delta_mutual_info,
+    reference_evolve_on_grid,
+    reference_json,
+)
 
 EXAMPLES = {
     "two_qubit_resonant": dict(
@@ -51,6 +60,14 @@ EXAMPLES = {
         },
         interaction={"g": 1.3},
     ),
+}
+
+# Live (j, k) terms of U rho U^dag, summed over the outputs, for a dense rho:
+# energy conservation leaves V block diagonal, with blocks of sizes 1 and 2.
+LIVE_TERMS = {
+    "two_qubit_resonant": 36,
+    "two_qubit_nonresonant": 16,
+    "qutrit_partial_swap": 225,
 }
 
 # (section, field, value) edits that make a config invalid for every family.
@@ -104,7 +121,12 @@ def seeded_times(t_max, n=20):
 
 
 def test_every_family_has_an_example():
-    assert set(EXAMPLES) == set(FAMILIES) == set(FAMILY_BAD)
+    assert set(EXAMPLES) == set(FAMILIES) == set(FAMILY_BAD) == set(LIVE_TERMS)
+
+
+def bits(a):
+    """The IEEE bit patterns of a float or complex array, so -0.0 differs from +0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -154,7 +176,25 @@ class TestFamily:
             expect = reference_delta_mutual_info(engine.rho, engine.h_int, ts)
         else:
             expect = reference_delta_mutual_info(engine.rho, engine.h_int, np.r_[0.0, ts])[1:]
-        assert np.array_equal(run_sweep(config).delta_mutual_info, expect)
+        assert np.array_equal(bits(run_sweep(config).delta_mutual_info), bits(expect))
+
+    @pytest.mark.parametrize("n", [1, 2, EINSUM_BELOW - 1, EINSUM_BELOW + 1, SEAM_POINTS])
+    @pytest.mark.parametrize("state", ["example", "dense"])
+    def test_evolve_on_grid_matches_the_einsums_bit_for_bit(self, name, state, n):
+        engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
+        rho = engine.rho
+        if state == "dense":
+            dense = random_density(np.random.default_rng(n), len(rho.matrix))
+            rho = DensityMatrix(dense, rho.dims)
+        ts = np.linspace(0.0, 6.0, n)  # t = 0 is on the grid
+        expect = reference_evolve_on_grid(rho, engine.h_int, ts)
+        assert np.array_equal(bits(evolve_on_grid(rho, engine.h_int, ts)), bits(expect))
+
+    def test_live_terms_of_a_dense_state(self, name):
+        engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
+        _, v = eig_hermitian(engine.h_int.matrix)
+        rho = random_density(np.random.default_rng(4), len(v))
+        assert LiveTerms.of(v, rho).count == LIVE_TERMS[name]
 
     def test_clausius_delta_mutual_info_matches_the_sweep(self, name):
         config = ScenarioConfig.from_dict(example_config(name))
