@@ -128,7 +128,7 @@ def sweep(config_path, builtin, t_max, n_points, output, fmt):
 def critical_time(config_path, builtin, t_max, n_points):
     """Report bound-crossing times only."""
     config = _load_config(config_path, builtin, t_max, n_points)
-    crossings = _ScenarioEngine(config).crossings()
+    *_, crossings = _ScenarioEngine(config).scan(config.time_grid.times())
     if not crossings:
         click.echo("no crossings on the grid")
         return
@@ -136,15 +136,16 @@ def critical_time(config_path, builtin, t_max, n_points):
         click.echo(f"{c.time:.12e}  {c.side}")
 
 
-def _finite_time(t: float) -> float:
-    if not math.isfinite(t):
-        raise ConfigError(f"--t must be finite, got {t}")
-    return t
+def _finite(option: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{option} must be finite, got {value}")
+    return value
 
 
 def _factor_generator(kind, g, a, theta, local_dim, t):
     """(generator, analytic p_d at time t) of a named interaction factor."""
-    t = _finite_time(t)
+    for option, value in (("--g", g), ("--a", a), ("--theta", theta), ("--t", t)):
+        _finite(option, value)
     factor = FACTORS[kind]
     h = factor.generator(g, a, theta, local_dim)
     if h.dim != local_dim**2:
@@ -210,7 +211,7 @@ def choi(kind, g, a, theta, local_dim, t, p_d):
 @_cli_errors
 def clausius(config_path, builtin, t_max, n_points, t):
     """Heat, mutual-information change, and entropy production at one time."""
-    t = _finite_time(t)
+    t = _finite("--t", t)
     config = _load_config(config_path, builtin, t_max, n_points)
     engine = _ScenarioEngine(config)
     beta_a, beta_b = engine.params.beta_A, engine.params.beta_B

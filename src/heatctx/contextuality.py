@@ -284,46 +284,36 @@ def _refine_bisection(f, lo: float, hi: float) -> float:
 
 
 def find_critical_times(
-    heat_fn: Callable,
-    bound_fn: Callable,
-    t_max: float,
-    lower_bound_fn: Callable | None = None,
-    n_grid: int = 100_000,
-    t_min: float = 0.0,
+    ts: np.ndarray,
+    heat: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray],
+    heat_at: Callable,
+    bounds_at: Callable,
 ) -> list[Crossing]:
-    """Ordered crossing times of the heat curve with the bound(s) on [t_min, t_max].
+    """Ordered crossing times of the heat curve with either bound on the grid ts.
 
-    Scans a uniform grid from t_min to t_max for strict sign changes of
-    heat - upper bound (and of lower bound - heat when a lower bound is
-    supplied) and refines each bracket by bisection to relative tolerance
-    1e-10. An interior grid point exactly on the bound, between neighbours
-    of opposite sign, is a crossing at that grid time; a touch without sign
-    change, such as the common zero at t = 0, is none. An empty list means
-    no crossing, which is a valid outcome.
+    ``heat`` and ``bounds`` = (upper, lower) are the columns on ts; the scan
+    looks for strict sign changes of heat - upper and of lower - heat and
+    refines each bracket by bisection to relative tolerance 1e-10, calling
+    ``heat_at(t)`` and ``bounds_at(t) -> (upper, lower)`` at scalar t. An
+    interior grid point exactly on the bound, between neighbours of opposite
+    sign, is a crossing at that grid time; a touch without sign change, such
+    as the common zero at t = 0, is none. An empty list means no crossing,
+    which is a valid outcome.
     """
-    if not 0 <= t_min < t_max:
-        raise ParamError(f"need 0 <= t_min < t_max, got t_min={t_min}, t_max={t_max}")
-    ts = np.linspace(t_min, t_max, int(n_grid))
-    heat = np.asarray(heat_fn(ts), dtype=float)
-
-    sides = [("upper", np.asarray(bound_fn(ts), dtype=float), +1)]
-    if lower_bound_fn is not None:
-        sides.append(("lower", np.asarray(lower_bound_fn(ts), dtype=float), -1))
-
     crossings: list[Crossing] = []
-    for side, bound, sign in sides:
-        diff = sign * (heat - bound)  # > 0 means violation on this side
+    for side, i, sign in (("upper", 0, +1), ("lower", 1, -1)):
 
-        def f(t, _fn_heat=heat_fn, _fn_bound=bound_fn if side == "upper" else lower_bound_fn, _s=sign):
-            return _s * (float(np.asarray(_fn_heat(t))) - float(np.asarray(_fn_bound(t))))
+        def f(t):  # > 0 means violation on this side
+            return sign * (float(heat_at(t)) - float(bounds_at(t)[i]))
 
-        s = np.sign(diff)
-        for i in np.flatnonzero(s[:-1] * s[1:] < 0):
-            root = _refine_bisection(f, ts[i], ts[i + 1])
+        s = np.sign(sign * (heat - bounds[i]))
+        for j in np.flatnonzero(s[:-1] * s[1:] < 0):
+            root = _refine_bisection(f, ts[j], ts[j + 1])
             crossings.append(Crossing(time=float(root), side=side))
-        for i in np.flatnonzero(s[1:-1] == 0) + 1:
-            if s[i - 1] * s[i + 1] < 0:
-                crossings.append(Crossing(time=float(ts[i]), side=side))
+        for j in np.flatnonzero(s[1:-1] == 0) + 1:
+            if s[j - 1] * s[j + 1] < 0:
+                crossings.append(Crossing(time=float(ts[j]), side=side))
 
     crossings.sort(key=lambda c: c.time)
     return crossings

@@ -1,12 +1,12 @@
 """Reproducible scenario definitions, sweep orchestration, and data emission.
 
 A scenario bundles a correlated thermal state, an energy-conserving
-interaction, a time grid, and units. Sweeps evaluate the closed-form heat on
-the full grid, check it against the trace formula on every grid point, and
-evaluate the noncontextual bounds, per-point violation flags, the
-mutual-information change, and the bound-crossing times. A ``SweepResult``
-holds these as numpy columns, one entry per grid point, and CSV and JSON are
-rendered straight from the columns.
+interaction, a time grid, and units. Sweeps evaluate the closed-form heat and
+the noncontextual bounds on the full grid once, find the bound-crossing times
+in those columns, check the heat against the trace formula on every grid
+point, and evaluate per-point violation flags and the mutual-information
+change. A ``SweepResult`` holds these as numpy columns, one entry per grid
+point, and CSV and JSON are rendered straight from the columns.
 
 The per-point work that needs more than O(1) memory, the evolved states of
 the ΔI column and the output text, runs ``SWEEP_BLOCK`` grid points at a
@@ -290,6 +290,9 @@ def _positive(section: str, fields: dict, key: str) -> float:
 
 def _complex_field(state: dict, key: str) -> complex:
     v = state.get(key, 0.0)
+    parts = v if isinstance(v, (list, tuple)) else [v]
+    if any(isinstance(p, bool) for p in parts):
+        raise ConfigError(f"state.{key} must be a number or [re, im], got {v!r}")
     try:
         if isinstance(v, (list, tuple)):
             if len(v) != 2:
@@ -501,27 +504,12 @@ class _ScenarioEngine:
         b_minus, b_plus = sequential_b_factors(p_d[0], p_d[1])
         return 2 * self.a_max * b_plus, -4 * self.a_max * b_minus
 
-    def crossings(self) -> list[Crossing]:
-        """Crossings of the heat curve with either bound on the config's time grid."""
-        grid = self.config.time_grid
-        last = {}  # The scan asks for both sides at the same t; evaluate bounds once.
-
-        def side(i):
-            def bound(t):
-                if last.get("t") is not t:
-                    last.update(t=t, bounds=self.bounds(t))
-                return last["bounds"][i]
-
-            return bound
-
-        return find_critical_times(
-            self.heat,
-            side(0),
-            grid.t_max,
-            lower_bound_fn=side(1),
-            n_grid=int(grid.n_points),
-            t_min=grid.t_min,
-        )
+    def scan(self, ts: np.ndarray):
+        """(heat, upper, lower, crossings): the closed-form columns on ts and their crossings."""
+        heat = np.asarray(self.heat(ts), dtype=float)
+        upper, lower = (np.asarray(b, dtype=float) for b in self.bounds(ts))
+        crossings = find_critical_times(ts, heat, (upper, lower), self.heat, self.bounds)
+        return heat, upper, lower, crossings
 
     # -- mutual information -------------------------------------------------
 
@@ -563,11 +551,7 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     """Evaluate the sweep as columns; deterministic given the config."""
     engine = _ScenarioEngine(config)
     ts = config.time_grid.times()
-    heat = np.asarray(engine.heat(ts), dtype=float)
-    upper, lower = engine.bounds(ts)
-    upper = np.asarray(upper, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-
+    heat, upper, lower, crossings = engine.scan(ts)
     _check_against_trace(engine, ts, heat)
 
     # Delta mutual information, batched over the grid.
@@ -583,7 +567,7 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     violates = (heat > upper + tol) | (heat < lower - tol)
 
     columns = (ts, heat, upper, lower, violates, delta_i)  # in COLUMNS order
-    return SweepResult(config, *columns, crossings=engine.crossings())
+    return SweepResult(config, *columns, crossings=crossings)
 
 
 # -- emission ----------------------------------------------------------------

@@ -250,9 +250,11 @@ def test_criterion_8_qutrit_analytic_crossings():
         def lower(t):
             return -4 * omega_max * np.sin(g * np.asarray(t, dtype=float)) ** 2
 
-        crossings = find_critical_times(
-            heat, upper, 0.999 * math.pi / g, lower_bound_fn=lower, n_grid=40000
-        )
+        def bounds(t):
+            return upper(t), lower(t)
+
+        ts = np.linspace(0.0, 0.999 * math.pi / g, 40000)
+        crossings = find_critical_times(ts, heat(ts), bounds(ts), heat, bounds)
         by_side = {}
         for c in crossings:
             by_side.setdefault(c.side, c.time)

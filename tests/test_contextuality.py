@@ -437,41 +437,63 @@ class TestBounds:
         assert upper(0.37e-3) == pytest.approx(2 * omega * b_plus, abs=1e-12 * omega)
 
 
+def scan(heat, upper, lower, t_max, n_grid):
+    """find_critical_times on n_grid points over [0, t_max], columns taken from the curves."""
+    ts = np.linspace(0.0, t_max, n_grid)
+    bounds_at = lambda t: (upper(t), lower(t))
+    return find_critical_times(ts, heat(ts), bounds_at(ts), heat, bounds_at)
+
+
 class TestCriticalTimes:
     def test_no_crossing_returns_empty(self):
-        out = find_critical_times(lambda t: 0.0 * np.asarray(t), lambda t: 1.0 + 0.0 * np.asarray(t), 5.0)
+        out = scan(
+            lambda t: 0.0 * np.asarray(t),
+            lambda t: 1.0 + 0.0 * np.asarray(t),
+            lambda t: -1.0 + 0.0 * np.asarray(t),
+            5.0,
+            100_000,
+        )
         assert out == []
 
     def test_simple_linear_crossing(self):
-        out = find_critical_times(
+        out = scan(
             lambda t: np.asarray(t, dtype=float),
             lambda t: 1.0 + 0.0 * np.asarray(t),
+            lambda t: -1.0 + 0.0 * np.asarray(t),
             5.0,
-            n_grid=2000,
+            2000,
         )
         assert len(out) == 1
         assert out[0].time == pytest.approx(1.0, rel=1e-9)
         assert out[0].side == "upper"
 
     def test_touch_is_no_crossing(self):
-        out = find_critical_times(
-            lambda t: (np.asarray(t) - 1) ** 2, lambda t: 0 * np.asarray(t), 2.0, n_grid=5
+        out = scan(
+            lambda t: (np.asarray(t) - 1) ** 2,
+            lambda t: 0 * np.asarray(t),
+            lambda t: -1 + 0 * np.asarray(t),
+            2.0,
+            5,
         )
         assert out == []
 
     def test_grid_point_on_the_bound_is_the_crossing(self):
-        out = find_critical_times(
-            lambda t: np.asarray(t) - 1, lambda t: 0 * np.asarray(t), 2.0, n_grid=5
+        out = scan(
+            lambda t: np.asarray(t) - 1,
+            lambda t: 0 * np.asarray(t),
+            lambda t: -2 + 0 * np.asarray(t),
+            2.0,
+            5,
         )
         assert out == [Crossing(time=1.0, side="upper")]
 
     def test_lower_bound_crossing(self):
-        out = find_critical_times(
+        out = scan(
             lambda t: -np.asarray(t, dtype=float),
             lambda t: 10.0 + 0.0 * np.asarray(t),
+            lambda t: -1.0 + 0.0 * np.asarray(t),
             5.0,
-            lower_bound_fn=lambda t: -1.0 + 0.0 * np.asarray(t),
-            n_grid=2000,
+            2000,
         )
         assert len(out) == 1
         assert out[0].side == "lower"
@@ -494,8 +516,8 @@ class TestCriticalTimes:
         upper = lambda t: 2 * omega_max * np.sin(g * np.asarray(t)) ** 2
         lower = lambda t: -4 * omega_max * np.sin(g * np.asarray(t)) ** 2
         t_max = 0.99 * np.pi / g
-        pos = find_critical_times(heat(0.8), upper, t_max, lower_bound_fn=lower, n_grid=20000)
-        neg = find_critical_times(heat(-0.8), upper, t_max, lower_bound_fn=lower, n_grid=20000)
+        pos = scan(heat(0.8), upper, lower, t_max, 20000)
+        neg = scan(heat(-0.8), upper, lower, t_max, 20000)
         assert pos and pos[0].side == "upper"
         assert neg and neg[0].side == "lower"
 

@@ -13,9 +13,12 @@ import pytest
 from click.testing import CliRunner
 
 from heatctx import (
+    ConfigError,
     DensityMatrix,
     NumericsError,
     ScenarioConfig,
+    builtin_micadei,
+    builtin_qutrit_demo,
     clausius_report,
     emit,
     format_csv,
@@ -23,6 +26,8 @@ from heatctx import (
     heat_trace,
     nc_bound_theorem1,
     nc_bound_theorem2,
+    qutrit_critical_times_analytic,
+    qutrit_heat_coefficients,
     run_sweep,
 )
 from heatctx.cli import main
@@ -89,6 +94,8 @@ QUBIT_BAD = [
     ("state", "omega", math.inf),
     ("state", "eta", math.nan),
     ("state", "nu1", [0.0, math.nan]),
+    ("state", "nu1", True),
+    ("state", "gamma", [True, 0.0]),
 ]
 FAMILY_BAD = {
     "two_qubit_resonant": QUBIT_BAD + [("interaction", "a", math.nan)],
@@ -267,6 +274,58 @@ def test_critical_times_list_each_instant_once():
     assert all(b - a > 1e-10 * b for a, b in zip(times, times[1:]))
 
 
+@pytest.mark.parametrize("n_points", [2, 28, 400])
+@pytest.mark.parametrize("name", sorted(EXAMPLES) + ["micadei", "qutrit-demo"])
+def test_critical_time_prints_the_sweeps_crossings(name, n_points, tmp_path):
+    if name in EXAMPLES:
+        raw = example_config(name)
+        raw["time_grid"]["n_points"] = n_points
+        config = ScenarioConfig.from_dict(raw)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        args = ["--config", str(cfg_path)]
+    else:
+        config = {"micadei": builtin_micadei, "qutrit-demo": builtin_qutrit_demo}[name]()
+        config = replace(config, time_grid=replace(config.time_grid, n_points=n_points))
+        args = ["--builtin", name, "--n-points", str(n_points)]
+    expect = [f"{c.time:.12e}  {c.side}" for c in run_sweep(config).crossings]
+    result = CliRunner().invoke(main, ["critical-time", *args])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == (expect or ["no crossings on the grid"])
+
+
+@pytest.mark.parametrize(
+    "eta_sign,tau_c,side,anomalous,points",
+    [(-1, 0.0463123253765, "upper", True, 463), (+1, 0.0260202613421, "lower", False, 260)],
+)
+def test_qutrit_demo_violates_exactly_on_zero_to_tau_c(eta_sign, tau_c, side, anomalous, points):
+    # The builtin has negative etas; flipping their signs flips xi, so the
+    # heat leaves the upper bound instead of the lower one. A is the hotter
+    # side, so heat > 0 into A is anomalous.
+    config = builtin_qutrit_demo()
+    etas = {k: eta_sign * config.state[k] for k in ("eta31", "eta62", "eta75")}
+    config = replace(config, state={**config.state, **etas})
+    result = run_sweep(config)
+    assert [c.side for c in result.crossings] == [side]
+    assert result.crossings[0].time == pytest.approx(tau_c, rel=1e-10)
+    params = _ScenarioEngine(config).params
+    zeta, xi = qutrit_heat_coefficients(params)
+    g = config.interaction["g"]
+    tau_u, tau_l = qutrit_critical_times_analytic(zeta, xi, max(params.omegas), g)
+    analytic = tau_u if side == "upper" else tau_l
+    assert result.critical_times == [pytest.approx(analytic, rel=1e-9)]
+
+    inside = (result.t > 0) & (result.t < result.critical_times[0])
+    assert inside.sum() == points
+    assert np.all((result.heat[inside] > 0) == anomalous)
+    if side == "upper":
+        assert np.all(result.heat[inside] > result.bound_upper[inside])
+    else:
+        assert np.all(result.heat[inside] < result.bound_lower[inside])
+    assert np.all(result.violates[inside])
+    assert not result.violates[~inside].any()
+
+
 # Edits to the shape and JSON types of a config: section None edits a
 # top-level field, and key None replaces the whole config with the value.
 SHAPE_BAD = [
@@ -298,6 +357,15 @@ def test_invalid_config_exits_2(name, section, key, value, tmp_path):
         assert result.exit_code == 2, (args, result.output, result.exception)
         assert isinstance(result.exception, SystemExit)
         assert "config error" in result.output
+
+
+@pytest.mark.parametrize("value", [True, False, [True, 0.0], [0.0, False]])
+@pytest.mark.parametrize("key", ["nu1", "nu2", "gamma"])
+def test_json_booleans_are_not_complex_fields(key, value):
+    # false would load as 0j, a valid state, so the parser itself must refuse it.
+    state = {**EXAMPLES["two_qubit_resonant"]["state"], key: value}
+    with pytest.raises(ConfigError, match=f"state.{key} must be a number"):
+        FAMILIES["two_qubit_resonant"].parse(state)
 
 
 def test_integral_n_points_may_be_written_as_a_float():

@@ -159,6 +159,27 @@ class TestRunSweep:
         side = "upper" if xi > 0 else "lower"
         assert by_side[side] == pytest.approx(expect, rel=1e-8)
 
+    @pytest.mark.parametrize("builtin", [builtin_micadei, builtin_qutrit_demo])
+    def test_heat_and_bounds_evaluated_on_the_grid_once(self, builtin, monkeypatch):
+        config = builtin()
+        config = replace(config, time_grid=replace(config.time_grid, n_points=4000))
+        full_grid = []
+
+        def counted(name):
+            method = getattr(_ScenarioEngine, name)
+
+            def wrapper(engine, t):
+                if np.ndim(t) and len(t) == config.time_grid.n_points:
+                    full_grid.append(name)
+                return method(engine, t)
+
+            return wrapper
+
+        for name in ("heat", "bounds"):
+            monkeypatch.setattr(_ScenarioEngine, name, counted(name))
+        assert run_sweep(config).crossings
+        assert sorted(full_grid) == ["bounds", "heat"]
+
     def test_delta_mutual_info_starts_at_zero(self):
         result = run_sweep(small_config())
         assert result.records[0].delta_mutual_info == 0.0
@@ -425,6 +446,15 @@ class TestCli:
         result = CliRunner().invoke(main, [*command, "--t", t])
         assert result.exit_code == 2, result.output
         assert "--t must be finite" in result.output
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("option", ["--g", "--a", "--theta"])
+    @pytest.mark.parametrize("command", [["verify-decomposition"], ["choi"]])
+    def test_non_finite_coupling_exits_2(self, command, option, value):
+        args = [*command, "--interaction", "resonant-exchange", option, value, "--t", "0.5"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{option} must be finite" in result.output
 
     @pytest.mark.parametrize(
         "kind,local_dim",
