@@ -79,15 +79,12 @@ from .scenarios import (
     SweepRecord,
     SweepResult,
     TimeGrid,
-    UnitScales,
     builtin_micadei,
     builtin_qutrit_demo,
     emit,
     format_csv,
     format_json,
-    from_natural_units,
     run_sweep,
-    to_natural_units,
 )
 
 __version__ = "0.1.0"

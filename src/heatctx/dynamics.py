@@ -26,7 +26,6 @@ from .states import DensityMatrix
 
 ENERGY_CONSERVATION_TOL = 1e-12
 EINSUM_BELOW = 256  # grid points below which the dense einsums' lower fixed cost wins
-_KERNEL_CHUNK = 1024  # grid points whose terms _evolve_live_terms holds at once
 
 
 @dataclass(frozen=True)
@@ -217,44 +216,36 @@ def _evolve_live_terms(v: np.ndarray, phases: np.ndarray, rho: np.ndarray) -> np
 
     Each term is ((a b) c) with the complex products formed as einsum forms
     them, (ar br - ai bi, ar bi + ai br), in separate real operations (no
-    FMA). Grid points run along the rows of every array, ``_KERNEL_CHUNK``
-    of them at a time, so the temporaries stay a fraction of the output.
+    FMA). Grid points run along the rows of every array; every row handed in
+    is evolved at once, so the caller bounds the temporaries by what it hands.
     """
     n, d = phases.shape
     terms = LiveTerms.of(v, rho)
     width = max((len(r[0]) for r in terms.u_rounds + terms.rho_rounds), default=0)
-    chunk = min(_KERNEL_CHUNK, n)
+    p_re, p_im = np.ascontiguousarray(phases.real.T), np.ascontiguousarray(phases.imag.T)
+    ur, ui = np.zeros((2, len(terms.u_entries), n))
+    sr, si = np.zeros((2, d * d, n))
+    buffers = np.empty((7, width, n))
+    for at, j, a, c in terms.u_rounds:  # U_ik += (v_ij e^{-itw_j}) conj(v_kj)
+        x_re, x_im, t_re, t_im, r_re, r_im, tmp = buffers[:, : len(at)]
+        np.take(p_re, j, axis=0, out=x_re)
+        np.take(p_im, j, axis=0, out=x_im)
+        _cmul(a.real, a.imag, x_re, x_im, t_re, t_im, tmp)
+        _cmul(t_re, t_im, c.real, c.imag, r_re, r_im, tmp)
+        ur[at] += r_re
+        ui[at] += r_im
+    for o, ij, b, lk in terms.rho_rounds:  # rho_il += (U_ij rho_jk) conj(U_lk)
+        x_re, x_im, t_re, t_im, r_re, r_im, tmp = buffers[:, : len(o)]
+        np.take(ur, ij, axis=0, out=x_re)
+        np.take(ui, ij, axis=0, out=x_im)
+        _cmul(x_re, x_im, b.real, b.imag, t_re, t_im, tmp)
+        np.take(ur, lk, axis=0, out=x_re)
+        np.negative(np.take(ui, lk, axis=0, out=x_im), out=x_im)
+        _cmul(t_re, t_im, x_re, x_im, r_re, r_im, tmp)
+        sr[o] += r_re
+        si[o] += r_im
     out = np.empty((n, d * d), dtype=complex)
-    u_re, u_im = np.empty((2, len(terms.u_entries), chunk))
-    acc_re, acc_im = np.empty((2, d * d, chunk))
-    buffers = np.empty((7, width, chunk))
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        p = phases[lo : lo + m].T
-        p_re, p_im = np.ascontiguousarray(p.real), np.ascontiguousarray(p.imag)
-        ur, ui, sr, si = u_re[:, :m], u_im[:, :m], acc_re[:, :m], acc_im[:, :m]
-        for acc in (ur, ui, sr, si):
-            acc[...] = 0.0
-        for at, j, a, c in terms.u_rounds:  # U_ik += (v_ij e^{-itw_j}) conj(v_kj)
-            x_re, x_im, t_re, t_im, r_re, r_im, tmp = buffers[:, : len(at), :m]
-            np.take(p_re, j, axis=0, out=x_re)
-            np.take(p_im, j, axis=0, out=x_im)
-            _cmul(a.real, a.imag, x_re, x_im, t_re, t_im, tmp)
-            _cmul(t_re, t_im, c.real, c.imag, r_re, r_im, tmp)
-            ur[at] += r_re
-            ui[at] += r_im
-        for o, ij, b, lk in terms.rho_rounds:  # rho_il += (U_ij rho_jk) conj(U_lk)
-            x_re, x_im, t_re, t_im, r_re, r_im, tmp = buffers[:, : len(o), :m]
-            np.take(ur, ij, axis=0, out=x_re)
-            np.take(ui, ij, axis=0, out=x_im)
-            _cmul(x_re, x_im, b.real, b.imag, t_re, t_im, tmp)
-            np.take(ur, lk, axis=0, out=x_re)
-            np.negative(np.take(ui, lk, axis=0, out=x_im), out=x_im)
-            _cmul(t_re, t_im, x_re, x_im, r_re, r_im, tmp)
-            sr[o] += r_re
-            si[o] += r_im
-        out.real[lo : lo + m] = sr.T
-        out.imag[lo : lo + m] = si.T
+    out.real, out.imag = sr.T, si.T
     return out.reshape(n, d, d)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from typing import Callable, Iterator
 
 import numpy as np
@@ -60,7 +60,7 @@ COLUMNS = ("t", "heat", "bound_upper", "bound_lower", "violates", "delta_mutual_
 CSV_HEADER = ",".join(COLUMNS)
 VIOLATION_REL_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-9
-SWEEP_BLOCK = 4096  # grid points whose states, or output rows, exist at once
+SWEEP_BLOCK = 2048  # grid points whose states, or output rows, exist at once
 
 MICADEI_J_HZ = 215.1
 MICADEI_OMEGA_EV = 4.135e-12
@@ -266,11 +266,11 @@ _REQUIRED = object()
 
 
 def _finite(section: str, fields: dict, key: str, default=_REQUIRED) -> float:
-    """fields[key] as a finite float, not a bool (``default`` when absent), else ConfigError."""
+    """fields[key] as a finite float, not bool or str (``default`` if absent), else ConfigError."""
     value = fields.get(key, default)
     if value is _REQUIRED:
         raise ConfigError(f"{section} is missing field {key!r}")
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
     try:
         v = float(value)
@@ -291,7 +291,7 @@ def _positive(section: str, fields: dict, key: str) -> float:
 def _complex_field(state: dict, key: str) -> complex:
     v = state.get(key, 0.0)
     parts = v if isinstance(v, (list, tuple)) else [v]
-    if any(isinstance(p, bool) for p in parts):
+    if any(isinstance(p, (bool, str)) for p in parts):
         raise ConfigError(f"state.{key} must be a number or [re, im], got {v!r}")
     try:
         if isinstance(v, (list, tuple)):
@@ -413,7 +413,6 @@ class Family:
     parse: Callable  # config state -> validated params
     state: Callable  # params -> DensityMatrix
     local: Callable  # params -> local Hamiltonian, the same on A and B
-    energy_field: str  # the state field holding the local energies
     h_int: Callable  # (g, a, theta) -> interaction Hamiltonian
     heat: Callable  # (params, g, theta, t) -> closed-form <Q_A>
     factors: tuple[str, ...]  # FACTORS keys: one for Theorem 1, two for Theorem 2
@@ -423,7 +422,6 @@ _QUBITS = dict(
     parse=_two_qubit_params,
     state=two_qubit_thermal,
     local=lambda p: zeeman_hamiltonian(p.omega),
-    energy_field="omega",
 )
 
 FAMILIES = {
@@ -444,7 +442,6 @@ FAMILIES = {
         parse=_qutrit_params,
         state=two_qutrit_thermal,
         local=lambda p: qutrit_hamiltonian(p.omegas),
-        energy_field="omegas",
         h_int=lambda g, a, theta: PartialSwapInteraction(g, local_dim=3).hamiltonian(),
         heat=lambda p, g, theta, t: heat_closed_form_qutrit(p, g, t),
         factors=("partial-swap",),
@@ -647,57 +644,3 @@ def emit(result: SweepResult, fmt: str, path: str) -> None:
             fh.writelines(_chunks(result, fmt))
     except OSError as exc:
         raise ConfigError(f"cannot write output to {path}: {exc}") from exc
-
-
-# -- unit conversion ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnitScales:
-    """Scales taking an eV_seconds config to natural units (omega = 1, g = 1)."""
-
-    energy: float  # divide energies by this
-    time: float  # divide times by this (1/g)
-
-
-def _rescaled(config, energy, time, g: float, units: str) -> ScenarioConfig:
-    """config with every energy mapped by ``energy``, every time by ``time``."""
-    state = dict(config.state)
-    for key in (FAMILIES[config.scenario].energy_field, "T_A", "T_B"):
-        v = state[key]
-        if isinstance(v, (list, tuple)):
-            state[key] = [energy(float(e)) for e in v]
-        else:
-            state[key] = energy(float(v))
-    grid = config.time_grid
-    return replace(
-        config,
-        units=units,
-        state=state,
-        interaction={**config.interaction, "g": g},
-        time_grid=TimeGrid(time(grid.t_min), time(grid.t_max), grid.n_points),
-    )
-
-
-def to_natural_units(config: ScenarioConfig) -> tuple[ScenarioConfig, UnitScales]:
-    """Rescale so the reference energy a_max is 1 and g = 1."""
-    if config.units == "natural":
-        return config, UnitScales(energy=1.0, time=1.0)
-    family = FAMILIES[config.scenario]
-    e_scale = _a_max(family.local(family.parse(config.state)))
-    t_scale = 1.0 / _positive("interaction", config.interaction, "g")
-    natural = _rescaled(config, lambda e: e / e_scale, lambda t: t / t_scale, 1.0, "natural")
-    return natural, UnitScales(energy=e_scale, time=t_scale)
-
-
-def from_natural_units(config: ScenarioConfig, scales: UnitScales) -> ScenarioConfig:
-    """Inverse of to_natural_units."""
-    if scales.energy == 1.0 and scales.time == 1.0:
-        return config
-    return _rescaled(
-        config,
-        lambda e: e * scales.energy,
-        lambda t: t * scales.time,
-        1.0 / scales.time,
-        "eV_seconds",
-    )

@@ -32,6 +32,7 @@ from .linalg import (
 
 STATE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+SUPPORT_TOL = 1e-10  # eigenvalues of sigma, and weights of rho, taken as zero in relative_entropy
 
 
 @dataclass(frozen=True)
@@ -283,9 +284,7 @@ def mutual_information(rho: DensityMatrix) -> float:
     )
 
 
-def relative_entropy(
-    rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray, support_tol=1e-10
-) -> float:
+def relative_entropy(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray) -> float:
     """S(rho || sigma) = Tr{rho ln rho - rho ln sigma} in nats.
 
     An array is taken as a density matrix as it is, unvalidated: pass one
@@ -299,12 +298,12 @@ def relative_entropy(
         raise DimensionError("relative entropy needs equal dimensions")
     ws, vs = eig_hermitian(sigma)
     ws = np.clip(ws, 0.0, None)
-    kernel = ws <= support_tol
+    kernel = ws <= SUPPORT_TOL
     if np.any(kernel):
         weight = np.real(
             np.einsum("ij,jk,ki->", dagger(vs[:, kernel]), rho, vs[:, kernel])
         )
-        if weight > support_tol:
+        if weight > SUPPORT_TOL:
             raise SupportError(
                 f"rho has weight {weight:.3g} outside the support of sigma"
             )

@@ -87,6 +87,11 @@ COMMON_BAD = [
     ("time_grid", "t_max", math.inf),
     ("time_grid", "t_min", math.nan),
     ("time_grid", "n_points", "many"),
+    # Numeric strings: float() would parse them, but JSON says they are text.
+    ("state", "T_A", "2.0"),
+    ("interaction", "g", "0.7"),
+    ("time_grid", "t_max", "6.0"),
+    ("time_grid", "n_points", "50"),
 ]
 QUBIT_BAD = [
     ("state", "omega", -1.0),
@@ -96,15 +101,23 @@ QUBIT_BAD = [
     ("state", "nu1", [0.0, math.nan]),
     ("state", "nu1", True),
     ("state", "gamma", [True, 0.0]),
+    ("state", "omega", "1.0"),
+    ("state", "eta", "-0.1"),
+    ("state", "nu1", "0.01+0.01j"),
+    ("state", "nu2", ["0.01", 0.0]),
+    ("state", "gamma", [0.0, "0.01"]),
 ]
 FAMILY_BAD = {
-    "two_qubit_resonant": QUBIT_BAD + [("interaction", "a", math.nan)],
+    "two_qubit_resonant": QUBIT_BAD
+    + [("interaction", "a", math.nan), ("interaction", "theta", "1.1")],
     "two_qubit_nonresonant": QUBIT_BAD,
     "qutrit_partial_swap": [
         ("state", "omegas", [0.0, math.nan, 1.0]),
         ("state", "omegas", [-1.0, 0.5, 1.0]),
         ("state", "omegas", [0.0, 0.0, 0.0]),
         ("state", "eta31", math.nan),
+        ("state", "omegas", ["0", 1, 2]),
+        ("state", "eta31", "-0.03"),
     ],
 }
 
@@ -253,6 +266,22 @@ class TestFamily:
         expect = format_csv(run_sweep(ScenarioConfig.from_dict(raw)))
         assert out_path.read_text() == expect
         assert len(expect.strip().split("\n")) == 401
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_outputs_do_not_depend_on_the_block_size(name, monkeypatch):
+    # Blocks of 7 take the einsum path in every block; 10**6 makes the grid one block.
+    raw = example_config(name)
+    raw["time_grid"].update(t_min=0.7, n_points=SEAM_POINTS)
+    config = ScenarioConfig.from_dict(raw)
+    outputs = []
+    for block in (7, 2048, 10**6):
+        monkeypatch.setattr("heatctx.scenarios.SWEEP_BLOCK", block)
+        result = run_sweep(config)
+        outputs.append(
+            (format_csv(result), format_json(result), bits(result.delta_mutual_info).tolist())
+        )
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_critical_times_list_each_instant_once():

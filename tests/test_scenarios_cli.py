@@ -19,10 +19,8 @@ from heatctx import (
     emit,
     format_csv,
     format_json,
-    from_natural_units,
     kron,
     run_sweep,
-    to_natural_units,
     two_qubit_thermal,
     qutrit_heat_coefficients,
     qutrit_critical_times_analytic,
@@ -293,33 +291,21 @@ class TestMemory:
 
 
 class TestUnits:
-    def test_round_trip(self):
-        config = builtin_micadei()
-        natural, scales = to_natural_units(config)
-        assert natural.units == "natural"
-        assert natural.interaction["g"] == 1.0
-        assert natural.state["omega"] == 1.0
-        back = from_natural_units(natural, scales)
-        for key in ("omega", "T_A", "T_B"):
-            assert back.state[key] == pytest.approx(config.state[key], rel=1e-12)
-        assert back.interaction["g"] == pytest.approx(config.interaction["g"], rel=1e-12)
-        assert back.time_grid.t_max == pytest.approx(config.time_grid.t_max, rel=1e-12)
-
-    def test_natural_is_fixed_point(self):
-        config = small_config()
-        natural, scales = to_natural_units(config)
-        assert natural == config
-        assert from_natural_units(natural, scales) == config
-
     def test_natural_config_gives_same_dimensionless_heat(self):
+        # Only g t and energies over omega enter: omega -> 1, T -> T / omega,
+        # g -> 1 and t -> g t give the heat in units of omega.
         config = builtin_micadei()
-        natural, scales = to_natural_units(config)
-        e_eng = _ScenarioEngine(config)
-        e_nat = _ScenarioEngine(natural)
+        omega, g = config.state["omega"], config.interaction["g"]
+        state = {**config.state, "omega": 1.0}
+        for key in ("T_A", "T_B"):
+            state[key] = config.state[key] / omega
+        natural = replace(
+            config, units="natural", state=state, interaction={**config.interaction, "g": 1.0}
+        )
         t = 1.3e-4
-        q_ev = e_eng.heat(t)
-        q_nat = e_nat.heat(t / scales.time)
-        assert q_ev / scales.energy == pytest.approx(q_nat, rel=1e-12)
+        q_ev = _ScenarioEngine(config).heat(t)
+        q_nat = _ScenarioEngine(natural).heat(g * t)
+        assert q_ev / omega == pytest.approx(q_nat, rel=1e-12)
 
 
 class TestCli:
