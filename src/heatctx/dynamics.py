@@ -7,7 +7,7 @@ full-picture value and the free unitary is never constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,12 +130,17 @@ def interaction_unitary(h_int, t: float) -> UnitaryOp:
 
 
 def evolve_on_grid(rho: DensityMatrix, h_int, ts) -> np.ndarray:
-    """rho(t) = U(t) rho U(t)^dag at every t of ts, as an (N, d, d) array.
+    """rho(t) = U(t) rho U(t)^dag at every t of ts, as an (N, d, d) array."""
+    return EvolutionPlan(rho, h_int, len(ts)).evolve(ts)
+
+
+class EvolutionPlan:
+    """All that ``evolve_on_grid`` derives from rho and H_I, for a grid of ``n_points``.
 
     U(t) = V diag(e^{-i t w}) V^dag from one eigendecomposition
     H_I = V diag(w) V^dag; V is checked unitary once, so every U(t) is.
 
-    Below ``EINSUM_BELOW`` grid points this is the two dense einsums
+    Below ``EINSUM_BELOW`` grid points rho(t) is the two dense einsums
     U(t) = "ij,nj,kj->nik" and rho(t) = "nij,jk,nlk->nil"; from there on the
     term-skipping kernel ``_evolve_live_terms`` gives the same bits. Unoptimised
     np.einsum sums each output's terms in row-major order of the summed
@@ -144,14 +149,38 @@ def evolve_on_grid(rho: DensityMatrix, h_int, ts) -> np.ndarray:
     unchanged, and a term with an exactly zero factor is +-0. Energy
     conservation makes V block diagonal, so most terms have a zero factor of
     V or of rho; the kernel adds only the others, in einsum's order.
+
+    ``diagonal`` holds the live terms of the diagonal of rho(t) alone when no
+    live term reaches an off-diagonal entry of rho_A or rho_B; else None.
     """
-    w, v = eig_hermitian(h_int)
-    v = UnitaryOp(v).matrix
-    phases = np.exp(-1j * np.outer(ts, w))  # (N, d)
-    if len(phases) >= EINSUM_BELOW:
-        return _evolve_live_terms(v, phases, rho.matrix)
-    u = np.einsum("ij,nj,kj->nik", v, phases, v.conj())
-    return np.einsum("nij,jk,nlk->nil", u, rho.matrix, u.conj())
+
+    def __init__(self, rho: DensityMatrix, h_int, n_points: int):
+        self.w, v = eig_hermitian(h_int)
+        self.v, self.rho, d = UnitaryOp(v).matrix, rho.matrix, len(v)
+        self.terms = self.diagonal = None
+        if n_points >= EINSUM_BELOW:
+            self.terms = LiveTerms.of(self.v, self.rho)
+            rounds = self.terms.rho_rounds
+            if len(rho.dims) == 2:  # output (a b, a2 b2) adds to rho_A[a, a2] if b == b2
+                a, b, a2, b2 = np.unravel_index(np.hstack([r[0] for r in rounds]), 2 * rho.dims)
+                if not np.any((a == a2) != (b == b2)):  # keep the diagonal outputs i*d + i
+                    rounds = [[x[r[0] % (d + 1) == 0] for x in r] for r in rounds]
+                    self.diagonal = replace(self.terms, rho_rounds=[r for r in rounds if len(r[0])])
+
+    def evolve(self, ts) -> np.ndarray:
+        """rho(t) at every t of ts, as an (N, d, d) array."""
+        phases, d = np.exp(-1j * np.outer(ts, self.w)), len(self.v)  # (N, d)
+        if self.terms is None:
+            u = np.einsum("ij,nj,kj->nik", self.v, phases, self.v.conj())
+            return np.einsum("nij,jk,nlk->nil", u, self.rho, u.conj())
+        out = np.empty((len(phases), d * d), dtype=complex)
+        out.real, out.imag = (x.T for x in _evolve_live_terms(self.v, phases, self.terms))
+        return out.reshape(-1, d, d)
+
+    def populations(self, ts) -> np.ndarray:
+        """The real diagonal of ``evolve(ts)``, bit for bit, as (N, d); needs ``diagonal``."""
+        phases = np.exp(-1j * np.outer(ts, self.w))
+        return _evolve_live_terms(self.v, phases, self.diagonal)[0][:: len(self.v) + 1].T
 
 
 def _dealt(live: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -205,14 +234,9 @@ class LiveTerms:
             )
         return cls(u_entries, u_rounds, rho_rounds)
 
-    @property
-    def count(self) -> int:
-        """Live (j, k) terms of rho(t), summed over its d^2 outputs."""
-        return sum(len(out) for out, *_ in self.rho_rounds)
 
-
-def _evolve_live_terms(v: np.ndarray, phases: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The two einsums of ``evolve_on_grid``, bit for bit, from their live terms only.
+def _evolve_live_terms(v: np.ndarray, phases: np.ndarray, terms: LiveTerms):
+    """Re and Im of the two einsums of ``evolve_on_grid``, (d^2, N) each, from live terms only.
 
     Each term is ((a b) c) with the complex products formed as einsum forms
     them, (ar br - ai bi, ar bi + ai br), in separate real operations (no
@@ -220,7 +244,6 @@ def _evolve_live_terms(v: np.ndarray, phases: np.ndarray, rho: np.ndarray) -> np
     is evolved at once, so the caller bounds the temporaries by what it hands.
     """
     n, d = phases.shape
-    terms = LiveTerms.of(v, rho)
     width = max((len(r[0]) for r in terms.u_rounds + terms.rho_rounds), default=0)
     p_re, p_im = np.ascontiguousarray(phases.real.T), np.ascontiguousarray(phases.imag.T)
     ur, ui = np.zeros((2, len(terms.u_entries), n))
@@ -244,9 +267,7 @@ def _evolve_live_terms(v: np.ndarray, phases: np.ndarray, rho: np.ndarray) -> np
         _cmul(t_re, t_im, x_re, x_im, r_re, r_im, tmp)
         sr[o] += r_re
         si[o] += r_im
-    out = np.empty((n, d * d), dtype=complex)
-    out.real, out.imag = sr.T, si.T
-    return out.reshape(n, d, d)
+    return sr, si
 
 
 def _cmul(ar, ai, br, bi, out_re, out_im, tmp) -> None:

@@ -31,6 +31,7 @@ from .states import (
     bipartite_marginals,
     entropies,
     mutual_information_change,
+    population_entropies,
     two_qubit_thermal,
     two_qutrit_thermal,
     zeeman_hamiltonian,
@@ -40,7 +41,7 @@ from .dynamics import (
     NonResonantInteraction,
     PartialSwapInteraction,
     ResonantInteraction,
-    evolve_on_grid,
+    EvolutionPlan,
 )
 from .thermo import (
     heat_closed_form_2qubit_thermal,
@@ -513,15 +514,18 @@ class _ScenarioEngine:
     def delta_mutual_info(self, ts: np.ndarray) -> np.ndarray:
         """Batched I(t) - I(0); the global entropy cancels under unitaries.
 
-        The states are evolved one ``SWEEP_BLOCK`` of times at a time and only
-        their marginal entropies are kept. Every einsum and eigensolve acts
-        per grid point, so the blocks do not change a bit of the result.
+        One ``EvolutionPlan`` serves the grid, evolved one ``SWEEP_BLOCK`` of times
+        at a time; the marginal entropies come from the populations alone where the
+        plan's marginals are diagonal. Each step acts per grid point: blocks change no bit.
         """
+        plan, dims = EvolutionPlan(self.rho, self.h_int, len(ts)), self.rho.dims
         s_a, s_b = np.empty(len(ts)), np.empty(len(ts))
         for block in _blocks(len(ts)):
-            rho_t = evolve_on_grid(self.rho, self.h_int, ts[block])
-            rho_a, rho_b = bipartite_marginals(rho_t, self.rho.dims)
-            s_a[block], s_b[block] = entropies(rho_a), entropies(rho_b)
+            if plan.diagonal is not None:
+                s_a[block], s_b[block] = population_entropies(plan.populations(ts[block]), dims)
+            else:
+                rho_a, rho_b = bipartite_marginals(plan.evolve(ts[block]), dims)
+                s_a[block], s_b[block] = entropies(rho_a), entropies(rho_b)
         return mutual_information_change(s_a, s_b)
 
 

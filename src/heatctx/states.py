@@ -240,11 +240,25 @@ def two_qutrit_thermal(params: TwoQutritThermalParams) -> DensityMatrix:
 
 
 def entropies(rhos: np.ndarray) -> np.ndarray:
-    """-sum lambda ln lambda in nats of each matrix in a stack (..., d, d), 0 ln 0 := 0.
+    """-sum lambda ln lambda in nats of each matrix in a stack (..., d, d), 0 ln 0 := 0."""
+    return spectral_entropies(np.linalg.eigvalsh(rhos))
+
+
+def population_entropies(populations: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
+    """``entropies`` of (rho_A, rho_B) from the (N, d_A d_B) diagonals of states whose
+    marginals are diagonal, bit for bit: ``bipartite_marginals`` also sums from 0 in
+    index order, and LAPACK's eigenvalues of a diagonal matrix of trace ~1 are its
+    sorted diagonal."""
+    p = populations.reshape(-1, *dims)  # the builtin sum adds from 0, in index order
+    p_a, p_b = sum(p.transpose(2, 0, 1)), sum(p.transpose(1, 0, 2))
+    return spectral_entropies(np.sort(p_a)), spectral_entropies(np.sort(p_b))
+
+
+def spectral_entropies(w: np.ndarray) -> np.ndarray:
+    """-sum w ln w in nats along the last axis of ascending spectra, 0 ln 0 := 0.
 
     Eigenvalues below 0 (round-off) are clipped to 0.
     """
-    w = np.linalg.eigvalsh(rhos)
     w = np.clip(w, 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(w > 0, -w * np.log(np.where(w > 0, w, 1.0)), 0.0)

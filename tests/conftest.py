@@ -162,18 +162,26 @@ def reference_minimal_pd(h, t):
 def count_calls(monkeypatch, targets):
     """Count the calls of each (module, name) target, in every heatctx module holding it.
 
-    Returns a dict from name to count that the wrappers update in place.
+    A name ``Class.method`` counts the calls of a static or class method,
+    replaced on its class. Returns a dict from name to count that the
+    wrappers update in place.
     """
     calls = {}
     for module_name, name in targets:
         owner = importlib.import_module(module_name)
-        original = getattr(owner, name)
+        *path, attr = name.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        original = getattr(owner, attr)
         calls[name] = 0
 
         def counted(*args, _fn=original, _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
+        if path:
+            monkeypatch.setattr(owner, attr, counted)
+            continue
         holders = [m for k, m in list(sys.modules.items()) if k.split(".")[0] == "heatctx"]
         for module in [owner, *(m for m in holders if m is not owner)]:
             if getattr(module, name, None) is original:

@@ -31,10 +31,11 @@ from heatctx import (
     run_sweep,
 )
 from heatctx.cli import main
-from heatctx.dynamics import EINSUM_BELOW, LiveTerms, evolve_on_grid
+from heatctx.dynamics import EINSUM_BELOW, EvolutionPlan, LiveTerms, evolve_on_grid
 from heatctx.linalg import eig_hermitian
 from heatctx.scenarios import FACTORS, FAMILIES, SWEEP_BLOCK, _ScenarioEngine
 from conftest import (
+    count_calls,
     random_density,
     reference_csv,
     reference_delta_mutual_info,
@@ -186,12 +187,19 @@ class TestFamily:
 
     @pytest.mark.parametrize("n_points", [400, SEAM_POINTS])
     @pytest.mark.parametrize("t_min", [0.0, 0.7])
-    def test_delta_mutual_info_matches_the_reference(self, name, t_min, n_points):
+    @pytest.mark.parametrize("state", ["example", "cold"])
+    def test_delta_mutual_info_matches_the_reference(self, name, state, t_min, n_points):
         raw = example_config(name)
         raw["time_grid"].update(t_min=t_min, n_points=n_points)
+        if state == "cold":  # no coherence, and some populations exactly 0
+            cold = raw["state"]
+            cold.update({key: 0.0 for key in cold if key.startswith("eta")})
+            cold.update(T_A=cold["T_A"] * 3e-3, T_B=cold["T_B"] * 3e-3)
         config = ScenarioConfig.from_dict(raw)
         engine = _ScenarioEngine(config)
         ts = config.time_grid.times()
+        # Every family's marginals stay diagonal here: the sweep takes the populations path.
+        assert EvolutionPlan(engine.rho, engine.h_int, n_points).diagonal is not None
         if t_min == 0:
             expect = reference_delta_mutual_info(engine.rho, engine.h_int, ts)
         else:
@@ -214,7 +222,8 @@ class TestFamily:
         engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
         _, v = eig_hermitian(engine.h_int.matrix)
         rho = random_density(np.random.default_rng(4), len(v))
-        assert LiveTerms.of(v, rho).count == LIVE_TERMS[name]
+        rounds = LiveTerms.of(v, rho).rho_rounds
+        assert sum(len(out) for out, *_ in rounds) == LIVE_TERMS[name]
 
     def test_clausius_delta_mutual_info_matches_the_sweep(self, name):
         config = ScenarioConfig.from_dict(example_config(name))
@@ -270,7 +279,7 @@ class TestFamily:
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_outputs_do_not_depend_on_the_block_size(name, monkeypatch):
-    # Blocks of 7 take the einsum path in every block; 10**6 makes the grid one block.
+    # Blocks of 7 run the grid's path 7 rows at a time; 10**6 makes the grid one block.
     raw = example_config(name)
     raw["time_grid"].update(t_min=0.7, n_points=SEAM_POINTS)
     config = ScenarioConfig.from_dict(raw)
@@ -282,6 +291,56 @@ def test_outputs_do_not_depend_on_the_block_size(name, monkeypatch):
             (format_csv(result), format_json(result), bits(result.delta_mutual_info).tolist())
         )
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_a_sweep_builds_one_evolution_plan(name, monkeypatch):
+    # Blocks of 300, 300, 300 and 100 points share one plan: besides the
+    # oracle's, one eigendecomposition of H_I and one LiveTerms.of per sweep.
+    raw = example_config(name)
+    raw["time_grid"]["n_points"] = 1000
+    config = ScenarioConfig.from_dict(raw)
+    engine = _ScenarioEngine(config)  # its state builder eigensolves Gibbs states
+    monkeypatch.setattr("heatctx.scenarios._ScenarioEngine", lambda _: engine)
+    monkeypatch.setattr("heatctx.scenarios.SWEEP_BLOCK", 300)
+    targets = [("heatctx.linalg", "eig_hermitian"), ("heatctx.dynamics", "LiveTerms.of")]
+    calls = count_calls(monkeypatch, targets)
+    run_sweep(config)
+    assert calls == {"eig_hermitian": 2, "LiveTerms.of": 1}
+
+
+# Two-qubit state edits and whether both marginals stay diagonal under the
+# interaction: nu1 and nu2 couple |00> to |01> or |10>, which differ in one
+# qubit only, and gamma couples |00> to |11>.
+PATHS = [
+    ({"nu1": [0.02, 0.01]}, False),
+    ({"nu2": [0.01, -0.02]}, False),
+    ({"gamma": [0.02, 0.01]}, True),
+]
+
+
+@pytest.mark.parametrize("block", [7, SWEEP_BLOCK])
+@pytest.mark.parametrize("n_points", [2, 400])
+@pytest.mark.parametrize("edit, diagonal", PATHS)
+@pytest.mark.parametrize("name", ["two_qubit_resonant", "two_qubit_nonresonant"])
+def test_delta_mutual_info_path(name, edit, diagonal, n_points, block, monkeypatch):
+    # The populations path calls no eigvalsh; the general one, and every grid
+    # below EINSUM_BELOW points, eigensolves the marginals. Both give the
+    # reference's bits.
+    raw = example_config(name)
+    raw["state"].update(edit)
+    raw["time_grid"]["n_points"] = n_points
+    config = ScenarioConfig.from_dict(raw)
+    engine = _ScenarioEngine(config)
+    ts = config.time_grid.times()
+    populations = diagonal and n_points >= EINSUM_BELOW
+    assert (EvolutionPlan(engine.rho, engine.h_int, n_points).diagonal is not None) == populations
+    monkeypatch.setattr("heatctx.scenarios.SWEEP_BLOCK", block)
+    calls = count_calls(monkeypatch, [("numpy.linalg", "eigvalsh")])
+    delta_i = engine.delta_mutual_info(ts)
+    assert (calls["eigvalsh"] == 0) == populations
+    expect = reference_delta_mutual_info(engine.rho, engine.h_int, ts)
+    assert np.array_equal(bits(delta_i), bits(expect))
 
 
 def test_critical_times_list_each_instant_once():

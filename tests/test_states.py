@@ -19,6 +19,7 @@ from heatctx import (
     von_neumann_entropy,
     zeeman_hamiltonian,
 )
+from heatctx.states import bipartite_marginals, entropies, population_entropies
 
 from conftest import (
     random_density,
@@ -205,3 +206,50 @@ class TestEntropies:
             assert mutual_information(rotated) == pytest.approx(
                 mutual_information(rho), abs=1e-10
             )
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def random_populations(rng, n, d):
+    """(n, d) rows of trace ~1 with entries from 1 down to 1e-320, exact zeros and
+    round-off below zero, as the populations of evolved states have."""
+    p = 10.0 ** rng.uniform(-320, 0, (n, d))
+    p[rng.random((n, d)) < 0.2] = 0.0
+    p[p.sum(axis=1) == 0, 0] = 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    return np.where(rng.random((n, d)) < 0.1, -1e-17 * rng.random((n, d)), p)
+
+
+def diagonal_stack(p, rng):
+    """Diagonal complex matrices with diagonal p plus imaginary round-off."""
+    n, d = p.shape
+    m = np.zeros((n, d, d), dtype=complex)
+    m[:, np.arange(d), np.arange(d)] = p + 1j * np.where(
+        rng.random((n, d)) < 0.5, 1e-18 * rng.normal(size=(n, d)), 0.0
+    )
+    return m
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_eigvalsh_of_a_diagonal_state_is_its_sorted_diagonal(d):
+    # population_entropies relies on this LAPACK property. The trace-1 condition
+    # matters: LAPACK rescales a matrix whose norm is below about 1e-146 before
+    # it eigensolves, and that moves the last bits of the eigenvalues; a row of
+    # trace 1 has an entry of at least 1/d, so no rescaling happens.
+    rng = np.random.default_rng(40 + d)
+    p = random_populations(rng, 20000, d)
+    assert (p == 0).any() and ((p > 0) & (p < 1e-300)).any() and (p < 0).any()
+    w = np.linalg.eigvalsh(diagonal_stack(p, rng))
+    assert np.array_equal(bits(w), bits(np.sort(p)))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_population_entropies_match_entropies_of_the_marginals(dims):
+    rng = np.random.default_rng(sum(dims))
+    p = random_populations(rng, 5000, dims[0] * dims[1])
+    rho_a, rho_b = bipartite_marginals(diagonal_stack(p, rng), dims)
+    s_a, s_b = population_entropies(p, dims)
+    assert np.array_equal(bits(s_a), bits(entropies(rho_a)))
+    assert np.array_equal(bits(s_b), bits(entropies(rho_b)))
