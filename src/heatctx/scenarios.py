@@ -11,11 +11,18 @@ point, and CSV and JSON are rendered straight from the columns.
 The per-point work that needs more than O(1) memory, the evolved states of
 the ΔI column and the output text, runs ``SWEEP_BLOCK`` grid points at a
 time, so a sweep holds its O(N) columns plus one block.
+
+CSV floats are the bytes of Python's correctly rounded ``'%.16e' % x``, formatted
+in numpy: the 17 digits N = |x| 10^(16-E) come from x = m 2^q and a double-double
+power of ten with an absolute error below 2^-46, so rounding N is decided right
+wherever its fraction lies farther than 2^-40 from 1/2. Python formats the rest:
+near-ties, zeros, non-finite values. JSON floats are ``repr``'s, as json.dumps's.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -87,7 +94,10 @@ class TimeGrid:
             raise ConfigError(f"time_grid.n_points must be >= 2, got {self.n_points}")
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, int(self.n_points))
+        try:
+            return np.linspace(self.t_min, self.t_max, int(self.n_points))
+        except MemoryError as exc:
+            raise ConfigError(f"a time grid of {self.n_points} points cannot be allocated") from exc
 
 
 @dataclass(frozen=True)
@@ -582,20 +592,121 @@ def _json_values(column: np.ndarray) -> list:
     return values
 
 
-def _rows(result: SweepResult, block: slice, template: str, floats: Callable) -> Iterator[str]:
-    """``template`` filled per grid point of ``block``: floats via ``floats``, flags as true/false."""
-    columns = [
-        list(map(("false", "true").__getitem__, result.violates[block].tolist()))
-        if name == "violates"
-        else floats(getattr(result, name)[block])
-        for name in COLUMNS
-    ]
-    return map(template.__mod__, zip(*columns))
-
-
-_CSV_ROW = ",".join("%s" if name == "violates" else "%.16e" for name in COLUMNS) + "\n"
 # One element of the records array in json.dumps's indent-2 layout.
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{name}": %s' for name in COLUMNS) + "\n    }"
+
+_E_MIN, _E_MAX = -325, 309  # decimal exponents of the doubles, plus one correction either way
+_DIGITS = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype("u1").view("<u4")[:, 0]
+_EXPONENTS = np.array([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)], dtype="S8").view("<u8")
+_FIELD = 24  # len('%.16e' % -1.7976931348623157e308), the longest field
+_FLOAT_SLOTS = [i for i, name in enumerate(COLUMNS) if name != "violates"]
+_FLAGS = np.frombuffer(b"falsetrue ", np.uint8).reshape(2, 5)
+_FLAGS_KEPT = _FLAGS != ord(" ")
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, lo, b) at E - _E_MIN: 10^(16-E) = (hi + lo) 2^b, hi in [2^52, 2^53) an integer."""
+    rows = []
+    for e in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        b = num.bit_length() - den.bit_length() - 53
+        num, den = num << max(-b, 0), den << max(b, 0)  # num / den in (2^52, 2^54)
+        if num >= den << 53:
+            b, den = b + 1, den << 1
+        hi, rest = divmod(num, den)
+        rows.append((hi, rest / den, b))
+    hi, lo, b = zip(*rows)
+    return np.array(hi, dtype=float), np.array(lo), np.array(b, dtype=np.int32)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = hi + lo exactly, each half of at most 26 significant bits."""
+    c = a * (2.0**27 + 1)
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N = m 2^q 10^(16-e) as (floor(N) as int64, N - floor(N)), to within 2^-46."""
+    hi, lo, b = (p[e - _E_MIN] for p in _powers_of_ten())
+    p = m * hi
+    (mh, ml), (hh, hl) = _split(m), _split(hi)
+    err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl  # m hi = p + err (Dekker)
+    s = q + b
+    rest = np.ldexp(err + m * lo, s)
+    whole = np.floor(rest)
+    return np.ldexp(p, s).astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _round_e16(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, exponent, fallback): |x| = digits 10^(exponent - 16) rounded, digits of 17 figures.
+
+    fallback marks what Python formats: zeros, non-finite values, fractions within 2^-40
+    of 1/2 (exact ties included) and exponents one correction does not settle.
+    """
+    a = np.abs(x)
+    fallback = ~(np.isfinite(a) & (a > 0))
+    a[fallback] = 1.0
+    f, q = np.frexp(a)
+    m, q = np.ldexp(f, 53), q - 53
+    e = np.floor(np.log10(a)).astype(np.int32)  # may miss by one near powers of ten
+    # E from the unrounded N: 1e-299 lies below 10^-299, so its N for E = -299
+    # rounds up to 10^16 while its digits are those of E = -300.
+    n_int, frac = _scaled(m, q, e)
+    off = (n_int >= 10**17).astype(np.int32) - (n_int < 10**16)
+    wrong = off.nonzero()[0]
+    if wrong.size:
+        e[wrong] += off[wrong]
+        n_int[wrong], frac[wrong] = _scaled(m[wrong], q[wrong], e[wrong])
+        fallback |= (n_int < 10**16) | (n_int >= 10**17)
+    fallback |= np.abs(frac - 0.5) < 2.0**-40
+    digits = n_int + (frac > 0.5)
+    carry = digits == 10**17
+    digits[carry], e[carry] = 10**16, e[carry] + 1
+    digits[fallback], e[fallback] = 10**16, 0  # in the tables' range; Python writes these
+    return digits, e, fallback
+
+
+def _e16_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """'%.16e' % v for each v of x: (len(x), _FIELD) bytes and the mask of those kept."""
+    digits, e, fallback = _round_e16(x)
+    n = len(x)
+    text = np.empty((n, _FIELD), np.uint8)
+    lead = digits // 10**16
+    text[:, :3] = np.frombuffer(b"-0.", np.uint8)
+    text[:, 1] += lead.astype(np.uint8)
+    groups = np.empty((n, 4), np.int64)  # the 16 digits after the point, four at a time
+    np.divmod(digits - lead * 10**16, 10**8, out=(groups[:, 0], groups[:, 2]))
+    np.divmod(groups[:, ::2], 10**4, out=(groups[:, ::2], groups[:, 1::2]))
+    text[:, 3:19] = _DIGITS[groups].view(np.uint8).reshape(n, 16)
+    text[:, 19:] = _EXPONENTS[e - _E_MIN].view(np.uint8).reshape(n, 8)[:, :5]
+    kept = np.ones((n, _FIELD), bool)
+    kept[:, 0] = np.signbit(x)
+    kept[:, -1] = np.abs(e) >= 100
+    bad = fallback.nonzero()[0]
+    if bad.size:
+        fields = ["%.16e" % v for v in x[bad].tolist()]
+        padded = "".join(f.ljust(_FIELD) for f in fields).encode()
+        text[bad] = np.frombuffer(padded, np.uint8).reshape(-1, _FIELD)
+        kept[bad] = np.arange(_FIELD) < np.array([len(f) for f in fields])[:, None]
+    return text, kept
+
+
+def _csv_rows(result: SweepResult, block: slice) -> str:
+    """The CSV rows of ``block``: floats as '%.16e' % value, flags as true/false."""
+    floats = np.concatenate([getattr(result, COLUMNS[i])[block] for i in _FLOAT_SLOTS])
+    n = len(floats) // len(_FLOAT_SLOTS)
+    # Row i is rows[i][kept[i]]: one slot per column, each closed by its separator.
+    rows = np.empty((n, len(COLUMNS), _FIELD + 1), np.uint8)
+    kept = np.zeros(rows.shape, bool)
+    text, text_kept = (a.reshape(-1, n, _FIELD).swapaxes(0, 1) for a in _e16_fields(floats))
+    rows[:, _FLOAT_SLOTS, :_FIELD], kept[:, _FLOAT_SLOTS, :_FIELD] = text, text_kept
+    flag, violates = COLUMNS.index("violates"), result.violates[block].view(np.uint8)
+    rows[:, flag, :5], kept[:, flag, :5] = _FLAGS[violates], _FLAGS_KEPT[violates]
+    rows[:, :, _FIELD], kept[:, :, _FIELD] = ord(","), True
+    rows[:, -1, _FIELD] = ord("\n")
+    return rows[kept].tobytes().decode("ascii")
 
 
 def _chunks(result: SweepResult, fmt: str) -> Iterator[str]:
@@ -610,7 +721,7 @@ def _chunks(result: SweepResult, fmt: str) -> Iterator[str]:
     if fmt == "csv":
         yield CSV_HEADER + "\n"
         for block in blocks:
-            yield "".join(_rows(result, block, _CSV_ROW, np.ndarray.tolist))
+            yield _csv_rows(result, block)
         return
     payload = {
         "config": result.config.to_dict(),
@@ -625,7 +736,13 @@ def _chunks(result: SweepResult, fmt: str) -> Iterator[str]:
     head, tail = text.split('\n  "records": []', 1)
     yield head + '\n  "records": [\n'
     for i, block in enumerate(blocks):
-        records = ",\n".join(_rows(result, block, _JSON_RECORD, _json_values))
+        columns = [
+            list(map(("false", "true").__getitem__, result.violates[block].tolist()))
+            if name == "violates"
+            else _json_values(getattr(result, name)[block])
+            for name in COLUMNS
+        ]
+        records = ",\n".join(map(_JSON_RECORD.__mod__, zip(*columns)))
         yield ",\n" + records if i else records
     yield "\n  ]" + tail
 

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,10 @@ from heatctx.scenarios import (
     CSV_HEADER,
     FACTORS,
     FORMATS,
+    SWEEP_BLOCK,
     _ScenarioEngine,
+    _e16_fields,
+    _round_e16,
     _two_qubit_params,
     _qutrit_params,
 )
@@ -246,8 +250,12 @@ class TestEmission:
         assert len(payload["records"]) == 500
         assert all(isinstance(t, float) for t in payload["critical_times"])
 
-    def test_non_finite_columns_match_the_reference(self):
+    @pytest.mark.parametrize("block", [SWEEP_BLOCK, 7, 3])
+    def test_non_finite_columns_match_the_reference(self, block, monkeypatch):
         # json spells these NaN / Infinity / -Infinity, CSV nan / inf / -inf.
+        # Python formats the CSV fields of rows 0 to 9: blocks of 7 and 3 put
+        # such rows first and last in a block and next to each other.
+        monkeypatch.setattr("heatctx.scenarios.SWEEP_BLOCK", block)
         special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -1.7976931348623157e308]
         result = run_sweep(small_config(time_grid={"t_min": 0, "t_max": 6.0, "n_points": 40}))
         columns = {}
@@ -260,6 +268,97 @@ class TestEmission:
         assert np.isnan(odd.heat).any() and np.isinf(odd.delta_mutual_info).any()
         assert format_csv(odd) == reference_csv(odd.records)
         assert format_json(odd) == reference_json(odd)
+
+
+def fields_text(x):
+    """The kernel's fields for x, one a line."""
+    text, kept = _e16_fields(x)
+    lines = np.concatenate([text, np.full((len(x), 1), ord("\n"), np.uint8)], axis=1)
+    return lines[np.concatenate([kept, np.ones((len(x), 1), bool)], axis=1)].tobytes().decode()
+
+
+def assert_e16(x, chunk=2**16):
+    """Every field of the vectorized formatter is '%.16e' % value, byte for byte."""
+    x = np.asarray(x, dtype=float)
+    for lo in range(0, len(x), chunk):
+        part = x[lo : lo + chunk]
+        expect = "".join("%.16e\n" % v for v in part.tolist())
+        got = fields_text(part)
+        if got != expect:
+            bad = [(v, g, e) for v, g, e in zip(part, got.split(), expect.split()) if g != e]
+            pytest.fail(f"{len(bad)} fields differ from '%.16e', e.g. {bad[:3]}")
+
+
+class TestE16Fields:
+    """The CSV's float fields against Python's correctly rounded '%.16e'."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261018)
+        bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64, endpoint=False)
+        x = bits.view(np.float64)
+        assert (x < 0).any() and (x > 0).any()
+        assert_e16(x)
+
+    def test_powers_of_two(self):
+        p = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert_e16(np.concatenate([p, -p]))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        p = np.array([float(f"1e{k}") for k in range(-300, 300)])
+        x = np.concatenate([np.nextafter(p, 0), p, np.nextafter(p, np.inf)])
+        assert_e16(np.concatenate([x, -x]))
+
+    def test_exact_ties_go_to_python(self):
+        # x = j 2^(E-17) with j odd puts N = x 10^(16-E) at an odd multiple of 1/2.
+        # For E = 15 these are the quarter-integers above 10^15.
+        rng = np.random.default_rng(7)
+        ties = []
+        for e in range(-8, 16):
+            lo = math.ceil(Fraction(10) ** e * 2 ** (17 - e))
+            hi = min(math.floor(Fraction(10) ** (e + 1) * 2 ** (17 - e)), 2**53)
+            j = rng.integers(lo, hi - 1, size=64) | 1
+            ties.append(np.ldexp(j.astype(float), e - 17))
+        x = np.concatenate(ties)
+        _, _, fallback = _round_e16(x)
+        assert fallback.all()
+        assert_e16(np.concatenate([x, -x]))
+        assert "%.16e" % 1000000000000000.25 == "1.0000000000000002e+15"
+        assert_e16([1000000000000000.25, 1000000000000000.75])
+
+    def test_rounding_carries_to_the_next_power_of_ten(self):
+        # The doubles nearest these powers of ten lie below them by less than
+        # half a unit of the 17th digit: N rounds up to 10^17.
+        carries = [
+            float(f"1e{k}")
+            for k in range(-323, 309)
+            if 0 < Fraction(10) ** k - Fraction(float(f"1e{k}")) < Fraction(10) ** k / (2 * 10**17)
+        ]
+        assert len(carries) >= 10
+        x = np.array(carries)
+        digits, _, fallback = _round_e16(x)
+        assert not fallback.any() and (digits == 10**16).all()
+        assert_e16(np.concatenate([x, -x]))
+        assert "%.16e" % 1e-299 == "9.9999999999999999e-300"
+        assert_e16([1e-299, -1e-299])
+
+    def test_three_digit_exponents_and_subnormals(self):
+        rng = np.random.default_rng(3)
+        big = 10 ** rng.uniform(100, 308.25, size=10_000)
+        small = 10 ** rng.uniform(-323.3, -100, size=10_000)
+        subnormal = rng.integers(1, 2**52, size=10_000).view(np.float64)
+        assert_e16(np.concatenate([big, small, subnormal, -big, -small, -subnormal]))
+
+    def test_zeros_and_non_finite_values(self):
+        assert_e16([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf])
+
+    @pytest.mark.parametrize("builtin", [builtin_micadei, builtin_qutrit_demo])
+    def test_builtins_leave_only_exact_zeros_to_python(self, builtin):
+        result = run_sweep(builtin())
+        for name in ("t", "heat", "bound_upper", "bound_lower", "delta_mutual_info"):
+            column = getattr(result, name)
+            _, _, fallback = _round_e16(column)
+            assert (fallback == (column == 0)).all(), name
+            assert np.count_nonzero(fallback) < 10, name  # the vector path formats the rest
 
 
 class TestMemory:
@@ -342,6 +441,14 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["sweep", "--config", "/does/not/exist.json"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "critical-time"])
+    def test_grid_too_large_to_allocate_exits_2(self, command):
+        # numpy refuses the 7.28 TiB grid before it allocates anything.
+        args = [command, "--builtin", "micadei", "--n-points", "1000000000000"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "time grid of 1000000000000 points cannot be allocated" in result.output
 
     def test_critical_time_command(self, tmp_path):
         config = small_config(time_grid={"t_min": 0, "t_max": 6.0, "n_points": 4000})
