@@ -16,7 +16,20 @@ CSV floats are the bytes of Python's correctly rounded ``'%.16e' % x``, formatte
 in numpy: the 17 digits N = |x| 10^(16-E) come from x = m 2^q and a double-double
 power of ten with an absolute error below 2^-46, so rounding N is decided right
 wherever its fraction lies farther than 2^-40 from 1/2. Python formats the rest:
-near-ties, zeros, non-finite values. JSON floats are ``repr``'s, as json.dumps's.
+near-ties, zeros, non-finite values.
+
+JSON floats are ``repr``'s, as json.dumps writes them, also formatted in numpy.
+From the same unrounded N, N_k = N / 10^(17-k) for k = 15 and 16 comes by integer
+division; round(N_k) reads back as x iff it lies within h_k = N_k / (2m) of N_k,
+and the first of 15, 16 and 17 digits that does gives repr's digits, trailing zeros
+stripped, positional for -4 <= E <= 15 and scientific otherwise. Python's repr
+formats what the test cannot decide: distances within 2^-30 of h_k, fractions
+within 2^-40 of 1/2, power-of-two significands (whose interval is narrower below
+x), subnormals, zeros and non-finite values.
+
+Blocks of fewer than ``FORMAT_IN_PYTHON_BELOW`` rows take their floats from
+Python's '%.16e' and repr, whose per-value cost is below the kernels' fixed cost
+there; every block's records are then laid out in one uint8 matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -583,25 +596,20 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
 
 # -- emission ----------------------------------------------------------------
 
-
-def _json_values(column: np.ndarray) -> list:
-    """The column's floats, whose str is json's spelling; NaN and +-Infinity as text."""
-    values = column.tolist()
-    for i in np.flatnonzero(~np.isfinite(column)):
-        values[i] = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(values[i])]
-    return values
-
-
-# One element of the records array in json.dumps's indent-2 layout.
-_JSON_RECORD = "    {\n" + ",\n".join(f'      "{name}": %s' for name in COLUMNS) + "\n    }"
+FORMAT_IN_PYTHON_BELOW = 24  # block rows below which Python's float formatting beats the kernels' fixed cost
 
 _E_MIN, _E_MAX = -325, 309  # decimal exponents of the doubles, plus one correction either way
 _DIGITS = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype("u1").view("<u4")[:, 0]
 _EXPONENTS = np.array([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)], dtype="S8").view("<u8")
 _FIELD = 24  # len('%.16e' % -1.7976931348623157e308), the longest field
-_FLOAT_SLOTS = [i for i, name in enumerate(COLUMNS) if name != "violates"]
-_FLAGS = np.frombuffer(b"falsetrue ", np.uint8).reshape(2, 5)
-_FLAGS_KEPT = _FLAGS != ord(" ")
+_FLOAT_COLUMNS = [name for name in COLUMNS if name != "violates"]
+_FLAGS = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps's spelling
+
+# The slots of a repr field: its sign, "0." and three zeros (0.0001), 17 digits each
+# followed by a point, a closing zero (1000.0) and the exponent (e-05, e+300).
+_REPR_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 17 + b"0e+000", np.uint8)
+_REPR_FIELD = len(_REPR_TEMPLATE)
 
 
 @functools.cache
@@ -628,7 +636,15 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scaled(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N = m 2^q 10^(16-e) as (floor(N) as int64, N - floor(N)), to within 2^-46."""
+    """N = m 2^q 10^(16-e) as (floor(N) as int64, N - floor(N)), to within 2^-46.
+
+    Preconditions: e in [_E_MIN, _E_MAX], the power table's range, and N >= 2^53,
+    where p 2^s below is an integer and its cast to int64 exact; for smaller N the
+    fraction of p 2^s is lost and floor(N) may come out a unit low. 10^16 <= N < 10^17
+    meets both; a guessed e one too large puts N below 10^16 either way and is then
+    corrected. Fewer digits (repr's 15 or 16) come from the 17-digit N by integer
+    division, never from here at a shifted e.
+    """
     hi, lo, b = (p[e - _E_MIN] for p in _powers_of_ten())
     p = m * hi
     (mh, ml), (hh, hl) = _split(m), _split(hi)
@@ -639,11 +655,12 @@ def _scaled(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np
     return np.ldexp(p, s).astype(np.int64) + whole.astype(np.int64), rest - whole
 
 
-def _round_e16(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(digits, exponent, fallback): |x| = digits 10^(exponent - 16) rounded, digits of 17 figures.
+def _unrounded_e16(x: np.ndarray):
+    """(n, frac, e, m, fallback): |x| = m 2^q = (n + frac) 10^(e - 16), 10^16 <= n < 10^17.
 
-    fallback marks what Python formats: zeros, non-finite values, fractions within 2^-40
-    of 1/2 (exact ties included) and exponents one correction does not settle.
+    m is the 53-bit significand of |x| as a float and frac is within 2^-46. fallback
+    marks what Python formats: zeros, non-finite values and exponents one correction
+    does not settle; their digits and exponent are those of 1.0.
     """
     a = np.abs(x)
     fallback = ~(np.isfinite(a) & (a > 0))
@@ -660,53 +677,203 @@ def _round_e16(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         e[wrong] += off[wrong]
         n_int[wrong], frac[wrong] = _scaled(m[wrong], q[wrong], e[wrong])
         fallback |= (n_int < 10**16) | (n_int >= 10**17)
-    fallback |= np.abs(frac - 0.5) < 2.0**-40
-    digits = n_int + (frac > 0.5)
+        n_int[fallback], frac[fallback], e[fallback] = 10**16, 0.0, 0  # in the tables' range
+    return n_int, frac, e, m, fallback
+
+
+def _carry(digits: np.ndarray, e: np.ndarray) -> None:
+    """A rounding carry to 10^17 becomes 10^16 with E + 1, in place."""
     carry = digits == 10**17
     digits[carry], e[carry] = 10**16, e[carry] + 1
-    digits[fallback], e[fallback] = 10**16, 0  # in the tables' range; Python writes these
+
+
+def _round_e16(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, exponent, fallback): |x| = digits 10^(exponent - 16) rounded, digits of 17 figures.
+
+    fallback marks what Python formats: zeros, non-finite values, fractions within 2^-40
+    of 1/2 (exact ties included) and exponents one correction does not settle.
+    """
+    n17, frac, e, _, fallback = _unrounded_e16(x)
+    fallback |= np.abs(frac - 0.5) < 2.0**-40
+    digits = n17 + (frac > 0.5)
+    _carry(digits, e)
     return digits, e, fallback
 
 
-def _e16_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """'%.16e' % v for each v of x: (len(x), _FIELD) bytes and the mask of those kept."""
+def _repr_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, exponent, fallback) of repr: the shortest digits that round-trip to x.
+
+    |x| = m 2^q spans a rounding interval of half-width h_k = N_k / (2m) around
+    N_k = N / 10^(17-k), in units of its k-th digit, so round(N_k) reads back as x
+    iff |round(N_k) - N_k| < h_k. Among k digits it is the nearest candidate, and
+    the interval (narrower than 0.23 for k = 15) holds one 15-digit integer at most:
+    the first k of 15, 16 and 17 that passes gives repr's digits, zero-padded to 17
+    figures. fallback adds to _unrounded_e16's the power-of-two significands (their
+    interval is narrower below x), subnormals (wider), distances within 2^-30 of h_k
+    and fractions within 2^-40 of 1/2 at the chosen k.
+    """
+    n17, frac, e, m, fallback = _unrounded_e16(x)
+    fallback |= (m == 2.0**52) | (np.abs(x) < 2.0**-1022)
+    half_ulp = n17 / (2 * m)  # h_17
+    digits, chosen = n17 + (frac > 0.5), frac
+    for j in (1, 2):  # 16, then 15 digits: the shorter wins where it round-trips
+        whole, rest = np.divmod(n17, 10**j)
+        f = (rest + frac) / 10**j
+        up = f > 0.5
+        err, h = np.where(up, 1 - f, f), half_ulp / 10**j
+        fallback |= np.abs(err - h) < 2.0**-30
+        ok = err < h
+        digits = np.where(ok, (whole + up) * 10**j, digits)
+        chosen = np.where(ok, f, chosen)
+    fallback |= np.abs(chosen - 0.5) < 2.0**-40
+    _carry(digits, e)
+    return digits, e, fallback
+
+
+def _python_fields(values: list, spell: Callable, width: int) -> np.ndarray:
+    """spell(v) for each v of values as (len(values), width) bytes, NUL-padded."""
+    text = "".join(spell(v).ljust(width, "\0") for v in values).encode()
+    return np.frombuffer(text, np.uint8).reshape(-1, width)
+
+
+def _digit_slots(digits: np.ndarray) -> np.ndarray:
+    """The 16 digits after the leading one of 17-figure integers, as (len, 16) bytes."""
+    n = len(digits)
+    groups = np.empty((n, 4), np.int64)  # four digits at a time
+    np.divmod(digits % 10**16, 10**8, out=(groups[:, 0], groups[:, 2]))
+    np.divmod(groups[:, ::2], 10**4, out=(groups[:, ::2], groups[:, 1::2]))
+    return _DIGITS[groups].view(np.uint8).reshape(n, 16)
+
+
+def _e16_fields(x: np.ndarray) -> np.ndarray:
+    """'%.16e' % v for each v of x as (len(x), _FIELD) bytes, NUL-padded."""
     digits, e, fallback = _round_e16(x)
     n = len(x)
     text = np.empty((n, _FIELD), np.uint8)
-    lead = digits // 10**16
-    text[:, :3] = np.frombuffer(b"-0.", np.uint8)
-    text[:, 1] += lead.astype(np.uint8)
-    groups = np.empty((n, 4), np.int64)  # the 16 digits after the point, four at a time
-    np.divmod(digits - lead * 10**16, 10**8, out=(groups[:, 0], groups[:, 2]))
-    np.divmod(groups[:, ::2], 10**4, out=(groups[:, ::2], groups[:, 1::2]))
-    text[:, 3:19] = _DIGITS[groups].view(np.uint8).reshape(n, 16)
+    text[:, 0] = np.signbit(x) * ord("-")
+    text[:, 1:3] = np.frombuffer(b"0.", np.uint8)
+    text[:, 1] += (digits // 10**16).astype(np.uint8)
+    text[:, 3:19] = _digit_slots(digits)
     text[:, 19:] = _EXPONENTS[e - _E_MIN].view(np.uint8).reshape(n, 8)[:, :5]
-    kept = np.ones((n, _FIELD), bool)
-    kept[:, 0] = np.signbit(x)
-    kept[:, -1] = np.abs(e) >= 100
     bad = fallback.nonzero()[0]
     if bad.size:
-        fields = ["%.16e" % v for v in x[bad].tolist()]
-        padded = "".join(f.ljust(_FIELD) for f in fields).encode()
-        text[bad] = np.frombuffer(padded, np.uint8).reshape(-1, _FIELD)
-        kept[bad] = np.arange(_FIELD) < np.array([len(f) for f in fields])[:, None]
-    return text, kept
+        text[bad] = _python_fields(x[bad].tolist(), "%.16e".__mod__, _FIELD)
+    return text
 
 
-def _csv_rows(result: SweepResult, block: slice) -> str:
-    """The CSV rows of ``block``: floats as '%.16e' % value, flags as true/false."""
-    floats = np.concatenate([getattr(result, COLUMNS[i])[block] for i in _FLOAT_SLOTS])
-    n = len(floats) // len(_FLOAT_SLOTS)
-    # Row i is rows[i][kept[i]]: one slot per column, each closed by its separator.
-    rows = np.empty((n, len(COLUMNS), _FIELD + 1), np.uint8)
-    kept = np.zeros(rows.shape, bool)
-    text, text_kept = (a.reshape(-1, n, _FIELD).swapaxes(0, 1) for a in _e16_fields(floats))
-    rows[:, _FLOAT_SLOTS, :_FIELD], kept[:, _FLOAT_SLOTS, :_FIELD] = text, text_kept
-    flag, violates = COLUMNS.index("violates"), result.violates[block].view(np.uint8)
-    rows[:, flag, :5], kept[:, flag, :5] = _FLAGS[violates], _FLAGS_KEPT[violates]
-    rows[:, :, _FIELD], kept[:, :, _FIELD] = ord(","), True
-    rows[:, -1, _FIELD] = ord("\n")
-    return rows[kept].tobytes().decode("ascii")
+@functools.cache
+def _repr_layouts() -> np.ndarray:
+    """The slots a repr field keeps, 0xFF, at 22 (figures - 1) + form; the sign slot is 0.
+
+    form is E + 4 for the positional -4 <= E <= 15 (0.0001, 1000000000000000.0)
+    and 20 or 21 for scientific notation with a 2- or 3-digit exponent (1e-05, 5e-324).
+    """
+    slot = np.arange(_REPR_FIELD)
+    k = np.arange(1, 18)[:, None, None]
+    form = np.arange(22)[:, None]
+    e, positional, scientific = form - 4, (form >= 4) & (form < 20), form >= 20
+    digit = np.where((slot >= 6) & (slot < 40) & (slot % 2 == 0), (slot - 6) // 2, 99)
+    point = np.where((slot >= 7) & (slot < 40) & (slot % 2 == 1), (slot - 7) // 2, 99)
+    kept = (
+        ((form < 4) & ((slot == 1) | (slot == 2) | ((slot >= 3) & (slot < 6 - form))))
+        | (digit < np.where(positional, np.maximum(k, e + 1), k))
+        | (positional & (point == e))
+        | (scientific & (point == 0) & (k > 1))
+        | (positional & (slot == 40) & (k <= e + 1))
+        | (scientific & (slot > 40))
+    )
+    return kept.reshape(-1, _REPR_FIELD).astype(np.uint8) * np.uint8(0xFF)
+
+
+def _figures(chars: np.ndarray) -> np.ndarray:
+    """Significant figures of (n, 17) digit characters led by a nonzero digit.
+
+    The last nonzero character is the highest set byte of two 8-byte words of
+    0/1 flags, read off the exponent of the word converted to float.
+    """
+    words = np.zeros((len(chars), 16), np.uint8)
+    np.not_equal(chars[:, 1:], ord("0"), out=words.view(bool))
+    low, high = (np.frexp(w.astype(float))[1] for w in words.view("<u8").T)
+    return np.where(high > 0, 9 + (high + 7) // 8, 1 + (low + 7) // 8)
+
+
+def _json_spelling(v: float) -> str:
+    """json.dumps's spelling of a float: its repr, or NaN, Infinity and -Infinity."""
+    text = repr(v)
+    return _NON_FINITE.get(text, text)
+
+
+def _repr_fields(x: np.ndarray) -> np.ndarray:
+    """json.dumps's spelling of each v of x as (len(x), _REPR_FIELD) bytes, NUL-padded."""
+    digits, e, fallback = _repr_digits(x)
+    n = len(x)
+    text = np.empty((n, _REPR_FIELD), np.uint8)
+    text[:] = _REPR_TEMPLATE
+    text[:, 6] += (digits // 10**16).astype(np.uint8)
+    text[:, 8:40:2] = _digit_slots(digits)
+    text[:, 41:] = _EXPONENTS[e - _E_MIN].view(np.uint8).reshape(n, 8)[:, :5]
+    form = np.where((e >= -4) & (e <= 15), e + 4, 20 + (np.abs(e) >= 100))
+    text &= np.take(_repr_layouts(), (_figures(text[:, 6:40:2]) - 1) * 22 + form, axis=0)
+    text[:, 0] = np.signbit(x) * ord("-")
+    bad = fallback.nonzero()[0]
+    if bad.size:
+        text[bad] = _python_fields(x[bad].tolist(), _json_spelling, _REPR_FIELD)
+    return text
+
+
+class _Layout(NamedTuple):
+    """How records are spelled: float fields and the text around each column's field."""
+
+    fields: Callable  # floats -> NUL-padded bytes, from a numpy kernel
+    spell: Callable  # one float -> its text, by Python
+    width: int  # slots of one float field
+    row: np.ndarray  # a record's bytes, its fields NUL
+    starts: list[int]  # first slot of each column's field
+
+
+def _layout(fields: Callable, spell: Callable, width: int, pieces: list[str]) -> _Layout:
+    """pieces[i] goes before the field of COLUMNS[i], pieces[-1] after the last."""
+    row, starts = "", []
+    for piece, name in zip(pieces, COLUMNS):
+        starts.append(len(row) + len(piece))
+        row += piece + "\0" * (_FLAGS.shape[1] if name == "violates" else width)
+    row = np.frombuffer((row + pieces[-1]).encode(), np.uint8)
+    return _Layout(fields, spell, width, row, starts)
+
+
+_CSV_ROW = _layout(_e16_fields, "%.16e".__mod__, _FIELD, [""] + [","] * (len(COLUMNS) - 1) + ["\n"])
+# Each record opens with the ",\n" that separates it from the one before.
+_JSON_RECORD = _layout(
+    _repr_fields,
+    _json_spelling,
+    _REPR_FIELD,
+    [f',\n    {{\n      "{COLUMNS[0]}": ']
+    + [f',\n      "{name}": ' for name in COLUMNS[1:]]
+    + ["\n    }"],
+)
+
+
+def _records(result: SweepResult, block: slice, layout: _Layout) -> str:
+    """The records of ``block`` in ``layout``, flags as true/false.
+
+    Floats come from the layout's numpy kernel, or from Python for blocks of fewer
+    than ``FORMAT_IN_PYTHON_BELOW`` rows, where the kernel's fixed cost would dominate.
+    The records are laid out as rows of bytes and their NUL padding deleted.
+    """
+    floats = np.concatenate([getattr(result, name)[block] for name in _FLOAT_COLUMNS])
+    n = len(floats) // len(_FLOAT_COLUMNS)
+    if n < FORMAT_IN_PYTHON_BELOW:
+        text = _python_fields(floats.tolist(), layout.spell, layout.width)
+    else:
+        text = layout.fields(floats)
+    columns = iter(text.reshape(-1, n, layout.width))
+    flags = _FLAGS[result.violates[block].view(np.uint8)]
+    rows = np.empty((n, len(layout.row)), np.uint8)
+    rows[:] = layout.row
+    for name, start in zip(COLUMNS, layout.starts):
+        field = flags if name == "violates" else next(columns)
+        rows[:, start : start + field.shape[1]] = field
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _chunks(result: SweepResult, fmt: str) -> Iterator[str]:
@@ -721,7 +888,7 @@ def _chunks(result: SweepResult, fmt: str) -> Iterator[str]:
     if fmt == "csv":
         yield CSV_HEADER + "\n"
         for block in blocks:
-            yield _csv_rows(result, block)
+            yield _records(result, block, _CSV_ROW)
         return
     payload = {
         "config": result.config.to_dict(),
@@ -736,14 +903,8 @@ def _chunks(result: SweepResult, fmt: str) -> Iterator[str]:
     head, tail = text.split('\n  "records": []', 1)
     yield head + '\n  "records": [\n'
     for i, block in enumerate(blocks):
-        columns = [
-            list(map(("false", "true").__getitem__, result.violates[block].tolist()))
-            if name == "violates"
-            else _json_values(getattr(result, name)[block])
-            for name in COLUMNS
-        ]
-        records = ",\n".join(map(_JSON_RECORD.__mod__, zip(*columns)))
-        yield ",\n" + records if i else records
+        records = _records(result, block, _JSON_RECORD)
+        yield records if i else records[2:]
     yield "\n  ]" + tail
 
 

@@ -270,23 +270,32 @@ class TestEmission:
         assert format_json(odd) == reference_json(odd)
 
 
-def fields_text(x):
+def fields_text(kernel, x):
     """The kernel's fields for x, one a line."""
-    text, kept = _e16_fields(x)
+    text = kernel(x)
     lines = np.concatenate([text, np.full((len(x), 1), ord("\n"), np.uint8)], axis=1)
-    return lines[np.concatenate([kept, np.ones((len(x), 1), bool)], axis=1)].tobytes().decode()
+    return lines.tobytes().translate(None, b"\0").decode()
 
 
-def assert_e16(x, chunk=2**16):
-    """Every field of the vectorized formatter is '%.16e' % value, byte for byte."""
+def assert_fields(kernel, spell, x, chunk=2**16):
+    """Every field of the vectorized kernel is spell(value), byte for byte."""
     x = np.asarray(x, dtype=float)
     for lo in range(0, len(x), chunk):
         part = x[lo : lo + chunk]
-        expect = "".join("%.16e\n" % v for v in part.tolist())
-        got = fields_text(part)
+        expect = "".join(spell(v) + "\n" for v in part.tolist())
+        got = fields_text(kernel, part)
         if got != expect:
             bad = [(v, g, e) for v, g, e in zip(part, got.split(), expect.split()) if g != e]
-            pytest.fail(f"{len(bad)} fields differ from '%.16e', e.g. {bad[:3]}")
+            pytest.fail(f"{len(bad)} fields differ from {spell.__name__}, e.g. {bad[:3]}")
+
+
+def assert_e16(x):
+    """Every field of the vectorized formatter is '%.16e' % value, byte for byte."""
+    assert_fields(_e16_fields, e16, x)
+
+
+def e16(v):
+    return "%.16e" % v
 
 
 class TestE16Fields:
