@@ -596,7 +596,7 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
 
 # -- emission ----------------------------------------------------------------
 
-FORMAT_IN_PYTHON_BELOW = 24  # block rows below which Python's float formatting beats the kernels' fixed cost
+FORMAT_IN_PYTHON_BELOW = 24  # block rows below which Python's formatting beats the kernels' fixed cost
 
 _E_MIN, _E_MAX = -325, 309  # decimal exponents of the doubles, plus one correction either way
 _DIGITS = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype("u1").view("<u4")[:, 0]
@@ -655,7 +655,7 @@ def _scaled(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np
     return np.ldexp(p, s).astype(np.int64) + whole.astype(np.int64), rest - whole
 
 
-def _unrounded_e16(x: np.ndarray):
+def _unrounded_e16(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """(n, frac, e, m, fallback): |x| = m 2^q = (n + frac) 10^(e - 16), 10^16 <= n < 10^17.
 
     m is the 53-bit significand of |x| as a float and frac is within 2^-46. fallback
@@ -681,12 +681,6 @@ def _unrounded_e16(x: np.ndarray):
     return n_int, frac, e, m, fallback
 
 
-def _carry(digits: np.ndarray, e: np.ndarray) -> None:
-    """A rounding carry to 10^17 becomes 10^16 with E + 1, in place."""
-    carry = digits == 10**17
-    digits[carry], e[carry] = 10**16, e[carry] + 1
-
-
 def _round_e16(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(digits, exponent, fallback): |x| = digits 10^(exponent - 16) rounded, digits of 17 figures.
 
@@ -696,7 +690,8 @@ def _round_e16(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n17, frac, e, _, fallback = _unrounded_e16(x)
     fallback |= np.abs(frac - 0.5) < 2.0**-40
     digits = n17 + (frac > 0.5)
-    _carry(digits, e)
+    carry = digits == 10**17
+    digits[carry], e[carry] = 10**16, e[carry] + 1
     return digits, e, fallback
 
 
@@ -726,7 +721,8 @@ def _repr_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         digits = np.where(ok, (whole + up) * 10**j, digits)
         chosen = np.where(ok, f, chosen)
     fallback |= np.abs(chosen - 0.5) < 2.0**-40
-    _carry(digits, e)
+    carry = digits == 10**17  # 15 or 16 digits rounded up to 10^15 or 10^16 carry too
+    digits[carry], e[carry] = 10**16, e[carry] + 1
     return digits, e, fallback
 
 

@@ -29,13 +29,17 @@ from heatctx import (
 from heatctx.cli import main
 from heatctx.contextuality import IDENTITY_GAP_TOL, MINIMAL_PD_TOL
 from conftest import reference_csv, reference_json, result_from_records
+import heatctx.scenarios as scenarios
 from heatctx.scenarios import (
     CSV_HEADER,
     FACTORS,
+    FORMAT_IN_PYTHON_BELOW,
     FORMATS,
     SWEEP_BLOCK,
     _ScenarioEngine,
     _e16_fields,
+    _repr_digits,
+    _repr_fields,
     _round_e16,
     _two_qubit_params,
     _qutrit_params,
@@ -368,6 +372,128 @@ class TestE16Fields:
             _, _, fallback = _round_e16(column)
             assert (fallback == (column == 0)).all(), name
             assert np.count_nonzero(fallback) < 10, name  # the vector path formats the rest
+
+
+def assert_repr(x):
+    """Every field of the vectorized JSON formatter is json.dumps(value), byte for byte."""
+    assert_fields(_repr_fields, json.dumps, x)
+
+
+class TestReprFields:
+    """The JSON's float fields against json.dumps, that is repr and NaN/Infinity."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261019)
+        bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64, endpoint=False)
+        x = bits.view(np.float64)
+        assert (x < 0).any() and (x > 0).any()
+        assert_repr(x)
+
+    def test_powers_of_two_go_to_python(self):
+        # The rounding interval below a power of two is half as wide as above it.
+        p = np.ldexp(1.0, np.arange(-1074, 1024))
+        x = np.concatenate([p, -p])
+        _, _, fallback = _repr_digits(x)
+        assert fallback.all()
+        assert_repr(x)
+        assert_repr(np.concatenate([np.nextafter(x, 0), np.nextafter(x, np.copysign(np.inf, x))]))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        x = np.concatenate([np.nextafter(p, 0), p, np.nextafter(p, np.inf)])
+        assert_repr(np.concatenate([x, -x]))
+
+    def test_positional_and_scientific_layouts(self):
+        # repr is positional for 1e-4 <= |x| < 1e16 and scientific outside.
+        edges = np.array([1e-4, 1e-5, 1e15, 1e16, 1.5e16, 0.00012345, 1.2345e-5, 123456789012345.6])
+        x = [edges]
+        for _ in range(3):
+            x += [np.nextafter(x[-1], 0), np.nextafter(x[-1], np.inf)]
+        x = np.concatenate(x)
+        assert_repr(np.concatenate([x, -x]))
+        assert [json.dumps(v) for v in (1e-4, 1e-5, 1e15, 1e16)] == [
+            "0.0001",
+            "1e-05",
+            "1000000000000000.0",
+            "1e+16",
+        ]
+        # Every (figures, exponent) layout of the positional range and beyond.
+        rng = np.random.default_rng(5)
+        for figures in range(1, 18):
+            mantissa = rng.integers(10 ** (figures - 1), 10**figures, size=40)
+            for e in range(-7, 19):
+                assert_repr(mantissa * 10.0 ** (e - figures + 1))
+
+    def test_rounding_carries_to_a_shorter_length(self):
+        # Doubles just below 10^k whose 15 digits round up to 10^15: repr writes 1eK.
+        carries = [
+            float(f"1e{k}")
+            for k in range(-300, 309)
+            if Fraction(float(f"1e{k}")) < Fraction(10) ** k
+        ]
+        assert len(carries) >= 100
+        assert_repr(np.concatenate([carries, -np.array(carries)]))
+        assert repr(9.999999999999999e22) == "1e+23"
+        assert_repr([9.999999999999999e22, 0.09999999999999999, 9.999999999999999e-5])
+
+    def test_fifteen_sixteen_and_seventeen_digits(self):
+        assert [repr(v) for v in (0.3, 1 / 3, 0.30000000000000004)] == [
+            "0.3",
+            "0.3333333333333333",
+            "0.30000000000000004",
+        ]
+        assert_repr([0.3, 1 / 3, 0.30000000000000004, 2 / 3, 0.1 + 0.2, 1 - 1e-16])
+        # Decimals of 15, 16 and 17 significant digits read in as doubles.
+        rng = np.random.default_rng(11)
+        figures = {}
+        for k in (15, 16, 17):
+            digits = rng.integers(10 ** (k - 1), 10**k, size=20_000)
+            exponents = rng.integers(-30, 30, size=20_000)
+            x = np.array([float(f"{d}e{e}") for d, e in zip(digits.tolist(), exponents.tolist())])
+            assert_repr(np.concatenate([x, -x]))
+            mantissas = (repr(v).split("e")[0] for v in x.tolist())
+            figures[k] = {len(m.replace(".", "").strip("-0")) for m in mantissas}
+        assert max(figures[15]) == 15 and 16 in figures[16] and 17 in figures[17]
+
+    def test_three_digit_exponents_subnormals_and_zeros(self):
+        rng = np.random.default_rng(3)
+        big = 10 ** rng.uniform(100, 308.25, size=10_000)
+        small = 10 ** rng.uniform(-307.6, -100, size=10_000)
+        subnormal = rng.integers(1, 2**52, size=10_000).view(np.float64)
+        x = np.concatenate([big, small, subnormal, [5e-324, 2.2250738585072014e-308]])
+        assert_repr(np.concatenate([x, -x]))
+        assert_repr([0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308])
+        assert_repr([math.nan, -math.nan, math.inf, -math.inf])
+
+    @pytest.mark.parametrize("builtin", [builtin_micadei, builtin_qutrit_demo])
+    def test_builtins_leave_only_exact_zeros_to_python(self, builtin):
+        result = run_sweep(builtin())
+        for name in ("t", "heat", "bound_upper", "bound_lower", "delta_mutual_info"):
+            column = getattr(result, name)
+            _, _, fallback = _repr_digits(column)
+            assert (fallback == (column == 0)).all(), name
+            assert np.count_nonzero(fallback) < 10, name  # the vector path formats the rest
+
+
+class TestSmallBlocks:
+    """Blocks of fewer than FORMAT_IN_PYTHON_BELOW rows take their floats from Python."""
+
+    @pytest.mark.parametrize("n_points", [2, FORMAT_IN_PYTHON_BELOW - 1, FORMAT_IN_PYTHON_BELOW])
+    def test_kernels_run_from_the_threshold(self, n_points, monkeypatch):
+        calls = []
+        for name in ("_CSV_ROW", "_JSON_RECORD"):
+            layout = getattr(scenarios, name)
+
+            def counted(x, kernel=layout.fields):
+                calls.append(len(x))
+                return kernel(x)
+
+            monkeypatch.setattr(scenarios, name, layout._replace(fields=counted))
+        grid = {"t_min": 0, "t_max": 6.0, "n_points": n_points}
+        result = run_sweep(small_config(time_grid=grid))
+        assert format_csv(result) == reference_csv(result.records)
+        assert format_json(result) == reference_json(result)
+        assert calls == ([] if n_points < FORMAT_IN_PYTHON_BELOW else [5 * n_points] * 2)
 
 
 class TestMemory:
