@@ -293,13 +293,13 @@ def assert_fields(kernel, spell, x, chunk=2**16):
             pytest.fail(f"{len(bad)} fields differ from {spell.__name__}, e.g. {bad[:3]}")
 
 
+def e16(v):
+    return "%.16e" % v
+
+
 def assert_e16(x):
     """Every field of the vectorized formatter is '%.16e' % value, byte for byte."""
     assert_fields(_e16_fields, e16, x)
-
-
-def e16(v):
-    return "%.16e" % v
 
 
 class TestE16Fields:
