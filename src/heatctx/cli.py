@@ -91,10 +91,15 @@ _CONFIG_OPTIONS = [
 ]
 
 
-def _with_config_options(fn):
-    for opt in reversed(_CONFIG_OPTIONS):
-        fn = opt(fn)
-    return fn
+def _options(options):
+    """A decorator that adds ``options`` to a command, in list order."""
+
+    def decorate(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+
+    return decorate
 
 
 @click.group()
@@ -103,7 +108,7 @@ def main():
 
 
 @main.command()
-@_with_config_options
+@_options(_CONFIG_OPTIONS)
 @click.option("--output", type=click.Path(), default=None, help="Output file path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 @_cli_errors
@@ -123,7 +128,7 @@ def sweep(config_path, builtin, t_max, n_points, output, fmt):
 
 
 @main.command("critical-time")
-@_with_config_options
+@_options(_CONFIG_OPTIONS)
 @_cli_errors
 def critical_time(config_path, builtin, t_max, n_points):
     """Report bound-crossing times only."""
@@ -166,14 +171,8 @@ _INTERACTION_OPTIONS = [
 ]
 
 
-def _with_interaction_options(fn):
-    for opt in reversed(_INTERACTION_OPTIONS):
-        fn = opt(fn)
-    return fn
-
-
 @main.command("verify-decomposition")
-@_with_interaction_options
+@_options(_INTERACTION_OPTIONS)
 @click.option("--p-d", type=float, default=None, help="Claimed p_d (default: analytic value).")
 @click.option("--minimal", is_flag=True, help="Also search for the minimal feasible p_d.")
 @_cli_errors
@@ -193,7 +192,7 @@ def verify_decomposition(kind, g, a, theta, local_dim, t, p_d, minimal):
 
 
 @main.command()
-@_with_interaction_options
+@_options(_INTERACTION_OPTIONS)
 @click.option("--p-d", type=float, default=None, help="Claimed p_d (default: analytic value).")
 @_cli_errors
 def choi(kind, g, a, theta, local_dim, t, p_d):
@@ -206,7 +205,7 @@ def choi(kind, g, a, theta, local_dim, t, p_d):
 
 
 @main.command()
-@_with_config_options
+@_options(_CONFIG_OPTIONS)
 @click.option("--t", type=float, required=True, help="Evolution time.")
 @_cli_errors
 def clausius(config_path, builtin, t_max, n_points, t):

@@ -53,11 +53,7 @@ class ResonantInteraction:
 
     def exchange_part(self) -> HermitianOp:
         """H_theta: the hopping block with unit diagonal inside the degenerate sector."""
-        h = np.zeros((4, 4), dtype=complex)
-        h[1, 1] = h[2, 2] = 1.0
-        h[1, 2] = np.exp(1j * self.theta)
-        h[2, 1] = np.exp(-1j * self.theta)
-        return HermitianOp(self.g * h)
+        return replace(self, a=1.0).hamiltonian()
 
     def detuning_part(self) -> HermitianOp:
         """H_a: the commuting diagonal remainder, proportional to (a - 1)."""

@@ -3,10 +3,11 @@
 A scenario bundles a correlated thermal state, an energy-conserving
 interaction, a time grid, and units. Sweeps evaluate the closed-form heat and
 the noncontextual bounds on the full grid once, find the bound-crossing times
-in those columns, check the heat against the trace formula on every grid
-point, and evaluate per-point violation flags and the mutual-information
-change. A ``SweepResult`` holds these as numpy columns, one entry per grid
-point, and CSV and JSON are rendered straight from the columns.
+in those columns, evolve the state once over the grid for the mutual-information
+change, check the heat against the trace formula of that evolved state on every
+grid point, and evaluate per-point violation flags. A ``SweepResult`` holds these
+as numpy columns, one entry per grid point, and CSV and JSON are rendered
+straight from the columns.
 
 The per-point work that needs more than O(1) memory, the evolved states of
 the ΔI column and the output text, runs ``SWEEP_BLOCK`` grid points at a
@@ -44,7 +45,6 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .linalg import eig_hermitian
 from .states import (
     TwoQubitThermalParams,
     TwoQutritThermalParams,
@@ -109,7 +109,7 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         try:
             return np.linspace(self.t_min, self.t_max, int(self.n_points))
-        except MemoryError as exc:
+        except (MemoryError, ValueError, IndexError) as exc:  # numpy's errors for too large a grid
             raise ConfigError(f"a time grid of {self.n_points} points cannot be allocated") from exc
 
 
@@ -136,9 +136,7 @@ class ScenarioConfig:
             )
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["time_grid"] = asdict(self.time_grid)
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
@@ -387,11 +385,6 @@ def _no_heat(params, g, theta, t):
     return out if out.ndim else 0.0
 
 
-def _a_max(h_local) -> float:
-    """Largest eigenvalue of a local Hamiltonian; those in scope are diagonal."""
-    return float(np.diag(h_local.matrix).real.max())
-
-
 # -- interaction families ----------------------------------------------------
 
 
@@ -483,7 +476,9 @@ class _ScenarioEngine:
         self.params = self.family.parse(config.state)
         self.rho = self.family.state(self.params)
         self.h_local = self.family.local(self.params)
-        self.a_max = _a_max(self.h_local)
+        # diag(H_A x 1): the local Hamiltonians in scope are diagonal.
+        self.energies = np.repeat(np.diag(self.h_local.matrix).real, self.rho.dims[1])
+        self.a_max = float(self.energies.max())
         self.h_int = self.family.h_int(self.g, self.a, self.theta)
 
     # -- heat ---------------------------------------------------------------
@@ -491,26 +486,13 @@ class _ScenarioEngine:
     def heat(self, t):
         return self.family.heat(self.params, self.g, self.theta, t)
 
-    def heat_trace_at(self, t):
-        """Trace-formula <Q_A> at time(s) t; a scalar t gives a float.
+    def heat_trace_at(self, populations: np.ndarray) -> np.ndarray:
+        """Trace-formula <Q_A> from the populations p(t) of rho(t), one row per time.
 
-        In the eigenbasis H_int = V diag(w) V^dag, with C = (V^dag rho V) o
-        (V^dag (H_A x 1) V)^T, Tr{rho(t) (H_A x 1)} = sum_ij C_ij
-        e^{-it(w_i - w_j)} and its t = 0 value sum_ij C_ij = Tr{rho (H_A x 1)}:
-        O(d^2) per time, no matrix exponential. The (N, d) phases are built
-        one ``SWEEP_BLOCK`` of times at a time.
+        H_A x 1 is diagonal, so Tr{rho(t) (H_A x 1)} - Tr{rho (H_A x 1)} is
+        sum_i E_i (p_i(t) - p_i(0)) with E = diag(H_A x 1).
         """
-        w, v = eig_hermitian(self.h_int.matrix)
-        h_full = np.kron(self.h_local.matrix, np.eye(self.rho.dims[1]))
-        c = (v.conj().T @ self.rho.matrix @ v) * (v.conj().T @ h_full @ v).T
-        t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1)
-        q = np.empty(len(flat))
-        for block in _blocks(len(flat)):
-            phases = np.exp(-1j * np.outer(flat[block], w))  # (block, d)
-            q[block] = ((phases @ c) * phases.conj()).sum(axis=1).real
-        q = q.reshape(t.shape) - c.sum().real
-        return q if q.ndim else float(q)
+        return (populations - np.diag(self.rho.matrix).real) @ self.energies
 
     # -- bounds -------------------------------------------------------------
 
@@ -534,22 +516,28 @@ class _ScenarioEngine:
 
     # -- mutual information -------------------------------------------------
 
-    def delta_mutual_info(self, ts: np.ndarray) -> np.ndarray:
-        """Batched I(t) - I(0); the global entropy cancels under unitaries.
+    def delta_mutual_info(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(I(t) - I(0), trace-formula <Q_A>) on ts, from one evolution of rho.
 
-        One ``EvolutionPlan`` serves the grid, evolved one ``SWEEP_BLOCK`` of times
-        at a time; the marginal entropies come from the populations alone where the
-        plan's marginals are diagonal. Each step acts per grid point: blocks change no bit.
+        The global entropy cancels under unitaries. One ``EvolutionPlan`` serves the
+        grid, evolved one ``SWEEP_BLOCK`` of times at a time; the marginal entropies
+        come from the populations alone where the plan's marginals are diagonal, and
+        ``heat_trace_at`` reads the populations of each block's rho(t). Each step acts
+        per grid point: blocks change no bit.
         """
         plan, dims = EvolutionPlan(self.rho, self.h_int, len(ts)), self.rho.dims
-        s_a, s_b = np.empty(len(ts)), np.empty(len(ts))
+        s_a, s_b, q = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))
         for block in _blocks(len(ts)):
             if plan.diagonal is not None:
-                s_a[block], s_b[block] = population_entropies(plan.populations(ts[block]), dims)
+                populations = plan.populations(ts[block])
+                s_a[block], s_b[block] = population_entropies(populations, dims)
             else:
-                rho_a, rho_b = bipartite_marginals(plan.evolve(ts[block]), dims)
+                rho_t = plan.evolve(ts[block])
+                populations = np.diagonal(rho_t, axis1=1, axis2=2).real
+                rho_a, rho_b = bipartite_marginals(rho_t, dims)
                 s_a[block], s_b[block] = entropies(rho_a), entropies(rho_b)
-        return mutual_information_change(s_a, s_b)
+            q[block] = self.heat_trace_at(populations)
+        return mutual_information_change(s_a, s_b), q
 
 
 def _blocks(n: int) -> Iterator[slice]:
@@ -557,9 +545,10 @@ def _blocks(n: int) -> Iterator[slice]:
     return (slice(lo, lo + SWEEP_BLOCK) for lo in range(0, n, SWEEP_BLOCK))
 
 
-def _check_against_trace(engine: _ScenarioEngine, ts: np.ndarray, heat: np.ndarray) -> None:
-    """NumericsError at the worst grid point where the closed form leaves the trace formula."""
-    q_ref = engine.heat_trace_at(ts)
+def _check_against_trace(
+    engine: _ScenarioEngine, ts: np.ndarray, heat: np.ndarray, q_ref: np.ndarray
+) -> None:
+    """NumericsError at the worst grid point where heat leaves the trace formula q_ref."""
     deviation = np.abs(q_ref - heat)
     allowed = CROSS_CHECK_TOL * np.maximum(max(abs(engine.a_max), 1.0e-300), np.abs(q_ref))
     bad = np.flatnonzero(deviation > allowed)
@@ -576,14 +565,14 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     engine = _ScenarioEngine(config)
     ts = config.time_grid.times()
     heat, upper, lower, crossings = engine.scan(ts)
-    _check_against_trace(engine, ts, heat)
 
-    # Delta mutual information, batched over the grid.
+    # Delta mutual information and the trace-formula heat, batched over the grid.
     if config.time_grid.t_min == 0:
-        delta_i = engine.delta_mutual_info(ts)
+        delta_i, q_trace = engine.delta_mutual_info(ts)
     else:
         ts0 = np.concatenate(([0.0], ts))
-        delta_i = engine.delta_mutual_info(ts0)[1:]
+        delta_i, q_trace = (column[1:] for column in engine.delta_mutual_info(ts0))
+    _check_against_trace(engine, ts, heat, q_trace)
 
     tol = VIOLATION_REL_TOL * np.maximum.reduce(
         [np.abs(upper), np.abs(lower), np.abs(heat)]

@@ -152,38 +152,23 @@ def bits(a):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 class TestFamily:
-    def test_closed_form_heat_matches_trace(self, name):
+    @pytest.mark.parametrize("n", [20, EINSUM_BELOW + 1])
+    def test_closed_form_heat_matches_trace(self, name, n):
+        # The einsums below EINSUM_BELOW points, the populations path from there.
         engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
-        ts = seeded_times(6.0)
-        heat = np.asarray(engine.heat(ts))
-        for t, q in zip(ts, heat):
-            assert abs(q - engine.heat_trace_at(float(t))) <= 1e-10 * engine.a_max
+        ts = seeded_times(6.0, n)
+        _, q_trace = engine.delta_mutual_info(ts)
+        assert np.max(np.abs(engine.heat(ts) - q_trace)) <= 1e-10 * engine.a_max
 
     def test_trace_kernel_matches_heat_trace(self, name):
         engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
         ts = seeded_times(6.0)
-        batched = engine.heat_trace_at(ts)
+        rho_t = reference_evolve_on_grid(engine.rho, engine.h_int, ts)
+        batched = engine.heat_trace_at(np.diagonal(rho_t, axis1=1, axis2=2).real)
+        assert batched.shape == ts.shape
         for t, q in zip(ts, batched):
             ref = heat_trace(engine.rho, engine.h_int, engine.h_local, float(t))
             assert abs(q - ref) <= 1e-12 * engine.a_max
-            assert abs(engine.heat_trace_at(float(t)) - q) <= 1e-15 * engine.a_max
-        assert type(engine.heat_trace_at(float(ts[0]))) is float
-
-    def test_oracle_covers_every_grid_point(self, name, monkeypatch):
-        # One grid point off by 1e-6 a_max: a 1 % sample would miss it 99 times in 100.
-        config = ScenarioConfig.from_dict(example_config(name))
-        ts = config.time_grid.times()
-        t_bad = ts[np.random.default_rng(5).integers(len(ts))]
-        family = FAMILIES[name]
-        a_max = _ScenarioEngine(config).a_max
-
-        def heat(params, g, theta, t):
-            q = family.heat(params, g, theta, t)
-            return np.where(np.asarray(t) == t_bad, q + 1e-6 * a_max, q)
-
-        monkeypatch.setitem(FAMILIES, name, replace(family, heat=heat))
-        with pytest.raises(NumericsError, match=f"t={t_bad:g}:"):
-            run_sweep(config)
 
     @pytest.mark.parametrize("n_points", [400, SEAM_POINTS])
     @pytest.mark.parametrize("t_min", [0.0, 0.7])
@@ -295,8 +280,9 @@ def test_outputs_do_not_depend_on_the_block_size(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_a_sweep_builds_one_evolution_plan(name, monkeypatch):
-    # Blocks of 300, 300, 300 and 100 points share one plan: besides the
-    # oracle's, one eigendecomposition of H_I and one LiveTerms.of per sweep.
+    # Blocks of 300, 300, 300 and 100 points share one plan, and the oracle
+    # reads its populations: one eigendecomposition of H_I and one
+    # LiveTerms.of per sweep.
     raw = example_config(name)
     raw["time_grid"]["n_points"] = 1000
     config = ScenarioConfig.from_dict(raw)
@@ -306,7 +292,7 @@ def test_a_sweep_builds_one_evolution_plan(name, monkeypatch):
     targets = [("heatctx.linalg", "eig_hermitian"), ("heatctx.dynamics", "LiveTerms.of")]
     calls = count_calls(monkeypatch, targets)
     run_sweep(config)
-    assert calls == {"eig_hermitian": 2, "LiveTerms.of": 1}
+    assert calls == {"eig_hermitian": 1, "LiveTerms.of": 1}
 
 
 # Two-qubit state edits and whether both marginals stay diagonal under the
@@ -317,6 +303,38 @@ PATHS = [
     ({"nu2": [0.01, -0.02]}, False),
     ({"gamma": [0.02, 0.01]}, True),
 ]
+
+# Each family's example, which takes the populations path from EINSUM_BELOW
+# points on, and the nu1 state of PATHS, which takes the general path.
+ORACLE_CASES = [(name, "example") for name in sorted(FAMILIES)] + [
+    (name, "nu1") for name in ("two_qubit_nonresonant", "two_qubit_resonant")
+]
+
+
+@pytest.mark.parametrize("t_min", [0.0, 0.7])
+@pytest.mark.parametrize("name, state", ORACLE_CASES)
+def test_oracle_covers_every_grid_point(name, state, t_min, monkeypatch):
+    # One grid point off by 1e-6 a_max: a 1 % sample would miss it 99 times in
+    # 100, and a trace row misaligned with the grid would name another t.
+    raw = example_config(name)
+    if state == "nu1":
+        raw["state"].update(PATHS[0][0])
+    raw["time_grid"]["t_min"] = t_min
+    config = ScenarioConfig.from_dict(raw)
+    engine = _ScenarioEngine(config)
+    plan = EvolutionPlan(engine.rho, engine.h_int, config.time_grid.n_points)
+    assert (plan.diagonal is None) == (state == "nu1")
+    ts = config.time_grid.times()
+    t_bad = ts[np.random.default_rng(5).integers(len(ts))]
+    family = FAMILIES[name]
+
+    def heat(params, g, theta, t):
+        q = family.heat(params, g, theta, t)
+        return np.where(np.asarray(t) == t_bad, q + 1e-6 * engine.a_max, q)
+
+    monkeypatch.setitem(FAMILIES, name, replace(family, heat=heat))
+    with pytest.raises(NumericsError, match=f"t={t_bad:g}:"):
+        run_sweep(config)
 
 
 @pytest.mark.parametrize("block", [7, SWEEP_BLOCK])
@@ -337,7 +355,7 @@ def test_delta_mutual_info_path(name, edit, diagonal, n_points, block, monkeypat
     assert (EvolutionPlan(engine.rho, engine.h_int, n_points).diagonal is not None) == populations
     monkeypatch.setattr("heatctx.scenarios.SWEEP_BLOCK", block)
     calls = count_calls(monkeypatch, [("numpy.linalg", "eigvalsh")])
-    delta_i = engine.delta_mutual_info(ts)
+    delta_i = engine.delta_mutual_info(ts)[0]
     assert (calls["eigvalsh"] == 0) == populations
     expect = reference_delta_mutual_info(engine.rho, engine.h_int, ts)
     assert np.array_equal(bits(delta_i), bits(expect))

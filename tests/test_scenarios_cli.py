@@ -577,13 +577,23 @@ class TestCli:
         result = runner.invoke(main, ["sweep", "--config", "/does/not/exist.json"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("n_points", [10**12, 2**60, 2**63 - 1, 2**63, 10**20, 1e300])
     @pytest.mark.parametrize("command", ["sweep", "critical-time"])
-    def test_grid_too_large_to_allocate_exits_2(self, command):
-        # numpy refuses the 7.28 TiB grid before it allocates anything.
-        args = [command, "--builtin", "micadei", "--n-points", "1000000000000"]
+    def test_grid_too_large_to_allocate_exits_2(self, command, n_points, tmp_path):
+        # numpy refuses each grid before it allocates anything: a MemoryError
+        # for the 7.28 TiB of 10**12 points, a ValueError or IndexError beyond.
+        if isinstance(n_points, float):  # a config file's number, not an option
+            raw = builtin_micadei().to_dict()
+            raw["time_grid"]["n_points"] = n_points
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(raw))
+            args = [command, "--config", str(cfg_path)]
+        else:
+            args = [command, "--builtin", "micadei", "--n-points", str(n_points)]
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, result.output
-        assert "time grid of 1000000000000 points cannot be allocated" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"time grid of {int(n_points)} points cannot be allocated" in result.output
 
     def test_critical_time_command(self, tmp_path):
         config = small_config(time_grid={"t_min": 0, "t_max": 6.0, "n_points": 4000})
