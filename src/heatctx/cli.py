@@ -213,6 +213,7 @@ def clausius(config_path, builtin, t_max, n_points, t):
     t = _finite("--t", t)
     config = _load_config(config_path, builtin, t_max, n_points)
     engine = _ScenarioEngine(config)
+    engine.check_time("--t", t)
     beta_a, beta_b = engine.params.beta_A, engine.params.beta_B
     result = clausius_report(
         engine.rho, engine.h_int, engine.h_local, engine.h_local, beta_a, beta_b, t

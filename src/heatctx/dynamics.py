@@ -130,148 +130,88 @@ def evolve_on_grid(rho: DensityMatrix, h_int, ts) -> np.ndarray:
     return EvolutionPlan(rho, h_int, len(ts)).evolve(ts)
 
 
+def eigenvector_blocks(v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of V, as (rows, columns): i ~ k where a chain of nonzero v_ij v_kj links them.
+
+    A column belongs to the block of its nonzero rows. Blocks come in order of
+    their first row, each with its rows and columns sorted.
+    """
+    linked = (v != 0) @ (v != 0).T  # boolean: one link
+    for _ in range(len(v).bit_length()):  # each squaring doubles the chains' reach
+        linked = linked @ linked
+    rows = [np.flatnonzero(row) for row in np.unique(linked, axis=0)[::-1]]
+    return [(r, np.flatnonzero(v[r].any(axis=0))) for r in rows]
+
+
 class EvolutionPlan:
     """All that ``evolve_on_grid`` derives from rho and H_I, for a grid of ``n_points``.
 
     U(t) = V diag(e^{-i t w}) V^dag from one eigendecomposition
     H_I = V diag(w) V^dag; V is checked unitary once, so every U(t) is.
 
-    Below ``EINSUM_BELOW`` grid points rho(t) is the two dense einsums
-    U(t) = "ij,nj,kj->nik" and rho(t) = "nij,jk,nlk->nil"; from there on the
-    term-skipping kernel ``_evolve_live_terms`` gives the same bits. Unoptimised
-    np.einsum sums each output's terms in row-major order of the summed
-    indices, into an accumulator that starts at +0. A running sum that starts
-    at +0 is never -0 (x + -x is +0), so adding a term that is +-0 leaves it
-    unchanged, and a term with an exactly zero factor is +-0. Energy
-    conservation makes V block diagonal, so most terms have a zero factor of
-    V or of rho; the kernel adds only the others, in einsum's order.
+    U(t) is zero between the blocks of V (``eigenvector_blocks``), so rho(t) is
+    zero outside the block pairs (b, c) whose slice rho[b, c] has a nonzero
+    entry. Per block U_b(t) is the einsum "ij,nj,kj->nik" on b's eigen-columns,
+    and per such live pair rho(t)[b, c] is "nij,jk,nlk->nil". Below
+    ``EINSUM_BELOW`` grid points one block covers the basis: the two dense
+    einsums, whose fixed cost is lowest there.
 
-    ``diagonal`` holds the live terms of the diagonal of rho(t) alone when no
-    live term reaches an off-diagonal entry of rho_A or rho_B; else None.
+    The blocks keep the dense einsums' bits. Unoptimised np.einsum sums each
+    output's terms in row-major order of the summed indices, into an
+    accumulator that starts at +0. A running sum that starts at +0 is never -0
+    (x + -x is +0), so a term that is +-0 leaves it unchanged; every dropped
+    term has an exactly zero factor of U, so is +-0. einsum keeps that order
+    only while each U_b has the grid axis fastest in memory and each slice of
+    rho is C-ordered, as np.ix_ gives it: with C-ordered U_b, or a slice
+    rho[r][:, c] (F-ordered), it iterates otherwise and the last bits change.
+
+    ``diagonal`` lists the blocks b of the live pairs (b, b), which alone give
+    the populations, when no live pair reaches an off-diagonal entry of rho_A
+    or rho_B; else None.
     """
 
     def __init__(self, rho: DensityMatrix, h_int, n_points: int):
         self.w, v = eig_hermitian(h_int)
-        self.v, self.rho, d = UnitaryOp(v).matrix, rho.matrix, len(v)
-        self.terms = self.diagonal = None
-        if n_points >= EINSUM_BELOW:
-            self.terms = LiveTerms.of(self.v, self.rho)
-            rounds = self.terms.rho_rounds
-            if len(rho.dims) == 2:  # output (a b, a2 b2) adds to rho_A[a, a2] if b == b2
-                a, b, a2, b2 = np.unravel_index(np.hstack([r[0] for r in rounds]), 2 * rho.dims)
-                if not np.any((a == a2) != (b == b2)):  # keep the diagonal outputs i*d + i
-                    rounds = [[x[r[0] % (d + 1) == 0] for x in r] for r in rounds]
-                    self.diagonal = replace(self.terms, rho_rounds=[r for r in rounds if len(r[0])])
+        v, d, blocked = UnitaryOp(v).matrix, len(v), n_points >= EINSUM_BELOW
+        blocks = eigenvector_blocks(v) if blocked else [(np.arange(d), np.arange(d))]
+        self.rows = rows = [r for r, _ in blocks]
+        self.blocks = [(c, v[r][:, c]) for r, c in blocks]
+        n = range(len(rows))
+        slices = [(b, c, rho.matrix[np.ix_(rows[b], rows[c])]) for b in n for c in n]
+        self.pairs = [(b, c, rho_bc) for b, c, rho_bc in slices if rho_bc.any()]
+        self.diagonal = None
+        if blocked and len(rho.dims) == 2:  # output (a b, a2 b2) adds to rho_A[a, a2] if b == b2
+            a, b = np.divmod(np.arange(d), rho.dims[1])
+            off = (a[:, None] == a) != (b[:, None] == b)  # outputs off rho_A's or rho_B's diagonal
+            if not any(off[np.ix_(rows[p], rows[q])].any() for p, q, _ in self.pairs):
+                self.diagonal = [p for p, q, _ in self.pairs if p == q]
+
+    def _unitaries(self, ts) -> list[np.ndarray]:
+        """U_b(t) of every block at every t of ts, (N, m, m) each, the grid axis fastest."""
+        phases = np.exp(-1j * np.outer(ts, self.w))  # (N, d)
+        return [
+            np.einsum("ij,nj,kj->ikn", v, phases[:, cols], v.conj(), order="C").transpose(2, 0, 1)
+            for cols, v in self.blocks
+        ]
 
     def evolve(self, ts) -> np.ndarray:
         """rho(t) at every t of ts, as an (N, d, d) array."""
-        phases, d = np.exp(-1j * np.outer(ts, self.w)), len(self.v)  # (N, d)
-        if self.terms is None:
-            u = np.einsum("ij,nj,kj->nik", self.v, phases, self.v.conj())
-            return np.einsum("nij,jk,nlk->nil", u, self.rho, u.conj())
-        out = np.empty((len(phases), d * d), dtype=complex)
-        out.real, out.imag = (x.T for x in _evolve_live_terms(self.v, phases, self.terms))
-        return out.reshape(-1, d, d)
+        u, d = self._unitaries(ts), len(self.w)
+        out = np.zeros((len(u[0]), d, d), dtype=complex)
+        for b, c, rho_bc in self.pairs:
+            rho_t = np.einsum("nij,jk,nlk->nil", u[b], rho_bc, u[c].conj())
+            out[:, self.rows[b][:, None], self.rows[c]] = rho_t
+        return out
 
     def populations(self, ts) -> np.ndarray:
-        """The real diagonal of ``evolve(ts)``, bit for bit, as (N, d); needs ``diagonal``."""
-        phases = np.exp(-1j * np.outer(ts, self.w))
-        return _evolve_live_terms(self.v, phases, self.diagonal)[0][:: len(self.v) + 1].T
-
-
-def _dealt(live: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each row's True columns, in order, dealt one per round.
-
-    Round r is (rows, columns): every row with more than r True entries and
-    its r-th True column.
-    """
-    counts = live.sum(axis=1)
-    rows, cols = np.nonzero(live)
-    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return [(rows[rank == r], cols[rank == r]) for r in range(counts.max(initial=0))]
-
-
-@dataclass(frozen=True)
-class LiveTerms:
-    """The terms of U(t) rho U(t)^dag that are not exactly zero, in einsum's order.
-
-    ``u_entries`` are the flat indices i*d + k of the entries of U(t) that can
-    be nonzero: U_ik sums v_ij e^{-itw_j} conj(v_kj) over j. A round of
-    ``u_rounds`` is (positions in ``u_entries``, j, v_ij, conj(v_kj)); a round
-    of ``rho_rounds`` is (outputs i*d + l, positions of U_ij, rho_jk,
-    positions of U_lk). The r-th round adds every output's r-th live term.
-    """
-
-    u_entries: np.ndarray
-    u_rounds: list
-    rho_rounds: list
-
-    @classmethod
-    def of(cls, v: np.ndarray, rho: np.ndarray) -> "LiveTerms":
-        d = len(v)
-        nonzero = v != 0
-        u_live = nonzero[:, None, :] & nonzero[None, :, :]  # (i, k, j)
-        u_entries = np.flatnonzero(u_live.any(axis=2))
-        position = np.zeros(d * d, dtype=int)
-        position[u_entries] = np.arange(len(u_entries))
-        u_rounds = []
-        for at, j in _dealt(u_live.reshape(d * d, d)[u_entries]):
-            i, k = np.divmod(u_entries[at], d)
-            u_rounds.append((at, j, v[i, j][:, None], v[k, j].conj()[:, None]))
-        u_nonzero = np.zeros(d * d, dtype=bool)
-        u_nonzero[u_entries] = True
-        u_nonzero = u_nonzero.reshape(d, d)
-        live = u_nonzero[:, None, :, None] & (rho != 0) & u_nonzero[None, :, None, :]
-        rho_rounds = []
-        for out, jk in _dealt(live.reshape(d * d, d * d)):
-            (i, l), (j, k) = np.divmod(out, d), np.divmod(jk, d)
-            rho_rounds.append(
-                (out, position[i * d + j], rho[j, k][:, None], position[l * d + k])
-            )
-        return cls(u_entries, u_rounds, rho_rounds)
-
-
-def _evolve_live_terms(v: np.ndarray, phases: np.ndarray, terms: LiveTerms):
-    """Re and Im of the two einsums of ``evolve_on_grid``, (d^2, N) each, from live terms only.
-
-    Each term is ((a b) c) with the complex products formed as einsum forms
-    them, (ar br - ai bi, ar bi + ai br), in separate real operations (no
-    FMA). Grid points run along the rows of every array; every row handed in
-    is evolved at once, so the caller bounds the temporaries by what it hands.
-    """
-    n, d = phases.shape
-    width = max((len(r[0]) for r in terms.u_rounds + terms.rho_rounds), default=0)
-    p_re, p_im = np.ascontiguousarray(phases.real.T), np.ascontiguousarray(phases.imag.T)
-    ur, ui = np.zeros((2, len(terms.u_entries), n))
-    sr, si = np.zeros((2, d * d, n))
-    buffers = np.empty((7, width, n))
-    for at, j, a, c in terms.u_rounds:  # U_ik += (v_ij e^{-itw_j}) conj(v_kj)
-        x_re, x_im, t_re, t_im, r_re, r_im, tmp = buffers[:, : len(at)]
-        np.take(p_re, j, axis=0, out=x_re)
-        np.take(p_im, j, axis=0, out=x_im)
-        _cmul(a.real, a.imag, x_re, x_im, t_re, t_im, tmp)
-        _cmul(t_re, t_im, c.real, c.imag, r_re, r_im, tmp)
-        ur[at] += r_re
-        ui[at] += r_im
-    for o, ij, b, lk in terms.rho_rounds:  # rho_il += (U_ij rho_jk) conj(U_lk)
-        x_re, x_im, t_re, t_im, r_re, r_im, tmp = buffers[:, : len(o)]
-        np.take(ur, ij, axis=0, out=x_re)
-        np.take(ui, ij, axis=0, out=x_im)
-        _cmul(x_re, x_im, b.real, b.imag, t_re, t_im, tmp)
-        np.take(ur, lk, axis=0, out=x_re)
-        np.negative(np.take(ui, lk, axis=0, out=x_im), out=x_im)
-        _cmul(t_re, t_im, x_re, x_im, r_re, r_im, tmp)
-        sr[o] += r_re
-        si[o] += r_im
-    return sr, si
-
-
-def _cmul(ar, ai, br, bi, out_re, out_im, tmp) -> None:
-    """(out_re, out_im) = (ar br - ai bi, ar bi + ai br); no output may alias an input."""
-    np.multiply(ar, br, out=out_re)
-    out_re -= np.multiply(ai, bi, out=tmp)
-    np.multiply(ar, bi, out=out_im)
-    out_im += np.multiply(ai, br, out=tmp)
+        """The real diagonal of ``evolve(ts)``, bit for bit, as (N, d)."""
+        u = self._unitaries(ts)
+        out = np.zeros((len(u[0]), len(self.w)))
+        for b, c, rho_bb in self.pairs:
+            if b == c:
+                p = np.einsum("nij,jk,nik->ni", u[b], rho_bb, u[b].conj())
+                out[:, self.rows[b]] = p.real
+        return out
 
 
 def evolve_interaction_picture(rho: DensityMatrix, h_int, t: float) -> DensityMatrix:

@@ -507,8 +507,19 @@ class _ScenarioEngine:
         b_minus, b_plus = sequential_b_factors(p_d[0], p_d[1])
         return 2 * self.a_max * b_plus, -4 * self.a_max * b_minus
 
+    def check_time(self, field: str, t: float) -> None:
+        """ConfigError unless 2 t times the largest rate of H_I is a finite float.
+
+        H_I's absolute row sums bound its eigenvalues, g and g |a - 1|; the closed
+        forms take angles up to 2 g t, the evolution w t.
+        """
+        rate = float(np.abs(self.h_int.matrix).sum(axis=1).max())
+        if not math.isfinite(2 * rate * t):
+            raise ConfigError(f"{field} = {t:g} is too large: its phases under H_I overflow")
+
     def scan(self, ts: np.ndarray):
         """(heat, upper, lower, crossings): the closed-form columns on ts and their crossings."""
+        self.check_time("time_grid.t_max", float(np.max(ts, initial=0.0)))  # grids hold t >= 0
         heat = np.asarray(self.heat(ts), dtype=float)
         upper, lower = (np.asarray(b, dtype=float) for b in self.bounds(ts))
         crossings = find_critical_times(ts, heat, (upper, lower), self.heat, self.bounds)
@@ -551,7 +562,7 @@ def _check_against_trace(
     """NumericsError at the worst grid point where heat leaves the trace formula q_ref."""
     deviation = np.abs(q_ref - heat)
     allowed = CROSS_CHECK_TOL * np.maximum(max(abs(engine.a_max), 1.0e-300), np.abs(q_ref))
-    bad = np.flatnonzero(deviation > allowed)
+    bad = np.flatnonzero(~(deviation <= allowed))  # NaN fails too
     if bad.size:
         i = bad[np.argmax(deviation[bad] / allowed[bad])]
         raise NumericsError(

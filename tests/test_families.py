@@ -31,9 +31,15 @@ from heatctx import (
     run_sweep,
 )
 from heatctx.cli import main
-from heatctx.dynamics import EINSUM_BELOW, EvolutionPlan, LiveTerms, evolve_on_grid
-from heatctx.linalg import eig_hermitian
-from heatctx.scenarios import FACTORS, FAMILIES, SWEEP_BLOCK, _ScenarioEngine
+from heatctx.dynamics import (
+    EINSUM_BELOW,
+    EvolutionPlan,
+    check_energy_conservation,
+    eigenvector_blocks,
+    evolve_on_grid,
+)
+from heatctx.linalg import HermitianOp, eig_hermitian
+from heatctx.scenarios import FACTORS, FAMILIES, SWEEP_BLOCK, _blocks, _ScenarioEngine
 from conftest import (
     count_calls,
     random_density,
@@ -68,12 +74,12 @@ EXAMPLES = {
     ),
 }
 
-# Live (j, k) terms of U rho U^dag, summed over the outputs, for a dense rho:
-# energy conservation leaves V block diagonal, with blocks of sizes 1 and 2.
-LIVE_TERMS = {
-    "two_qubit_resonant": 36,
-    "two_qubit_nonresonant": 16,
-    "qutrit_partial_swap": 225,
+# Sizes of the blocks of V, in order of their first basis index: energy
+# conservation links only states of equal energy, here one or two at a time.
+BLOCK_SIZES = {
+    "two_qubit_resonant": [1, 2, 1],
+    "two_qubit_nonresonant": [1, 1, 1, 1],
+    "qutrit_partial_swap": [1, 2, 2, 1, 2, 1],
 }
 
 # (section, field, value) edits that make a config invalid for every family.
@@ -142,7 +148,7 @@ def seeded_times(t_max, n=20):
 
 
 def test_every_family_has_an_example():
-    assert set(EXAMPLES) == set(FAMILIES) == set(FAMILY_BAD) == set(LIVE_TERMS)
+    assert set(EXAMPLES) == set(FAMILIES) == set(FAMILY_BAD) == set(BLOCK_SIZES)
 
 
 def bits(a):
@@ -203,12 +209,13 @@ class TestFamily:
         expect = reference_evolve_on_grid(rho, engine.h_int, ts)
         assert np.array_equal(bits(evolve_on_grid(rho, engine.h_int, ts)), bits(expect))
 
-    def test_live_terms_of_a_dense_state(self, name):
+    def test_eigenvector_blocks(self, name):
         engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
         _, v = eig_hermitian(engine.h_int.matrix)
-        rho = random_density(np.random.default_rng(4), len(v))
-        rounds = LiveTerms.of(v, rho).rho_rounds
-        assert sum(len(out) for out, *_ in rounds) == LIVE_TERMS[name]
+        blocks = eigenvector_blocks(v)
+        assert [len(rows) for rows, _ in blocks] == BLOCK_SIZES[name]
+        for part in zip(*blocks):  # the rows, then the columns, cover the basis once
+            assert np.array_equal(np.sort(np.concatenate(part)), np.arange(len(v)))
 
     def test_clausius_delta_mutual_info_matches_the_sweep(self, name):
         config = ScenarioConfig.from_dict(example_config(name))
@@ -262,6 +269,42 @@ class TestFamily:
         assert len(expect.strip().split("\n")) == 401
 
 
+def random_sector_interaction(rng):
+    """A random energy-conserving two-qutrit H_I for the equally spaced levels 0, 1, 2.
+
+    A random Hermitian matrix in each sector of equal total energy, zero between them.
+    """
+    energy = np.add.outer(np.arange(3), np.arange(3)).ravel()
+    h = np.zeros((9, 9), dtype=complex)
+    for e in np.unique(energy):
+        s = np.flatnonzero(energy == e)
+        m = rng.normal(size=(len(s), len(s))) + 1j * rng.normal(size=(len(s), len(s)))
+        h[np.ix_(s, s)] = m + m.conj().T
+    return HermitianOp(h)
+
+
+@pytest.mark.parametrize("n", [1, EINSUM_BELOW + 1, SWEEP_BLOCK + 1])
+def test_evolution_on_blocks_no_family_produces(n):
+    # LAPACK's V links the sectors through roundoff-sized entries, into blocks
+    # of sizes 1, 7 and 1. SWEEP_BLOCK + 1 points run as the sweep runs them,
+    # one SWEEP_BLOCK at a time, the last of one point.
+    rng = np.random.default_rng(0)
+    h = random_sector_interaction(rng)
+    levels = np.diag([0.0, 1.0, 2.0])
+    assert check_energy_conservation(h, levels, levels)[0]
+    _, v = eig_hermitian(h.matrix)
+    assert [len(rows) for rows, _ in eigenvector_blocks(v)] == [1, 7, 1]
+    rho = DensityMatrix(random_density(rng, 9), (3, 3))
+    ts = np.linspace(0.0, 6.0, n)
+    expect = reference_evolve_on_grid(rho, h, ts)
+    assert np.array_equal(bits(evolve_on_grid(rho, h, ts)), bits(expect))
+    plan = EvolutionPlan(rho, h, n)
+    evolved = np.concatenate([plan.evolve(ts[block]) for block in _blocks(n)])
+    populations = np.concatenate([plan.populations(ts[block]) for block in _blocks(n)])
+    assert np.array_equal(bits(evolved), bits(expect))
+    assert np.array_equal(bits(populations), bits(np.diagonal(expect, axis1=1, axis2=2).real))
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_outputs_do_not_depend_on_the_block_size(name, monkeypatch):
     # Blocks of 7 run the grid's path 7 rows at a time; 10**6 makes the grid one block.
@@ -281,18 +324,18 @@ def test_outputs_do_not_depend_on_the_block_size(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_a_sweep_builds_one_evolution_plan(name, monkeypatch):
     # Blocks of 300, 300, 300 and 100 points share one plan, and the oracle
-    # reads its populations: one eigendecomposition of H_I and one
-    # LiveTerms.of per sweep.
+    # reads its populations: one eigendecomposition of H_I and one search for
+    # its blocks per sweep.
     raw = example_config(name)
     raw["time_grid"]["n_points"] = 1000
     config = ScenarioConfig.from_dict(raw)
     engine = _ScenarioEngine(config)  # its state builder eigensolves Gibbs states
     monkeypatch.setattr("heatctx.scenarios._ScenarioEngine", lambda _: engine)
     monkeypatch.setattr("heatctx.scenarios.SWEEP_BLOCK", 300)
-    targets = [("heatctx.linalg", "eig_hermitian"), ("heatctx.dynamics", "LiveTerms.of")]
+    targets = [("heatctx.linalg", "eig_hermitian"), ("heatctx.dynamics", "eigenvector_blocks")]
     calls = count_calls(monkeypatch, targets)
     run_sweep(config)
-    assert calls == {"eig_hermitian": 1, "LiveTerms.of": 1}
+    assert calls == {"eig_hermitian": 1, "eigenvector_blocks": 1}
 
 
 # Two-qubit state edits and whether both marginals stay diagonal under the
@@ -311,11 +354,13 @@ ORACLE_CASES = [(name, "example") for name in sorted(FAMILIES)] + [
 ]
 
 
+@pytest.mark.parametrize("fault", ["heat off", "trace nan"])
 @pytest.mark.parametrize("t_min", [0.0, 0.7])
 @pytest.mark.parametrize("name, state", ORACLE_CASES)
-def test_oracle_covers_every_grid_point(name, state, t_min, monkeypatch):
-    # One grid point off by 1e-6 a_max: a 1 % sample would miss it 99 times in
-    # 100, and a trace row misaligned with the grid would name another t.
+def test_oracle_covers_every_grid_point(name, state, t_min, fault, monkeypatch):
+    # One grid point off by 1e-6 a_max, or a NaN in the trace column there: a
+    # 1 % sample would miss it 99 times in 100, a trace row misaligned with the
+    # grid would name another t, and a NaN compares False with any tolerance.
     raw = example_config(name)
     if state == "nu1":
         raw["state"].update(PATHS[0][0])
@@ -332,7 +377,16 @@ def test_oracle_covers_every_grid_point(name, state, t_min, monkeypatch):
         q = family.heat(params, g, theta, t)
         return np.where(np.asarray(t) == t_bad, q + 1e-6 * engine.a_max, q)
 
-    monkeypatch.setitem(FAMILIES, name, replace(family, heat=heat))
+    delta_mutual_info = _ScenarioEngine.delta_mutual_info
+
+    def nan_trace(self, ts):
+        delta_i, q_trace = delta_mutual_info(self, ts)
+        return delta_i, np.where(ts == t_bad, np.nan, q_trace)
+
+    if fault == "heat off":
+        monkeypatch.setitem(FAMILIES, name, replace(family, heat=heat))
+    else:
+        monkeypatch.setattr(_ScenarioEngine, "delta_mutual_info", nan_trace)
     with pytest.raises(NumericsError, match=f"t={t_bad:g}:"):
         run_sweep(config)
 

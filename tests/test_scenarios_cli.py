@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -684,6 +685,29 @@ class TestCli:
         result = CliRunner().invoke(main, [*command, "--t", t])
         assert result.exit_code == 2, result.output
         assert "--t must be finite" in result.output
+
+    @pytest.mark.parametrize(
+        "command, t, field",
+        [
+            (["sweep", "--n-points", "50"], "--t-max", "time_grid.t_max"),
+            (["critical-time", "--n-points", "50"], "--t-max", "time_grid.t_max"),
+            (["clausius"], "--t", "--t"),
+        ],
+    )
+    def test_overflowing_phases_exit_2(self, command, t, field, tmp_path, monkeypatch):
+        # micadei's g is 675.76: 2 g t overflows a float from t = 1.33e305 on, and
+        # the heat, the bounds and U(t) would be NaN. Just below, all is finite.
+        monkeypatch.chdir(tmp_path)
+        runs = {}
+        for value in ("1e306", "1.3e305"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                runs[value] = CliRunner().invoke(main, [*command, "--builtin", "micadei", t, value])
+            assert caught == [], value
+        over, under = runs["1e306"], runs["1.3e305"]
+        assert over.exit_code == 2 and isinstance(over.exception, SystemExit), over.output
+        assert f"config error: {field} = 1e+306 is too large" in over.output
+        assert under.exit_code == 0, under.output
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("option", ["--g", "--a", "--theta"])
