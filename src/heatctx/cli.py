@@ -21,10 +21,10 @@ from .contextuality import extract_stochastic_reversibility, find_minimal_pd
 from .scenarios import (
     FACTORS,
     ScenarioConfig,
-    TimeGrid,
     _ScenarioEngine,
     builtin_micadei,
     builtin_qutrit_demo,
+    check_time,
     emit,
     run_sweep,
 )
@@ -64,14 +64,8 @@ def _load_config(config_path, builtin, t_max, n_points) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
         config = ScenarioConfig.from_dict(raw)
-    grid = config.time_grid
-    if t_max is not None or n_points is not None:
-        grid = TimeGrid(
-            t_min=grid.t_min,
-            t_max=t_max if t_max is not None else grid.t_max,
-            n_points=n_points if n_points is not None else grid.n_points,
-        )
-    return replace(config, time_grid=grid)
+    given = {k: v for k, v in (("t_max", t_max), ("n_points", n_points)) if v is not None}
+    return replace(config, time_grid=replace(config.time_grid, **given))
 
 
 def _resolve_output(output, fmt, config: ScenarioConfig) -> tuple[str, str]:
@@ -141,16 +135,12 @@ def critical_time(config_path, builtin, t_max, n_points):
         click.echo(f"{c.time:.12e}  {c.side}")
 
 
-def _finite(option: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"{option} must be finite, got {value}")
-    return value
-
-
-def _factor_generator(kind, g, a, theta, local_dim, t):
-    """(generator, analytic p_d at time t) of a named interaction factor."""
-    for option, value in (("--g", g), ("--a", a), ("--theta", theta), ("--t", t)):
-        _finite(option, value)
+def _factor_generator(kind, g, a, theta, local_dim, t, p_d):
+    """(generator, analytic p_d at time t, report at the claimed p_d) of a named
+    interaction factor; the claim is ``p_d``, or the analytic value if it is None."""
+    for option, value in (("--g", g), ("--a", a), ("--theta", theta)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{option} must be finite, got {value}")
     factor = FACTORS[kind]
     h = factor.generator(g, a, theta, local_dim)
     if h.dim != local_dim**2:
@@ -158,7 +148,10 @@ def _factor_generator(kind, g, a, theta, local_dim, t):
             f"--interaction {kind} acts on dimension {h.dim}; "
             f"--local-dim {local_dim} needs {local_dim**2}"
         )
-    return h, float(factor.p_d(g * t, a))
+    check_time("--t", h, t)
+    p_analytic = float(factor.p_d(g * t, a))
+    report = extract_stochastic_reversibility(h, t, p_analytic if p_d is None else p_d)
+    return h, p_analytic, report
 
 
 _INTERACTION_OPTIONS = [
@@ -178,9 +171,7 @@ _INTERACTION_OPTIONS = [
 @_cli_errors
 def verify_decomposition(kind, g, a, theta, local_dim, t, p_d, minimal):
     """Check the stochastic-reversibility decomposition of a named interaction factor."""
-    h, p_analytic = _factor_generator(kind, g, a, theta, local_dim, t)
-    claimed = p_analytic if p_d is None else p_d
-    report = extract_stochastic_reversibility(h, t, claimed)
+    h, p_analytic, report = _factor_generator(kind, g, a, theta, local_dim, t, p_d)
     click.echo(f"p_d = {report.p_d:.12g}  (analytic {p_analytic:.12g})")
     click.echo(f"min Choi eigenvalue = {report.choi_eigenvalues.min():.3e}")
     click.echo(f"cptp: {'yes' if report.is_cptp else 'no'}")
@@ -197,9 +188,7 @@ def verify_decomposition(kind, g, a, theta, local_dim, t, p_d, minimal):
 @_cli_errors
 def choi(kind, g, a, theta, local_dim, t, p_d):
     """Print the Choi spectrum of the extracted residual channel."""
-    h, p_analytic = _factor_generator(kind, g, a, theta, local_dim, t)
-    claimed = p_analytic if p_d is None else p_d
-    report = extract_stochastic_reversibility(h, t, claimed)
+    *_, report = _factor_generator(kind, g, a, theta, local_dim, t, p_d)
     for ev in np.sort(report.choi_eigenvalues):
         click.echo(f"{ev:.12e}")
 
@@ -210,10 +199,9 @@ def choi(kind, g, a, theta, local_dim, t, p_d):
 @_cli_errors
 def clausius(config_path, builtin, t_max, n_points, t):
     """Heat, mutual-information change, and entropy production at one time."""
-    t = _finite("--t", t)
     config = _load_config(config_path, builtin, t_max, n_points)
     engine = _ScenarioEngine(config)
-    engine.check_time("--t", t)
+    check_time("--t", engine.h_int, t)
     beta_a, beta_b = engine.params.beta_A, engine.params.beta_B
     result = clausius_report(
         engine.rho, engine.h_int, engine.h_local, engine.h_local, beta_a, beta_b, t

@@ -19,13 +19,13 @@ EIG_RECONSTRUCTION_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce input (array-like or operator wrapper) to a complex 2-D array."""
+    """Coerce input (array-like or operator wrapper) to a finite complex square matrix."""
     if isinstance(m, (HermitianOp, UnitaryOp)):
         m = m.matrix
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise NumericsError("matrix contains NaN or Inf entries")
     return a
 
@@ -46,11 +46,7 @@ class HermitianOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"Hermitian operator must be square, got {m.shape}")
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-            raise NumericsError("matrix contains NaN or Inf entries")
+        m = as_matrix(self.matrix)
         if max_norm(m - dagger(m)) > HERMITIAN_TOL:
             raise NumericsError(
                 f"matrix is not Hermitian to {HERMITIAN_TOL:g} "
@@ -70,11 +66,7 @@ class UnitaryOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"unitary must be square, got {m.shape}")
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-            raise NumericsError("matrix contains NaN or Inf entries")
+        m = as_matrix(self.matrix)
         if max_norm(dagger(m) @ m - np.eye(m.shape[0])) > UNITARY_TOL:
             raise NumericsError(f"matrix is not unitary to {UNITARY_TOL:g}")
         object.__setattr__(self, "matrix", m)
@@ -97,8 +89,6 @@ def partial_trace(m, dims, keep: int) -> np.ndarray:
     """
     a = as_matrix(m)
     dims = list(int(d) for d in dims)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"partial trace needs a square matrix, got {a.shape}")
     if int(np.prod(dims)) != a.shape[0]:
         raise DimensionError(
             f"product of dims {dims} does not match matrix dimension {a.shape[0]}"

@@ -45,6 +45,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericsError
+from .linalg import as_matrix
 from .states import (
     TwoQubitThermalParams,
     TwoQutritThermalParams,
@@ -466,6 +467,19 @@ FAMILIES = {
 }
 
 
+def check_time(field: str, h_int, t: float) -> None:
+    """ConfigError unless t is finite and 2 t times the largest rate of H_I is a finite float.
+
+    H_I's absolute row sums bound its eigenvalues, g and g |a - 1|; the closed
+    forms take angles up to 2 g t, the evolution w t.
+    """
+    if not math.isfinite(t):
+        raise ConfigError(f"{field} must be finite, got {t}")
+    rate = float(np.abs(as_matrix(h_int)).sum(axis=1).max())
+    if not math.isfinite(2 * rate * t):
+        raise ConfigError(f"{field} = {t:g} is too large: its phases under H_I overflow")
+
+
 class _ScenarioEngine:
     """Assembled state/interaction/bounds for one config; vectorized over t."""
 
@@ -507,19 +521,9 @@ class _ScenarioEngine:
         b_minus, b_plus = sequential_b_factors(p_d[0], p_d[1])
         return 2 * self.a_max * b_plus, -4 * self.a_max * b_minus
 
-    def check_time(self, field: str, t: float) -> None:
-        """ConfigError unless 2 t times the largest rate of H_I is a finite float.
-
-        H_I's absolute row sums bound its eigenvalues, g and g |a - 1|; the closed
-        forms take angles up to 2 g t, the evolution w t.
-        """
-        rate = float(np.abs(self.h_int.matrix).sum(axis=1).max())
-        if not math.isfinite(2 * rate * t):
-            raise ConfigError(f"{field} = {t:g} is too large: its phases under H_I overflow")
-
     def scan(self, ts: np.ndarray):
         """(heat, upper, lower, crossings): the closed-form columns on ts and their crossings."""
-        self.check_time("time_grid.t_max", float(np.max(ts, initial=0.0)))  # grids hold t >= 0
+        check_time("time_grid.t_max", self.h_int, float(np.max(ts, initial=0.0)))  # grids hold t >= 0
         heat = np.asarray(self.heat(ts), dtype=float)
         upper, lower = (np.asarray(b, dtype=float) for b in self.bounds(ts))
         crossings = find_critical_times(ts, heat, (upper, lower), self.heat, self.bounds)
@@ -577,12 +581,8 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     ts = config.time_grid.times()
     heat, upper, lower, crossings = engine.scan(ts)
 
-    # Delta mutual information and the trace-formula heat, batched over the grid.
-    if config.time_grid.t_min == 0:
-        delta_i, q_trace = engine.delta_mutual_info(ts)
-    else:
-        ts0 = np.concatenate(([0.0], ts))
-        delta_i, q_trace = (column[1:] for column in engine.delta_mutual_info(ts0))
+    # Delta mutual information and the trace-formula heat; row 0 is the reference t = 0.
+    delta_i, q_trace = (column[1:] for column in engine.delta_mutual_info(np.append(0.0, ts)))
     _check_against_trace(engine, ts, heat, q_trace)
 
     tol = VIOLATION_REL_TOL * np.maximum.reduce(

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     NotAStateError,
-    NumericsError,
     ParamError,
     SupportError,
 )
@@ -43,12 +42,8 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = as_matrix(self.matrix)
         dims = tuple(int(d) for d in self.dims)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"density matrix must be square, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise NumericsError("density matrix contains NaN or Inf entries")
         if int(np.prod(dims)) != m.shape[0]:
             raise DimensionError(
                 f"subsystem dims {dims} do not match matrix dimension {m.shape[0]}"
@@ -257,11 +252,10 @@ def population_entropies(populations: np.ndarray, dims) -> tuple[np.ndarray, np.
 def spectral_entropies(w: np.ndarray) -> np.ndarray:
     """-sum w ln w in nats along the last axis of ascending spectra, 0 ln 0 := 0.
 
-    Eigenvalues below 0 (round-off) are clipped to 0.
+    Eigenvalues below 0 (round-off) are clipped to 0; a NaN eigenvalue gives a NaN.
     """
     w = np.clip(w, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(w > 0, -w * np.log(np.where(w > 0, w, 1.0)), 0.0)
+    terms = np.where(w == 0, 0.0, -w * np.log(np.where(w > 0, w, 1.0)))
     return terms.sum(axis=-1)
 
 

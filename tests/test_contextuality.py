@@ -31,6 +31,7 @@ from heatctx.contextuality import (
     IDENTITY_GAP_TOL,
     MINIMAL_PD_TOL,
     _cptp_verdict,
+    _eigenbasis_gaps,
     _residual_channel,
     _symmetrized_conjugation,
 )
@@ -361,6 +362,24 @@ class TestSmallPd:
                 assert p == 0.0
             else:
                 assert abs(p - p_analytic) <= PD_REL_RESOLUTION * p_analytic
+            assert report.is_cptp
+
+    @pytest.mark.parametrize("a", [0.0, 0.37, 2.5])
+    @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
+    def test_minimal_pd_is_the_analytic_pd(self, kind, local_dim, a):
+        # On a seeded grid of g t from 1e-7 to 3: where some G_ij exceeds
+        # IDENTITY_GAP_TOL the search finds the analytic p_d, else it returns 0.
+        rng = np.random.default_rng(71)
+        g = 1.3
+        h = factor_generator(kind, local_dim, g, a)
+        for gt in np.exp(rng.uniform(np.log(1e-7), np.log(3.0), 40)):
+            t = gt / g
+            p, report = find_minimal_pd(h, t)
+            if _eigenbasis_gaps(h, t).max() <= IDENTITY_GAP_TOL:
+                assert p == 0.0
+            else:
+                p_analytic = float(FACTORS[kind].p_d(g * t, a))
+                assert abs(p - p_analytic) <= 1e-9 * p_analytic, (gt, p, p_analytic)
             assert report.is_cptp
 
     @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)

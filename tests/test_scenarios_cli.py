@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -5,6 +6,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from heatctx import (
     qutrit_heat_coefficients,
     qutrit_critical_times_analytic,
 )
-from heatctx.cli import main
+from heatctx.cli import BUILTINS, main
 from heatctx.contextuality import IDENTITY_GAP_TOL, MINIMAL_PD_TOL
 from conftest import reference_csv, reference_json, result_from_records
 import heatctx.scenarios as scenarios
@@ -48,6 +50,7 @@ from heatctx.scenarios import (
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def small_config(**overrides):
@@ -186,6 +189,19 @@ class TestRunSweep:
             monkeypatch.setattr(_ScenarioEngine, name, counted(name))
         assert run_sweep(config).crossings
         assert sorted(full_grid) == ["bounds", "heat"]
+
+    @pytest.mark.parametrize("builtin", sorted(BUILTINS))
+    def test_builtin_sweeps_match_the_reference(self, builtin):
+        # The pinned CSV fixes the bits of every column; micadei's tau_c is pinned too.
+        reference = json.loads(REFERENCE.read_text())
+        result = run_sweep(BUILTINS[builtin]())
+        digest = hashlib.sha256(format_csv(result).encode()).hexdigest()
+        assert digest == reference["csv_sha256"][builtin]
+        want = reference["critical_times"].get(builtin)
+        if want is not None:
+            got = result.critical_times
+            assert len(got) == len(want), got
+            assert all(abs(g - w) <= 1e-9 * abs(w) for g, w in zip(got, want)), (got, want)
 
     def test_delta_mutual_info_starts_at_zero(self):
         result = run_sweep(small_config())
@@ -708,6 +724,23 @@ class TestCli:
         assert over.exit_code == 2 and isinstance(over.exception, SystemExit), over.output
         assert f"config error: {field} = 1e+306 is too large" in over.output
         assert under.exit_code == 0, under.output
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["verify-decomposition", "--interaction", "partial-swap", "--local-dim", "3"],
+            ["choi", "--interaction", "resonant-exchange"],
+        ],
+    )
+    def test_overflowing_decomposition_time_exits_2(self, command):
+        # 2 g t overflows a float at g = 10, t = 1e308, where the analytic p_d is NaN.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, [*command, "--g", "10", "--t", "1e308"])
+        assert caught == []
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+        assert "config error: --t = 1e+308 is too large" in result.output
+        assert "Warning" not in result.output
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("option", ["--g", "--a", "--theta"])

@@ -19,7 +19,12 @@ from heatctx import (
     von_neumann_entropy,
     zeeman_hamiltonian,
 )
-from heatctx.states import bipartite_marginals, entropies, population_entropies
+from heatctx.states import (
+    bipartite_marginals,
+    entropies,
+    population_entropies,
+    spectral_entropies,
+)
 
 from conftest import (
     random_density,
@@ -196,6 +201,11 @@ class TestEntropies:
         sigma = DensityMatrix(np.outer(v0, v0.conj()), (2,))
         with pytest.raises(SupportError):
             relative_entropy(rho, sigma)
+
+    def test_a_nan_eigenvalue_gives_a_nan_entropy(self):
+        s = spectral_entropies(np.array([[np.nan, 0.5], [0.0, 1.0], [0.25, 0.75]]))
+        assert np.isnan(s[0])
+        assert s[1] == 0.0 and s[2] == -0.25 * np.log(0.25) - 0.75 * np.log(0.75)
 
     def test_mutual_information_local_unitary_invariance(self):
         rng = np.random.default_rng(23)

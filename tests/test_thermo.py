@@ -6,6 +6,7 @@ from heatctx import (
     DimensionError,
     NonResonantInteraction,
     NonThermalMarginalsError,
+    NumericsError,
     PartialSwapInteraction,
     ResonantInteraction,
     TwoQubitThermalParams,
@@ -22,7 +23,10 @@ from heatctx import (
     zeeman_hamiltonian,
 )
 
+from heatctx import thermo
+
 from conftest import (
+    count_calls,
     population_form_heat,
     qubit_clausius,
     qubit_thermal_populations,
@@ -37,6 +41,19 @@ def test_heat_zero_at_t0():
     rho = two_qubit_thermal(p)
     h = ResonantInteraction(1.0, theta=0.7).hamiltonian()
     assert heat_trace(rho, h, zeeman_hamiltonian(1.0), 0.0) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_heat_trace_builds_no_evolution_plan(monkeypatch):
+    # The trace formula is the sweep's reference, so it evolves through its own
+    # matrix exponential, not the sweep's kernel.
+    p = TwoQubitThermalParams(omega=1.0, beta_A=0.8, beta_B=0.3, eta=0.1)
+    rho, local = two_qubit_thermal(p), zeeman_hamiltonian(1.0)
+    h = ResonantInteraction(1.0, theta=0.7).hamiltonian()
+    calls = count_calls(monkeypatch, [("heatctx.dynamics", "EvolutionPlan")])
+    heat_trace(rho, h, local, 0.9)
+    assert calls == {"EvolutionPlan": 0}
+    clausius_report(rho, h, local, local, p.beta_A, p.beta_B, 0.9)
+    assert calls == {"EvolutionPlan": 1}
 
 
 def test_nonresonant_transfers_no_heat():
@@ -235,6 +252,12 @@ class TestClausius:
         )
         assert abs(res.q_A + res.q_B) < 1e-10
         assert res.entropy_production >= -1e-9
+
+    def test_a_nan_identity_gap_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(thermo, "relative_entropy", lambda rho, sigma: float("nan"))
+        params = TwoQubitThermalParams(omega=1.0, beta_A=0.9, beta_B=0.4, eta=0.05)
+        with pytest.raises(NumericsError, match="identity violated by nan"):
+            qubit_clausius(params, ResonantInteraction(1.0, theta=0.3), 0.7)
 
     def test_nonthermal_marginals_rejected(self):
         rng = np.random.default_rng(6)
