@@ -127,7 +127,9 @@ def sweep(config_path, builtin, t_max, n_points, output, fmt):
 def critical_time(config_path, builtin, t_max, n_points):
     """Report bound-crossing times only."""
     config = _load_config(config_path, builtin, t_max, n_points)
-    *_, crossings = _ScenarioEngine(config).scan(config.time_grid.times())
+    engine = _ScenarioEngine(config)
+    check_time("time_grid.t_max", engine.h_int, config.time_grid.t_max)
+    crossings = engine.crossings(config.time_grid.times())
     if not crossings:
         click.echo("no crossings on the grid")
         return
@@ -149,7 +151,7 @@ def _factor_generator(kind, g, a, theta, local_dim, t, p_d):
             f"--local-dim {local_dim} needs {local_dim**2}"
         )
     check_time("--t", h, t)
-    p_analytic = float(factor.p_d(g * t, a))
+    p_analytic = float(factor.p_d(g, t, a))
     report = extract_stochastic_reversibility(h, t, p_analytic if p_d is None else p_d)
     return h, p_analytic, report
 

@@ -15,13 +15,15 @@ g t = 1e-8 and below. ``unitary_to_superoperator``,
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DecompositionError, DimensionError, ParamError
+from .errors import DecompositionError, DimensionError, NumericsError, ParamError
 from .linalg import HermitianOp, UnitaryOp, as_matrix, dagger, eig_hermitian, max_norm
 
 CHOI_EIGENVALUE_FLOOR = -1e-9
@@ -258,6 +260,16 @@ def nc_bound_theorem2(a_max: float, p_d1: float, p_d2: float) -> NcBound:
 # Relative width at which the bisection stops refining a crossing.
 CROSSING_REL_TOL = 1e-10
 
+# The spectral form of heat - bound (see ``find_critical_times``).
+SPECTRAL_MAX_DEGREE = 32  # harmonics K of the base frequency w0
+SPECTRAL_MAX_PERIODS = 64  # periods 2 pi / w0 up to the grid's end
+COMMENSURATE_TOL = 1e-13  # largest distance of frequency / w0 from an integer, per harmonic
+SPECTRAL_CHECK_TOL = 1e-9  # model vs closed form, relative to twice the largest |curve|
+SPECTRAL_TRIM_TOL = 1e-12  # harmonics below this, relative to the same scale, are rounding
+UNIT_CIRCLE_TOL = 1e-6  # roots of the polynomial in z this close to |z| = 1 are candidates
+ROOT_BRACKET = 2.0**-40  # half-width of a root's own bracket, in radians of w0 t
+_GOLDEN = (math.sqrt(5) - 1) / 2  # spreads the check points over the interval
+
 
 @dataclass(frozen=True)
 class Crossing:
@@ -268,11 +280,13 @@ class Crossing:
 
 
 def _refine_bisection(f, lo: float, hi: float) -> float:
-    flo = f(lo)
+    flo = None  # f(lo), taken once the bracket is wider than the tolerance
     for _ in range(200):
         mid = (lo + hi) / 2
         if hi - lo <= CROSSING_REL_TOL * max(abs(mid), 1e-300):
             return mid
+        if flo is None:
+            flo = f(lo)
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -283,38 +297,219 @@ def _refine_bisection(f, lo: float, hi: float) -> float:
     return (lo + hi) / 2
 
 
+def _opposite(a: float, b: float) -> bool:
+    """A strict sign change: one value below zero, the other above."""
+    return (a < 0 < b) or (b < 0 < a)
+
+
+def _base_frequency(frequencies: list[float], t_max: float) -> tuple[float, int] | None:
+    """(w0, K): every frequency is k w0 with 0 <= k <= K <= ``SPECTRAL_MAX_DEGREE``.
+
+    None when no such K exists, or when t_max spans more than
+    ``SPECTRAL_MAX_PERIODS`` periods 2 pi / w0.
+    """
+    top = max(frequencies, default=0.0)
+    if not top > 0:
+        return None
+    ratios = [f / top for f in frequencies]
+    for k in range(1, SPECTRAL_MAX_DEGREE + 1):
+        if all(abs(r * k - round(r * k)) <= COMMENSURATE_TOL * k for r in ratios):
+            w0 = top / k
+            return (w0, k) if t_max * w0 <= 2 * math.pi * SPECTRAL_MAX_PERIODS else None
+    return None
+
+
+def _root_phases(c: np.ndarray, scale: float) -> list[list[float]]:
+    """Per row of c, the phases w0 t in [0, 2 pi) where its f may vanish.
+
+    A row holds c_0 .. c_K of a real f = sum_k c_k e^{i k w0 t} (c_-k = conj(c_k));
+    z^K f is a polynomial P(z) of degree 2K in z = e^{i w0 t}, and its roots on the
+    unit circle are f's zeros. Harmonics below ``SPECTRAL_TRIM_TOL`` times scale are
+    rounding and dropped. f vanishes at t = 0, so P(1) = 0: the factor z - 1 is
+    divided out and its phase 0 added, rather than told from the other roots by a
+    tolerance. The quotients' roots are the eigenvalues of their companion
+    matrices, padded with zeros to one size and solved in one call (np.roots
+    per side builds the same matrices).
+    """
+    firsts = []  # first rows of the companion matrices
+    for row in c.tolist():
+        while len(row) > 1 and abs(row[-1]) <= SPECTRAL_TRIM_TOL * scale:
+            row.pop()
+        p = row[:0:-1] + row[:1] + [x.conjugate() for x in row[1:]]  # c_K .. c_0 .. c_-K
+        q = list(itertools.accumulate(p))[:-1]  # P(z) = (z - 1) Q(z); P(1) = f(0) = 0
+        firsts.append([-x / q[0] for x in q[1:]])  # [] for a constant f, which never changes sign
+    size = max(map(len, firsts))
+    if size > 1:
+        companions = [
+            [first + [0] * (size - len(first))] + [[int(j == i) for j in range(size)] for i in range(size - 1)]
+            for first in firsts
+        ]
+        z = np.linalg.eigvals(np.array(companions, dtype=complex)).tolist()
+    else:
+        z = firsts  # a 1 x 1 companion matrix is its own eigenvalue
+    return [
+        [cmath.phase(x) % (2 * math.pi) for x in row if abs(abs(x) - 1) <= UNIT_CIRCLE_TOL] + [0.0]
+        for row in z
+    ]
+
+
+def _signed(curves: np.ndarray) -> np.ndarray:
+    """(f_upper, f_lower) = (heat - upper, lower - heat) from the rows heat, upper, lower."""
+    return curves[[0, 2]] - curves[[1, 0]]
+
+
+def _spectral_candidates(ts, curves, w0: float, degree: int) -> list[list[float]]:
+    """Sorted times in (t_min, t_max], per side, near which f_upper or f_lower may vanish.
+
+    ``curves(t)`` is heat, upper and lower on an array t, as rows. Both sides are
+    sampled at 2K + 1 points of one period 2 pi / w0; their DFT gives c_0 .. c_K.
+    The model is checked against the closed forms at 2K + 3 more points spread
+    over [0, max(t_max, period)], to 1e-9 of twice the largest |heat|, |upper|
+    or |lower| there, so that a missing frequency raises NumericsError; so does
+    an f that does not vanish at t = 0, whose root there ``_root_phases``
+    divides out. The roots' phases are unrolled over the periods of the grid,
+    with a margin of one root bracket at either end.
+    """
+    n = 2 * degree + 1
+    period = 2 * math.pi / w0
+    t_min, t_max = float(ts[0]), float(ts[-1])
+    span = max(t_max, period)
+    t = np.array([j * period / n for j in range(n)] + [m * _GOLDEN % 1.0 * span for m in range(1, n + 3)])
+    sampled = curves(t)
+    f, scale = _signed(sampled), 2 * float(np.abs(sampled).max())  # scale >= |heat| + |bound|
+    waves = np.exp(np.multiply.outer(t, 1j * w0 * np.arange(degree + 1)))  # e^{i k w0 t}, k = 0 .. K
+    c = f[:, :n] @ waves[:n].conj() / n  # the DFT: c_k = mean of f e^{-i k w0 t} over one period
+    worst = np.abs(2 * (c @ waves[n:].T).real - c[:, :1].real - f[:, n:]).max()
+    if not worst <= SPECTRAL_CHECK_TOL * scale:
+        raise NumericsError(
+            f"heat - bound is not a sum of harmonics of w0 = {w0:.17g} up to {degree}: "
+            f"the model misses the closed form by {worst:.3e} (scale {scale:.3e})"
+        )
+    if not np.abs(f[:, 0]).max() <= SPECTRAL_CHECK_TOL * scale:
+        raise NumericsError("heat - bound does not vanish at t = 0")
+    margin = ROOT_BRACKET / w0
+    lo, hi = max(t_min - margin, 0.0), t_max + margin
+    turns = range(max(math.floor(lo / period), 0), math.floor(hi / period) + 1)
+    unrolled = (((p + 2 * math.pi * k) / w0 for p in phases for k in turns) for phases in _root_phases(c, scale))
+    return [sorted(r for r in times if lo < r <= hi) for times in unrolled]
+
+
+def _brackets(ts: np.ndarray, roots: list[float], w0: float) -> list[tuple]:
+    """(cell, alone, points) of each of one side's sorted candidate roots.
+
+    cell j is the cell [t_j, t_j+1] of the grid holding the root (``np.searchsorted``),
+    alone whether it holds no other root, and points lists t_j-1 .. t_j+2 (clipped
+    to the grid), the root's own bracket, of half-width ``ROOT_BRACKET`` / w0, and
+    its share of [t_min, t_max], up to the midpoints with its neighbours.
+    """
+    last, t_min, t_max = len(ts) - 1, float(ts[0]), float(ts[-1])
+    cells = [min(max(j - 1, 0), last - 1) for j in np.searchsorted(ts, roots, side="right").tolist()]
+    ends = [t_min] + [min(max((a + b) / 2, t_min), t_max) for a, b in zip(roots, roots[1:])] + [t_max]
+    out = []
+    for i, (r, j) in enumerate(zip(roots, cells)):
+        alone = cells[max(i - 1, 0) : i + 2].count(j) == 1
+        w = max(ROOT_BRACKET / w0, 4 * math.ulp(r))
+        grid = [float(ts[min(max(k, 0), last)]) for k in range(j - 1, j + 3)]
+        lo, hi = max(r - w, ends[i]), min(r + w, ends[i + 1])
+        out.append((j, alone, [*grid, lo, hi, ends[i], ends[i + 1]]))
+    return out
+
+
+def _polish(f, ts: np.ndarray, brackets: list[tuple], values: list[list[float]]) -> list[float]:
+    """The crossings of f at one side's candidate roots, each on a strict sign change.
+
+    ``brackets`` come from ``_brackets`` and ``values`` holds f on their points.
+    A candidate alone in its cell [t_j, t_j+1] is refined on that cell when f
+    changes sign across it, so such a crossing has the bits of a scan of the
+    grid; an interior grid point where f is 0 between neighbours of opposite
+    sign is the crossing itself. Otherwise the candidate's own bracket is
+    refined or, when f does not change sign across that, its share. No sign
+    change there is no crossing (a touch).
+    """
+    last = len(ts) - 1
+    times = []
+    for (j, alone, (*_, lo, hi, lo_end, hi_end)), v in zip(brackets, values):
+        if alone and _opposite(v[1], v[2]):
+            times.append(_refine_bisection(f, ts[j], ts[j + 1]))
+        elif alone and v[1] == 0 and j > 0 and _opposite(v[0], v[2]):
+            times.append(float(ts[j]))
+        elif alone and v[2] == 0 and j + 1 < last and _opposite(v[1], v[3]):
+            times.append(float(ts[j + 1]))
+        elif _opposite(v[4], v[5]):
+            times.append(_refine_bisection(f, lo, hi))
+        elif _opposite(v[6], v[7]):
+            times.append(_refine_bisection(f, lo_end, hi_end))
+    return sorted(set(times))
+
+
+def _spectral_crossings(ts, heat_at, bounds_at, w0: float, degree: int, sides) -> list[list[float]]:
+    """Crossing times per side from the spectral form, f of each side in ``sides``."""
+
+    def curves(t):  # heat, upper and lower on an array t, as rows
+        return np.array([heat_at(t), *bounds_at(t)], dtype=float)
+
+    brackets = [_brackets(ts, roots, w0) for roots in _spectral_candidates(ts, curves, w0, degree)]
+    points = [p for side in brackets for *_, p in side]
+    f = _signed(curves(np.array(points).ravel())).reshape(2, len(points), 8).tolist() if points else [[], []]
+    upper = len(brackets[0])  # the first rows are the upper side's
+    return [
+        _polish(sides[0], ts, brackets[0], f[0][:upper]),
+        _polish(sides[1], ts, brackets[1], f[1][upper:]),
+    ]
+
+
+def _scan(ts, heat, bounds, f, i, sign) -> list[float]:
+    """Crossing times of one side from the columns on the grid ts."""
+    s = np.sign(sign * (heat - bounds[i]))
+    times = [_refine_bisection(f, ts[j], ts[j + 1]) for j in np.flatnonzero(s[:-1] * s[1:] < 0)]
+    for j in np.flatnonzero(s[1:-1] == 0) + 1:
+        if s[j - 1] * s[j + 1] < 0:
+            times.append(float(ts[j]))
+    return times
+
+
 def find_critical_times(
     ts: np.ndarray,
-    heat: np.ndarray,
-    bounds: tuple[np.ndarray, np.ndarray],
+    heat: np.ndarray | None,
+    bounds: tuple[np.ndarray, np.ndarray] | None,
     heat_at: Callable,
     bounds_at: Callable,
+    frequencies: list[float] | None = None,
 ) -> list[Crossing]:
-    """Ordered crossing times of the heat curve with either bound on the grid ts.
+    """Ordered crossing times of the heat curve with either bound in (t_min, t_max] of ts.
 
-    ``heat`` and ``bounds`` = (upper, lower) are the columns on ts; the scan
-    looks for strict sign changes of heat - upper and of lower - heat and
-    refines each bracket by bisection to relative tolerance 1e-10, calling
-    ``heat_at(t)`` and ``bounds_at(t) -> (upper, lower)`` at scalar t. An
-    interior grid point exactly on the bound, between neighbours of opposite
-    sign, is a crossing at that grid time; a touch without sign change, such
-    as the common zero at t = 0, is none. An empty list means no crossing,
-    which is a valid outcome.
+    A crossing is a strict sign change of f_upper = heat - upper or of
+    f_lower = lower - heat, refined by bisection to relative tolerance 1e-10 on
+    ``heat_at(t)`` and ``bounds_at(t) -> (upper, lower)`` at scalar t; a touch
+    without sign change, such as the common zero at t = 0, is none. An empty
+    list means no crossing, which is a valid outcome.
+
+    ``frequencies`` are the angular frequencies in t of heat and both bounds.
+    Where they are multiples of one w0, up to ``SPECTRAL_MAX_DEGREE`` of them,
+    and ts spans at most ``SPECTRAL_MAX_PERIODS`` periods 2 pi / w0, the roots
+    come from the spectral form of f (``_spectral_candidates``) and are
+    polished on the cells of ts that hold them (``_polish``): every crossing is
+    found, whatever the grid's spacing. Otherwise, or without frequencies, ts
+    is scanned: ``heat`` and ``bounds`` = (upper, lower) are the columns on ts
+    (evaluated here when None), a crossing is a strict sign change between grid
+    points, or an interior grid point exactly on the bound between neighbours
+    of opposite sign, and a crossing between two points of equal sign is missed.
     """
-    crossings: list[Crossing] = []
-    for side, i, sign in (("upper", 0, +1), ("lower", 1, -1)):
-
-        def f(t):  # > 0 means violation on this side
-            return sign * (float(heat_at(t)) - float(bounds_at(t)[i]))
-
-        s = np.sign(sign * (heat - bounds[i]))
-        for j in np.flatnonzero(s[:-1] * s[1:] < 0):
-            root = _refine_bisection(f, ts[j], ts[j + 1])
-            crossings.append(Crossing(time=float(root), side=side))
-        for j in np.flatnonzero(s[1:-1] == 0) + 1:
-            if s[j - 1] * s[j + 1] < 0:
-                crossings.append(Crossing(time=float(ts[j]), side=side))
-
+    sides = [
+        lambda t: float(heat_at(t)) - float(bounds_at(t)[0]),  # f_upper > 0: violation
+        lambda t: float(bounds_at(t)[1]) - float(heat_at(t)),  # f_lower > 0: violation
+    ]
+    base = None if frequencies is None else _base_frequency(frequencies, float(ts[-1]))
+    if base:
+        times = _spectral_crossings(ts, heat_at, bounds_at, *base, sides)
+    else:
+        if heat is None:
+            heat = np.asarray(heat_at(ts), dtype=float)
+            bounds = tuple(np.asarray(b, dtype=float) for b in bounds_at(ts))
+        times = [_scan(ts, heat, bounds, f, i, sign) for i, (f, sign) in enumerate(zip(sides, (1, -1)))]
+    crossings = [
+        Crossing(time=float(t), side=side) for side, side_times in zip(("upper", "lower"), times) for t in side_times
+    ]
     crossings.sort(key=lambda c: c.time)
     return crossings
 

@@ -3,7 +3,8 @@
 A scenario bundles a correlated thermal state, an energy-conserving
 interaction, a time grid, and units. Sweeps evaluate the closed-form heat and
 the noncontextual bounds on the full grid once, find the bound-crossing times
-in those columns, evolve the state once over the grid for the mutual-information
+(from the spectral form of heat - bound where its frequencies are commensurate,
+else in those columns), evolve the state once over the grid for the mutual-information
 change, check the heat against the trace formula of that evolved state on every
 grid point, and evaluate per-point violation flags. A ``SweepResult`` holds these
 as numpy columns, one entry per grid point, and CSV and JSON are rendered
@@ -67,6 +68,7 @@ from .dynamics import (
 from .thermo import (
     heat_closed_form_2qubit_thermal,
     heat_closed_form_qutrit,
+    qutrit_heat_coefficients,
 )
 from .contextuality import (
     CROSSING_REL_TOL,
@@ -380,7 +382,7 @@ def _qutrit_params(state: dict) -> TwoQutritThermalParams:
     )
 
 
-def _no_heat(params, g, theta, t):
+def _no_heat(t):
     """The non-resonant interaction commutes with each local Hamiltonian."""
     out = np.zeros_like(np.asarray(t, dtype=float))
     return out if out.ndim else 0.0
@@ -393,17 +395,18 @@ def _no_heat(params, g, theta, t):
 class Factor:
     """One transformation of a family's sequence, keyed by its ``--interaction`` name.
 
-    ``generator(g, a, theta, local_dim)`` is its Hamiltonian; ``p_d(x, a)`` is
-    its analytic probability of disturbance at x = g t.
+    ``generator(g, a, theta, local_dim)`` is its Hamiltonian; ``p_d(g, t, a)`` is
+    its analytic probability of disturbance at time t, sin^2(Delta t / 2) with
+    Delta the generator's gap (its two eigenvalues' distance).
     """
 
     generator: Callable
     p_d: Callable
 
 
-def _p_swap(x, a):
-    """Partial SWAP and resonant exchange both swap with amplitude sin(x)."""
-    return np.sin(x) ** 2
+def _p_swap(g, t, a):
+    """Partial SWAP and resonant exchange both swap with amplitude sin(g t)."""
+    return np.sin(g * t) ** 2
 
 
 FACTORS = {
@@ -412,11 +415,12 @@ FACTORS = {
     ),
     "resonant-detuning": Factor(
         lambda g, a, theta, d: ResonantInteraction(g, a, theta).detuning_part(),
-        lambda x, a: np.sin((a - 1.0) * x / 2) ** 2,
+        # The gap g |a - 1| times t / 2, not (a - 1) (g t) / 2: g t can overflow first.
+        lambda g, t, a: np.sin(((a - 1.0) * g) * (t / 2)) ** 2,
     ),
     "nonresonant": Factor(
         lambda g, a, theta, d: NonResonantInteraction(g).hamiltonian(),
-        lambda x, a: np.sin(x / 2) ** 2,
+        lambda g, t, a: np.sin(g * t / 2) ** 2,
     ),
     "partial-swap": Factor(
         lambda g, a, theta, d: PartialSwapInteraction(g, d).hamiltonian(), _p_swap
@@ -432,7 +436,7 @@ class Family:
     state: Callable  # params -> DensityMatrix
     local: Callable  # params -> local Hamiltonian, the same on A and B
     h_int: Callable  # (g, a, theta) -> interaction Hamiltonian
-    heat: Callable  # (params, g, theta, t) -> closed-form <Q_A>
+    heat: Callable  # (params, g, theta) -> closed-form <Q_A> as a function of t
     factors: tuple[str, ...]  # FACTORS keys: one for Theorem 1, two for Theorem 2
 
 
@@ -446,14 +450,14 @@ FAMILIES = {
     "two_qubit_resonant": Family(
         **_QUBITS,
         h_int=lambda g, a, theta: ResonantInteraction(g, a, theta).hamiltonian(),
-        heat=heat_closed_form_2qubit_thermal,
+        heat=lambda p, g, theta: functools.partial(heat_closed_form_2qubit_thermal, p, g, theta),
         # The exchange part first, then the commuting detuning part.
         factors=("resonant-exchange", "resonant-detuning"),
     ),
     "two_qubit_nonresonant": Family(
         **_QUBITS,
         h_int=lambda g, a, theta: NonResonantInteraction(g).hamiltonian(),
-        heat=_no_heat,
+        heat=lambda p, g, theta: _no_heat,
         factors=("nonresonant",),
     ),
     "qutrit_partial_swap": Family(
@@ -461,7 +465,10 @@ FAMILIES = {
         state=two_qutrit_thermal,
         local=lambda p: qutrit_hamiltonian(p.omegas),
         h_int=lambda g, a, theta: PartialSwapInteraction(g, local_dim=3).hamiltonian(),
-        heat=lambda p, g, theta, t: heat_closed_form_qutrit(p, g, t),
+        # zeta and xi depend on the state alone: computed once per engine.
+        heat=lambda p, g, theta: functools.partial(
+            heat_closed_form_qutrit, p, g, coefficients=qutrit_heat_coefficients(p)
+        ),
         factors=("partial-swap",),
     ),
 }
@@ -497,8 +504,13 @@ class _ScenarioEngine:
 
     # -- heat ---------------------------------------------------------------
 
+    @functools.cached_property
+    def _heat_at(self) -> Callable:
+        """The family's closed form for this engine, built on first use (``clausius`` never needs it)."""
+        return self.family.heat(self.params, self.g, self.theta)
+
     def heat(self, t):
-        return self.family.heat(self.params, self.g, self.theta, t)
+        return self._heat_at(t)
 
     def heat_trace_at(self, populations: np.ndarray) -> np.ndarray:
         """Trace-formula <Q_A> from the populations p(t) of rho(t), one row per time.
@@ -516,18 +528,35 @@ class _ScenarioEngine:
         Theorem 2 over the family's factors. A one-factor family pads p_d2
         with 0, which reduces Theorem 2 exactly to Theorem 1 at alpha = 1/2.
         """
-        x = self.g * np.asarray(t, dtype=float)
-        p_d = [FACTORS[name].p_d(x, self.a) for name in self.family.factors] + [0.0]
+        t = np.asarray(t, dtype=float)
+        p_d = [FACTORS[name].p_d(self.g, t, self.a) for name in self.family.factors] + [0.0]
         b_minus, b_plus = sequential_b_factors(p_d[0], p_d[1])
         return 2 * self.a_max * b_plus, -4 * self.a_max * b_minus
+
+    def frequencies(self) -> list[float]:
+        """Angular frequencies in t of heat - bound, each a distance of two eigenvalues.
+
+        The heat's are the Bohr frequencies of H_I. A factor's p_d = sin^2(Delta t / 2)
+        has the gap Delta of its generator, and Theorem 2's product p_d1 p_d2 adds
+        Delta1 + Delta2 and |Delta1 - Delta2|.
+        """
+        d = self.rho.dims[0]
+        generators = [FACTORS[name].generator(self.g, self.a, self.theta, d) for name in self.family.factors]
+        w, *spectra = np.linalg.eigvalsh(np.array([h.matrix for h in (self.h_int, *generators)])).tolist()
+        gaps = [s[-1] - s[0] for s in spectra]
+        mixed = [gaps[0] + gaps[1], abs(gaps[0] - gaps[1])] if len(gaps) == 2 else []
+        return sorted({b - a for i, a in enumerate(w) for b in w[i:]}.union(gaps, mixed))  # w ascends
+
+    def crossings(self, ts: np.ndarray, columns=(None, None)) -> list[Crossing]:
+        """The crossings on the grid ts; ``columns`` = (heat, (upper, lower)) on ts, if evaluated."""
+        return find_critical_times(ts, *columns, self.heat, self.bounds, self.frequencies())
 
     def scan(self, ts: np.ndarray):
         """(heat, upper, lower, crossings): the closed-form columns on ts and their crossings."""
         check_time("time_grid.t_max", self.h_int, float(np.max(ts, initial=0.0)))  # grids hold t >= 0
         heat = np.asarray(self.heat(ts), dtype=float)
         upper, lower = (np.asarray(b, dtype=float) for b in self.bounds(ts))
-        crossings = find_critical_times(ts, heat, (upper, lower), self.heat, self.bounds)
-        return heat, upper, lower, crossings
+        return heat, upper, lower, self.crossings(ts, (heat, (upper, lower)))
 
     # -- mutual information -------------------------------------------------
 

@@ -70,10 +70,20 @@ class DensityMatrix:
 
 
 def _gibbs_matrix(h, beta: float) -> np.ndarray:
-    """e^{-beta h} / Z as a plain array, diagonal in the eigenbasis of h."""
+    """e^{-beta h} / Z as a plain array, diagonal in the eigenbasis of h.
+
+    A diagonal h with ascending entries, as every local Hamiltonian here is,
+    is its own eigenbasis (eigh returns it with V = 1): its weights come from
+    the diagonal without an eigendecomposition.
+    """
     if not np.isfinite(beta) or beta < 0:
         raise ParamError(f"beta must be finite and >= 0, got {beta}")
-    w, v = eig_hermitian(h)
+    m = as_matrix(h)
+    w = m.diagonal().real
+    if np.array_equal(m, np.diag(w)) and np.all(w[:-1] <= w[1:]):
+        ew = np.exp(-beta * (w - w[0]))
+        return np.diag(ew / ew.sum()).astype(complex)
+    w, v = eig_hermitian(m)
     # Shift by the ground energy so the exponentials never overflow.
     ew = np.exp(-beta * (w - w.min()))
     ew /= ew.sum()

@@ -67,7 +67,7 @@ def seeded_factor_cases(kind, local_dim, seed, n, gt_range=(1e-5, 2 * np.pi)):
         g = rng.uniform(0.2, 2.0)
         a, theta = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2 * np.pi)
         h = factor_generator(kind, local_dim, g, a, theta)
-        yield h, gt / g, gt, float(FACTORS[kind].p_d(gt, a))
+        yield h, gt / g, gt, float(FACTORS[kind].p_d(g, gt / g, a))
 
 
 # Below this g t the eigvalsh reference divides the roundoff of the d^2 x d^2
@@ -319,7 +319,7 @@ class TestMinimalPd:
     def test_factors_match_the_eigvalsh_reference(self, kind, local_dim):
         h = factor_generator(kind, local_dim, 1.0, a=0.4, theta=0.7)
         for gt in (1e-3, 0.3, 0.8, np.pi / 2, 2.9):
-            assert_matches_the_reference(h, gt, gt, float(FACTORS[kind].p_d(gt, 0.4)))
+            assert_matches_the_reference(h, gt, gt, float(FACTORS[kind].p_d(1.0, gt, 0.4)))
 
     @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
     def test_seeded_times_match_the_eigvalsh_reference(self, kind, local_dim):
@@ -355,7 +355,7 @@ class TestSmallPd:
             g = rng.uniform(0.2, 2.0)
             a, theta = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2 * np.pi)
             h = factor_generator(kind, local_dim, g, a, theta)
-            p_analytic = float(FACTORS[kind].p_d(gt, a))
+            p_analytic = float(FACTORS[kind].p_d(g, gt / g, a))
             assert extract_stochastic_reversibility(h, gt / g, p_analytic).is_cptp
             p, report = find_minimal_pd(h, gt / g)
             if 2 * p_analytic <= IDENTITY_GAP_TOL:  # G_max = 2 p_d: the map is the identity
@@ -378,7 +378,7 @@ class TestSmallPd:
             if _eigenbasis_gaps(h, t).max() <= IDENTITY_GAP_TOL:
                 assert p == 0.0
             else:
-                p_analytic = float(FACTORS[kind].p_d(g * t, a))
+                p_analytic = float(FACTORS[kind].p_d(g, t, a))
                 assert abs(p - p_analytic) <= 1e-9 * p_analytic, (gt, p, p_analytic)
             assert report.is_cptp
 

@@ -7,6 +7,7 @@ test here then covers it.
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,8 @@ from conftest import (
     reference_evolve_on_grid,
     reference_json,
 )
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 EXAMPLES = {
     "two_qubit_resonant": dict(
@@ -247,7 +250,7 @@ class TestFamily:
         engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
         ts = seeded_times(6.0)
         upper, lower = engine.bounds(ts)
-        p_d = [FACTORS[k].p_d(engine.g * ts, engine.a) for k in FAMILIES[name].factors]
+        p_d = [FACTORS[k].p_d(engine.g, ts, engine.a) for k in FAMILIES[name].factors]
         for i in range(len(ts)):
             if len(p_d) == 1:
                 ref = nc_bound_theorem1(engine.a_max, float(p_d[0][i]), 0.5)
@@ -373,9 +376,14 @@ def test_oracle_covers_every_grid_point(name, state, t_min, fault, monkeypatch):
     t_bad = ts[np.random.default_rng(5).integers(len(ts))]
     family = FAMILIES[name]
 
-    def heat(params, g, theta, t):
-        q = family.heat(params, g, theta, t)
-        return np.where(np.asarray(t) == t_bad, q + 1e-6 * engine.a_max, q)
+    def heat(params, g, theta):
+        heat_at = family.heat(params, g, theta)
+
+        def off_at_t_bad(t):
+            q = heat_at(t)
+            return np.where(np.asarray(t) == t_bad, q + 1e-6 * engine.a_max, q)
+
+        return off_at_t_bad
 
     delta_mutual_info = _ScenarioEngine.delta_mutual_info
 
@@ -417,24 +425,31 @@ def test_delta_mutual_info_path(name, edit, diagonal, n_points, block, monkeypat
 
 def test_critical_times_list_each_instant_once():
     # At t = k pi / g the qutrit heat passes through the common zero of both
-    # bounds, so both sides cross there at the same instant.
+    # bounds, so both sides cross there at the same instant. Coarser grids
+    # report the same nine crossings as 4,000 points.
     raw = example_config("qutrit_partial_swap")
     raw["time_grid"]["n_points"] = 4000
-    result = run_sweep(ScenarioConfig.from_dict(raw))
-    g = result.config.interaction["g"]
-    for k in (1, 2):
-        at_zero = [c for c in result.crossings if abs(c.time - k * math.pi / g) < 1e-9]
-        assert sorted(c.side for c in at_zero) == ["lower", "upper"]
-        assert [t for t in result.critical_times if abs(t - k * math.pi / g) < 1e-9] == [
-            at_zero[0].time
-        ]
-    times = result.critical_times
-    assert times == sorted(times)
-    assert len(times) == len(result.crossings) - 2
-    assert all(b - a > 1e-10 * b for a, b in zip(times, times[1:]))
+    fine = run_sweep(ScenarioConfig.from_dict(raw)).crossings
+    assert len(fine) == 9
+    for n_points in (4000, 400, 27, 2):
+        raw["time_grid"]["n_points"] = n_points
+        result = run_sweep(ScenarioConfig.from_dict(raw))
+        assert [c.side for c in result.crossings] == [c.side for c in fine]
+        assert [c.time for c in result.crossings] == pytest.approx([c.time for c in fine], rel=1e-9)
+        g = result.config.interaction["g"]
+        for k in (1, 2):
+            at_zero = [c for c in result.crossings if abs(c.time - k * math.pi / g) < 1e-9]
+            assert sorted(c.side for c in at_zero) == ["lower", "upper"]
+            assert [t for t in result.critical_times if abs(t - k * math.pi / g) < 1e-9] == [
+                at_zero[0].time
+            ]
+        times = result.critical_times
+        assert times == sorted(times)
+        assert len(times) == len(result.crossings) - 2
+        assert all(b - a > 1e-10 * b for a, b in zip(times, times[1:]))
 
 
-@pytest.mark.parametrize("n_points", [2, 28, 400])
+@pytest.mark.parametrize("n_points", [2, 27, 28, 50, 400])
 @pytest.mark.parametrize("name", sorted(EXAMPLES) + ["micadei", "qutrit-demo"])
 def test_critical_time_prints_the_sweeps_crossings(name, n_points, tmp_path):
     if name in EXAMPLES:
@@ -452,6 +467,27 @@ def test_critical_time_prints_the_sweeps_crossings(name, n_points, tmp_path):
     result = CliRunner().invoke(main, ["critical-time", *args])
     assert result.exit_code == 0, result.output
     assert result.output.splitlines() == (expect or ["no crossings on the grid"])
+
+
+@pytest.mark.parametrize("n_points", [2, 27, 28, 50, 400])
+@pytest.mark.parametrize("name", ["micadei", "qutrit-demo"])
+def test_builtin_critical_time_does_not_depend_on_the_grid(name, n_points):
+    # micadei's pinned tau_c, and the lower time of the qutrit closed form, from
+    # every grid: heat - bound is a trigonometric sum, solved for its roots.
+    config = {"micadei": builtin_micadei, "qutrit-demo": builtin_qutrit_demo}[name]()
+    config = replace(config, time_grid=replace(config.time_grid, n_points=n_points))
+    if name == "micadei":
+        want = json.loads(REFERENCE.read_text())["critical_times"]["micadei"]
+    else:
+        params = _ScenarioEngine(config).params
+        zeta, xi = qutrit_heat_coefficients(params)
+        want = [qutrit_critical_times_analytic(zeta, xi, max(params.omegas), config.interaction["g"])[1]]
+    result = run_sweep(config)
+    printed = CliRunner().invoke(main, ["critical-time", "--builtin", name, "--n-points", str(n_points)])
+    assert printed.exit_code == 0, printed.output
+    for times in (result.critical_times, [c.time for c in result.crossings],
+                  [float(line.split()[0]) for line in printed.output.splitlines()]):
+        assert times == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize(

@@ -742,6 +742,27 @@ class TestCli:
         assert "config error: --t = 1e+308 is too large" in result.output
         assert "Warning" not in result.output
 
+    @pytest.mark.parametrize("a,p_d", [("1.0001", "0.204501118938"), ("1", "0")])
+    def test_detuning_pd_takes_the_gap_times_half_t(self, a, p_d):
+        # The generator's rate g |a - 1| passes the time rule at t = 1e308, where
+        # g t alone overflows; the p_d angle ((a - 1) g)(t / 2) stays finite.
+        args = ["--interaction", "resonant-detuning", "--a", a, "--g", "10", "--t", "1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, ["verify-decomposition", *args, "--minimal"])
+        assert caught == []
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[0] == f"p_d = {p_d}  (analytic {p_d})"
+        assert "cptp: yes" in result.output
+
+    def test_detuning_pd_bits_at_a_zero(self):
+        # At a = 0 the angle (-g)(t / 2) is -(g t) / 2 exactly: negation and
+        # halving are exact, so micadei's bound columns keep their bits.
+        rng = np.random.default_rng(43)
+        g, t = rng.uniform(0.1, 1e3, 500), np.exp(rng.uniform(-20, 5, 500))
+        p_d = FACTORS["resonant-detuning"].p_d(g, t, 0.0)
+        assert np.array_equal(p_d, np.sin((0.0 - 1.0) * (g * t) / 2) ** 2)
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("option", ["--g", "--a", "--theta"])
     @pytest.mark.parametrize("command", [["verify-decomposition"], ["choi"]])
