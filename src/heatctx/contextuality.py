@@ -260,9 +260,12 @@ def nc_bound_theorem2(a_max: float, p_d1: float, p_d2: float) -> NcBound:
 # Relative width at which the bisection stops refining a crossing.
 CROSSING_REL_TOL = 1e-10
 
-# The spectral form of heat - bound (see ``find_critical_times``).
-SPECTRAL_MAX_DEGREE = 32  # harmonics K of the base frequency w0
-SPECTRAL_MAX_PERIODS = 64  # periods 2 pi / w0 up to the grid's end
+# The spectral form of heat - bound (see ``find_critical_times``). Its cost is
+# counted in grid points of a scan, each one evaluation of heat and both bounds
+# (55 ns on micadei's columns; the timings here are from a 2-vCPU Xeon).
+SCAN_BUDGET_POINTS = 100_000  # micadei's grid: the search costs at most its scan
+CANDIDATE_COST = 200  # bracketing and sign-testing one candidate root, 3-11 us
+EIGVALS_COST = 0.3  # per n^3 of one n x n companion matrix's eigvals, 17 ns at n = 63
 COMMENSURATE_TOL = 1e-13  # largest distance of frequency / w0 from an integer, per harmonic
 SPECTRAL_CHECK_TOL = 1e-9  # model vs closed form, relative to twice the largest |curve|
 SPECTRAL_TRIM_TOL = 1e-12  # harmonics below this, relative to the same scale, are rounding
@@ -302,20 +305,29 @@ def _opposite(a: float, b: float) -> bool:
     return (a < 0 < b) or (b < 0 < a)
 
 
-def _base_frequency(frequencies: list[float], t_max: float) -> tuple[float, int] | None:
-    """(w0, K): every frequency is k w0 with 0 <= k <= K <= ``SPECTRAL_MAX_DEGREE``.
+def spectral_plan(frequencies: list[float], ts: np.ndarray) -> tuple[float, int] | None:
+    """(w0, K) for the spectral search on the grid ts, or None for the scan.
 
-    None when no such K exists, or when t_max spans more than
-    ``SPECTRAL_MAX_PERIODS`` periods 2 pi / w0.
+    Every frequency must be k w0 with 0 <= k <= K, to ``COMMENSURATE_TOL`` per
+    harmonic, with the least such K. The search's cost in grid points, two
+    companion matrices of size 2K - 1 and 2K candidate roots per side in each
+    period 2 pi / w0 the grid touches, must fit a scan of max(n_points,
+    ``SCAN_BUDGET_POINTS``) points: the spectral path never costs more than the
+    scan of micadei's grid, or of the config's own when that is larger. The
+    budget bounds K first, through the companion matrices alone.
     """
     top = max(frequencies, default=0.0)
     if not top > 0:
         return None
+    budget = max(len(ts), SCAN_BUDGET_POINTS)
+    k_max = int(((budget / (2 * EIGVALS_COST)) ** (1 / 3) + 1) / 2)  # 2 (2K - 1)^3 EIGVALS_COST <= budget
     ratios = [f / top for f in frequencies]
-    for k in range(1, SPECTRAL_MAX_DEGREE + 1):
+    for k in range(1, k_max + 1):
         if all(abs(r * k - round(r * k)) <= COMMENSURATE_TOL * k for r in ratios):
             w0 = top / k
-            return (w0, k) if t_max * w0 <= 2 * math.pi * SPECTRAL_MAX_PERIODS else None
+            turns = (float(ts[-1]) - float(ts[0])) * w0 / (2 * math.pi) + 2  # periods touched, at most
+            cost = 2 * EIGVALS_COST * (2 * k - 1) ** 3 + CANDIDATE_COST * 2 * (2 * k) * turns
+            return (w0, k) if cost <= budget else None
     return None
 
 
@@ -340,11 +352,11 @@ def _root_phases(c: np.ndarray, scale: float) -> list[list[float]]:
         firsts.append([-x / q[0] for x in q[1:]])  # [] for a constant f, which never changes sign
     size = max(map(len, firsts))
     if size > 1:
-        companions = [
-            [first + [0] * (size - len(first))] + [[int(j == i) for j in range(size)] for i in range(size - 1)]
-            for first in firsts
-        ]
-        z = np.linalg.eigvals(np.array(companions, dtype=complex)).tolist()
+        companions = np.zeros((len(firsts), size, size), dtype=complex)
+        for m, first in zip(companions, firsts):
+            m[0, : len(first)] = first
+        companions[:, 1:, :-1] = np.eye(size - 1)
+        z = np.linalg.eigvals(companions).tolist()
     else:
         z = firsts  # a 1 x 1 companion matrix is its own eigenvalue
     return [
@@ -474,7 +486,7 @@ def find_critical_times(
     bounds: tuple[np.ndarray, np.ndarray] | None,
     heat_at: Callable,
     bounds_at: Callable,
-    frequencies: list[float] | None = None,
+    spectrum: tuple[float, int] | None = None,
 ) -> list[Crossing]:
     """Ordered crossing times of the heat curve with either bound in (t_min, t_max] of ts.
 
@@ -484,28 +496,23 @@ def find_critical_times(
     without sign change, such as the common zero at t = 0, is none. An empty
     list means no crossing, which is a valid outcome.
 
-    ``frequencies`` are the angular frequencies in t of heat and both bounds.
-    Where they are multiples of one w0, up to ``SPECTRAL_MAX_DEGREE`` of them,
-    and ts spans at most ``SPECTRAL_MAX_PERIODS`` periods 2 pi / w0, the roots
-    come from the spectral form of f (``_spectral_candidates``) and are
-    polished on the cells of ts that hold them (``_polish``): every crossing is
-    found, whatever the grid's spacing. Otherwise, or without frequencies, ts
-    is scanned: ``heat`` and ``bounds`` = (upper, lower) are the columns on ts
-    (evaluated here when None), a crossing is a strict sign change between grid
-    points, or an interior grid point exactly on the bound between neighbours
-    of opposite sign, and a crossing between two points of equal sign is missed.
+    With ``spectrum`` = (w0, K) from ``spectral_plan``, heat and both bounds are
+    sums of harmonics k w0, k <= K: the roots come from that spectral form
+    (``_spectral_candidates``) and are polished on the cells of ts that hold
+    them (``_polish``), so every crossing is found whatever the grid's spacing,
+    and the columns are not read. Without it, ts is scanned: ``heat`` and
+    ``bounds`` = (upper, lower) are the columns on ts, a crossing is a strict
+    sign change between grid points, or an interior grid point exactly on the
+    bound between neighbours of opposite sign, and a crossing between two
+    points of equal sign is missed.
     """
     sides = [
         lambda t: float(heat_at(t)) - float(bounds_at(t)[0]),  # f_upper > 0: violation
         lambda t: float(bounds_at(t)[1]) - float(heat_at(t)),  # f_lower > 0: violation
     ]
-    base = None if frequencies is None else _base_frequency(frequencies, float(ts[-1]))
-    if base:
-        times = _spectral_crossings(ts, heat_at, bounds_at, *base, sides)
+    if spectrum:
+        times = _spectral_crossings(ts, heat_at, bounds_at, *spectrum, sides)
     else:
-        if heat is None:
-            heat = np.asarray(heat_at(ts), dtype=float)
-            bounds = tuple(np.asarray(b, dtype=float) for b in bounds_at(ts))
         times = [_scan(ts, heat, bounds, f, i, sign) for i, (f, sign) in enumerate(zip(sides, (1, -1)))]
     crossings = [
         Crossing(time=float(t), side=side) for side, side_times in zip(("upper", "lower"), times) for t in side_times

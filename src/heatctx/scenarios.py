@@ -68,13 +68,13 @@ from .dynamics import (
 from .thermo import (
     heat_closed_form_2qubit_thermal,
     heat_closed_form_qutrit,
-    qutrit_heat_coefficients,
 )
 from .contextuality import (
     CROSSING_REL_TOL,
     Crossing,
     find_critical_times,
     sequential_b_factors,
+    spectral_plan,
 )
 
 UNITS = ("natural", "eV_seconds")
@@ -382,7 +382,7 @@ def _qutrit_params(state: dict) -> TwoQutritThermalParams:
     )
 
 
-def _no_heat(t):
+def _no_heat(params, g, theta, t):
     """The non-resonant interaction commutes with each local Hamiltonian."""
     out = np.zeros_like(np.asarray(t, dtype=float))
     return out if out.ndim else 0.0
@@ -395,35 +395,37 @@ def _no_heat(t):
 class Factor:
     """One transformation of a family's sequence, keyed by its ``--interaction`` name.
 
-    ``generator(g, a, theta, local_dim)`` is its Hamiltonian; ``p_d(g, t, a)`` is
-    its analytic probability of disturbance at time t, sin^2(Delta t / 2) with
-    Delta the generator's gap (its two eigenvalues' distance).
+    ``generator(g, a, theta, local_dim)`` is its Hamiltonian and
+    ``half_gap(g, a)`` half its gap Delta, the distance of the generator's
+    extreme eigenvalues (signed for resonant-detuning). Its analytic probability
+    of disturbance at time t is p_d = sin^2(Delta t / 2), whose frequency Delta
+    is one of the bounds'.
     """
 
     generator: Callable
-    p_d: Callable
+    half_gap: Callable
 
-
-def _p_swap(g, t, a):
-    """Partial SWAP and resonant exchange both swap with amplitude sin(g t)."""
-    return np.sin(g * t) ** 2
+    def p_d(self, g, t, a):
+        # Half the gap times t, not a multiple of x = g t: g t can overflow where the angle does not.
+        return np.sin(self.half_gap(g, a) * t) ** 2
 
 
 FACTORS = {
     "resonant-exchange": Factor(
-        lambda g, a, theta, d: ResonantInteraction(g, a, theta).exchange_part(), _p_swap
+        lambda g, a, theta, d: ResonantInteraction(g, a, theta).exchange_part(),
+        lambda g, a: g,
     ),
     "resonant-detuning": Factor(
         lambda g, a, theta, d: ResonantInteraction(g, a, theta).detuning_part(),
-        # The gap g |a - 1| times t / 2, not (a - 1) (g t) / 2: g t can overflow first.
-        lambda g, t, a: np.sin(((a - 1.0) * g) * (t / 2)) ** 2,
+        lambda g, a: (a - 1.0) * g / 2,
     ),
     "nonresonant": Factor(
         lambda g, a, theta, d: NonResonantInteraction(g).hamiltonian(),
-        lambda g, t, a: np.sin(g * t / 2) ** 2,
+        lambda g, a: g / 2,
     ),
     "partial-swap": Factor(
-        lambda g, a, theta, d: PartialSwapInteraction(g, d).hamiltonian(), _p_swap
+        lambda g, a, theta, d: PartialSwapInteraction(g, d).hamiltonian(),
+        lambda g, a: g,
     ),
 }
 
@@ -436,7 +438,7 @@ class Family:
     state: Callable  # params -> DensityMatrix
     local: Callable  # params -> local Hamiltonian, the same on A and B
     h_int: Callable  # (g, a, theta) -> interaction Hamiltonian
-    heat: Callable  # (params, g, theta) -> closed-form <Q_A> as a function of t
+    heat: Callable  # (params, g, theta, t) -> closed-form <Q_A>
     factors: tuple[str, ...]  # FACTORS keys: one for Theorem 1, two for Theorem 2
 
 
@@ -450,14 +452,14 @@ FAMILIES = {
     "two_qubit_resonant": Family(
         **_QUBITS,
         h_int=lambda g, a, theta: ResonantInteraction(g, a, theta).hamiltonian(),
-        heat=lambda p, g, theta: functools.partial(heat_closed_form_2qubit_thermal, p, g, theta),
+        heat=heat_closed_form_2qubit_thermal,
         # The exchange part first, then the commuting detuning part.
         factors=("resonant-exchange", "resonant-detuning"),
     ),
     "two_qubit_nonresonant": Family(
         **_QUBITS,
         h_int=lambda g, a, theta: NonResonantInteraction(g).hamiltonian(),
-        heat=lambda p, g, theta: _no_heat,
+        heat=_no_heat,
         factors=("nonresonant",),
     ),
     "qutrit_partial_swap": Family(
@@ -465,10 +467,7 @@ FAMILIES = {
         state=two_qutrit_thermal,
         local=lambda p: qutrit_hamiltonian(p.omegas),
         h_int=lambda g, a, theta: PartialSwapInteraction(g, local_dim=3).hamiltonian(),
-        # zeta and xi depend on the state alone: computed once per engine.
-        heat=lambda p, g, theta: functools.partial(
-            heat_closed_form_qutrit, p, g, coefficients=qutrit_heat_coefficients(p)
-        ),
+        heat=lambda p, g, theta, t: heat_closed_form_qutrit(p, g, t),
         factors=("partial-swap",),
     ),
 }
@@ -504,13 +503,8 @@ class _ScenarioEngine:
 
     # -- heat ---------------------------------------------------------------
 
-    @functools.cached_property
-    def _heat_at(self) -> Callable:
-        """The family's closed form for this engine, built on first use (``clausius`` never needs it)."""
-        return self.family.heat(self.params, self.g, self.theta)
-
     def heat(self, t):
-        return self._heat_at(t)
+        return self.family.heat(self.params, self.g, self.theta, t)
 
     def heat_trace_at(self, populations: np.ndarray) -> np.ndarray:
         """Trace-formula <Q_A> from the populations p(t) of rho(t), one row per time.
@@ -537,25 +531,35 @@ class _ScenarioEngine:
         """Angular frequencies in t of heat - bound, each a distance of two eigenvalues.
 
         The heat's are the Bohr frequencies of H_I. A factor's p_d = sin^2(Delta t / 2)
-        has the gap Delta of its generator, and Theorem 2's product p_d1 p_d2 adds
+        has its generator's gap Delta, and Theorem 2's product p_d1 p_d2 adds
         Delta1 + Delta2 and |Delta1 - Delta2|.
         """
-        d = self.rho.dims[0]
-        generators = [FACTORS[name].generator(self.g, self.a, self.theta, d) for name in self.family.factors]
-        w, *spectra = np.linalg.eigvalsh(np.array([h.matrix for h in (self.h_int, *generators)])).tolist()
-        gaps = [s[-1] - s[0] for s in spectra]
+        w = np.linalg.eigvalsh(self.h_int.matrix).tolist()  # ascending
+        gaps = [2 * abs(FACTORS[name].half_gap(self.g, self.a)) for name in self.family.factors]
         mixed = [gaps[0] + gaps[1], abs(gaps[0] - gaps[1])] if len(gaps) == 2 else []
-        return sorted({b - a for i, a in enumerate(w) for b in w[i:]}.union(gaps, mixed))  # w ascends
+        return sorted({b - a for i, a in enumerate(w) for b in w[i:]}.union(gaps, mixed))
 
-    def crossings(self, ts: np.ndarray, columns=(None, None)) -> list[Crossing]:
-        """The crossings on the grid ts; ``columns`` = (heat, (upper, lower)) on ts, if evaluated."""
-        return find_critical_times(ts, *columns, self.heat, self.bounds, self.frequencies())
+    def columns(self, ts: np.ndarray):
+        """(heat, (upper, lower)): the closed-form columns on ts."""
+        heat = np.asarray(self.heat(ts), dtype=float)
+        return heat, tuple(np.asarray(b, dtype=float) for b in self.bounds(ts))
+
+    def crossings(self, ts: np.ndarray, columns=None) -> list[Crossing]:
+        """The crossings on the grid ts: spectral where ``spectral_plan`` allows, else a scan.
+
+        The scan reads ``columns`` = (heat, (upper, lower)) on ts where the caller
+        has them, and evaluates them otherwise.
+        """
+        spectrum = spectral_plan(self.frequencies(), ts)
+        if spectrum is None and columns is None:
+            columns = self.columns(ts)
+        heat, bounds = columns or (None, None)
+        return find_critical_times(ts, heat, bounds, self.heat, self.bounds, spectrum)
 
     def scan(self, ts: np.ndarray):
         """(heat, upper, lower, crossings): the closed-form columns on ts and their crossings."""
         check_time("time_grid.t_max", self.h_int, float(np.max(ts, initial=0.0)))  # grids hold t >= 0
-        heat = np.asarray(self.heat(ts), dtype=float)
-        upper, lower = (np.asarray(b, dtype=float) for b in self.bounds(ts))
+        heat, (upper, lower) = self.columns(ts)
         return heat, upper, lower, self.crossings(ts, (heat, (upper, lower)))
 
     # -- mutual information -------------------------------------------------

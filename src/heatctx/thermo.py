@@ -99,10 +99,9 @@ def qutrit_heat_coefficients(params: TwoQutritThermalParams) -> tuple[float, flo
     return float(zeta), float(xi)
 
 
-def heat_closed_form_qutrit(params: TwoQutritThermalParams, g: float, t, coefficients=None):
-    """Partial-SWAP heat for the two-qutrit family; ``coefficients`` is
-    ``qutrit_heat_coefficients(params)`` where the caller has it already."""
-    zeta, xi = qutrit_heat_coefficients(params) if coefficients is None else coefficients
+def heat_closed_form_qutrit(params: TwoQutritThermalParams, g: float, t):
+    """Partial-SWAP heat for the two-qutrit family."""
+    zeta, xi = qutrit_heat_coefficients(params)
     x = g * np.asarray(t, dtype=float)
     s = np.sin(x)
     out = zeta * s**2 + xi * s * np.cos(x)

@@ -1,8 +1,8 @@
 """Crossings from the spectral form of heat - bound, against dense scans of the grid.
 
-``find_critical_times`` with an engine's frequencies takes the spectral path
-where they are commensurate (``_base_frequency``); without frequencies it
-scans the grid it is given, which is the reference here.
+``find_critical_times`` takes the spectral path with the (w0, K) that
+``spectral_plan`` gives for commensurate frequencies within its budget;
+without it, it scans the columns it is given, which is the reference here.
 """
 
 import math
@@ -11,13 +11,8 @@ import numpy as np
 import pytest
 
 from heatctx import HeatctxError, NumericsError, ScenarioConfig, builtin_micadei, builtin_qutrit_demo
-from heatctx.contextuality import (
-    SPECTRAL_MAX_DEGREE,
-    SPECTRAL_MAX_PERIODS,
-    _base_frequency,
-    find_critical_times,
-)
-from heatctx.scenarios import _ScenarioEngine
+from heatctx.contextuality import find_critical_times, spectral_plan
+from heatctx.scenarios import FACTORS, _ScenarioEngine
 from test_families import example_config
 
 FAMILY_NAMES = ["two_qubit_resonant", "two_qubit_nonresonant", "qutrit_partial_swap"]
@@ -88,11 +83,11 @@ def test_seeded_configs_report_every_crossing_of_a_dense_scan():
         grid = engine.config.time_grid
         ts = grid.times()
         got = engine.crossings(ts)
-        spectral = _base_frequency(engine.frequencies(), grid.t_max) is not None
+        spectral = spectral_plan(engine.frequencies(), ts) is not None
         paths[spectral] += 1
         fine = np.linspace(grid.t_min, grid.t_max, DENSE)
         step = fine[1] - fine[0]
-        dense = find_critical_times(fine, None, None, engine.heat, engine.bounds)
+        dense = find_critical_times(fine, *engine.columns(fine), engine.heat, engine.bounds)
         missed = [
             c for c in dense if not any(r.side == c.side and abs(r.time - c.time) <= step for r in got)
         ]
@@ -110,27 +105,31 @@ def test_seeded_configs_report_every_crossing_of_a_dense_scan():
 
 @pytest.mark.parametrize("n_points", [2, 27, 400])
 def test_fallback_configs_scan_their_own_grid(n_points):
-    # a = 0.37 needs harmonic 263 of w0 = g / 100: beyond SPECTRAL_MAX_DEGREE.
+    # a = 0.37 needs harmonic 263 of w0 = g / 100: its companion matrices alone
+    # would cost more than the budget's scan.
     raw = example_config("two_qubit_resonant")
     raw["time_grid"]["n_points"] = n_points
     engine = engine_of(raw)
     ts = engine.config.time_grid.times()
-    assert _base_frequency(engine.frequencies(), ts[-1]) is None
-    heat, (upper, lower) = engine.heat(ts), engine.bounds(ts)
+    assert spectral_plan(engine.frequencies(), ts) is None
+    heat, (upper, lower) = engine.columns(ts)
     scanned = find_critical_times(ts, heat, (upper, lower), engine.heat, engine.bounds)
     assert engine.crossings(ts) == scanned
     assert engine.crossings(ts, (heat, (upper, lower))) == scanned
 
 
 def test_too_many_periods_take_the_scan():
-    config = builtin_qutrit_demo()
-    engine = _ScenarioEngine(config)
-    w0, degree = _base_frequency(engine.frequencies(), 1.0)
-    assert (w0, degree) == (2.0, 1)
-    period = 2 * math.pi / w0
-    assert _base_frequency(engine.frequencies(), SPECTRAL_MAX_PERIODS * period) == (w0, degree)
-    assert _base_frequency(engine.frequencies(), 1.01 * SPECTRAL_MAX_PERIODS * period) is None
-    assert _base_frequency(engine.frequencies(), 1e300) is None
+    # qutrit-demo has K = 1: 200 grid points per candidate, 4 candidates per
+    # period and two more periods at most, so 100,000 points pay for 123 periods.
+    engine = _ScenarioEngine(builtin_qutrit_demo())
+    period = math.pi  # w0 = 2
+    assert spectral_plan(engine.frequencies(), np.array([0.0, 1.0])) == (2.0, 1)
+    assert spectral_plan(engine.frequencies(), np.array([0.0, 122.9 * period])) == (2.0, 1)
+    assert spectral_plan(engine.frequencies(), np.array([0.0, 123.1 * period])) is None
+    # A grid of more points buys more periods: the search never costs more than its scan.
+    assert spectral_plan(engine.frequencies(), np.linspace(0.0, 123.1 * period, 200_000)) == (2.0, 1)
+    assert spectral_plan(engine.frequencies(), np.array([50.0 * period, 172.9 * period])) == (2.0, 1)
+    assert spectral_plan(engine.frequencies(), np.array([0.0, 1e300])) is None
 
 
 @pytest.mark.parametrize(
@@ -140,12 +139,20 @@ def test_too_many_periods_take_the_scan():
         ([0.5, 1.5, 2.0, 2.5], (0.5, 5)),
         ([0.0, 2.0 * (1 + 1e-15)], (2.0 * (1 + 1e-15), 1)),
         ([1.0, math.pi], None),
-        ([1.0, SPECTRAL_MAX_DEGREE + 1.0], None),
+        # Companion matrices of size 45 (55,000 points) and 92 candidates over
+        # 2.16 periods (40,000) fit the budget; size 47 and 96 candidates do not.
+        ([1.0, 23.0], (1.0, 23)),
+        ([1.0, 24.0], None),
         ([0.0], None),
     ],
 )
-def test_base_frequency(frequencies, expect):
-    assert _base_frequency(frequencies, 1.0) == expect
+def test_spectral_plan(frequencies, expect):
+    assert spectral_plan(frequencies, np.array([0.0, 1.0])) == expect
+
+
+def test_a_larger_grid_buys_a_higher_degree():
+    assert spectral_plan([1.0, 24.0], np.linspace(0.0, 1.0, 110_000)) == (1.0, 24)
+    assert spectral_plan([1.0, 60.0], np.linspace(0.0, 1.0, 110_000)) is None
 
 
 def test_micadei_frequencies():
@@ -153,7 +160,17 @@ def test_micadei_frequencies():
     engine = _ScenarioEngine(builtin_micadei())
     g = engine.g
     assert engine.frequencies() == pytest.approx([0.0, g, 2 * g, 3 * g], rel=1e-12, abs=1e-9 * g)
-    assert _base_frequency(engine.frequencies(), 5e-3) == (pytest.approx(g, rel=1e-12), 3)
+    assert spectral_plan(engine.frequencies(), np.array([0.0, 5e-3])) == (pytest.approx(g, rel=1e-12), 3)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORS))
+def test_each_factor_gap_is_its_generators(name):
+    # frequencies() reads each factor's gap from its half_gap, which p_d uses too.
+    rng = np.random.default_rng(11)
+    for local_dim in (2, 3) if name == "partial-swap" else (2,):
+        for g, a, theta in zip(rng.uniform(0.1, 5.0, 10), [1.0, *rng.uniform(-2.0, 3.0, 9)], rng.uniform(0, 6.3, 10)):
+            w = np.linalg.eigvalsh(FACTORS[name].generator(g, a, theta, local_dim).matrix)
+            assert 2 * abs(FACTORS[name].half_gap(g, a)) == pytest.approx(w[-1] - w[0], rel=1e-12, abs=1e-12 * g)
 
 
 def test_a_missing_frequency_raises():
@@ -163,8 +180,8 @@ def test_a_missing_frequency_raises():
     bounds = lambda t: (0.0 * np.asarray(t, dtype=float) + 0.1 * np.sin(np.asarray(t, dtype=float)) ** 2,) * 2
     ts = np.linspace(0.0, 5.0, 50)
     with pytest.raises(NumericsError, match="not a sum of harmonics"):
-        find_critical_times(ts, None, None, heat, bounds, [0.0, 1.0])
-    assert find_critical_times(ts, None, None, heat, bounds, [0.0, 2.0]) == []
+        find_critical_times(ts, None, None, heat, bounds, spectral_plan([0.0, 1.0], ts))
+    assert find_critical_times(ts, None, None, heat, bounds, spectral_plan([0.0, 2.0], ts)) == []
 
 
 def test_a_touch_is_no_crossing_on_any_grid():
@@ -185,8 +202,8 @@ def test_heat_minus_bound_must_vanish_at_zero():
     bounds = lambda t: (0.0 * np.asarray(t, dtype=float),) * 2
     ts = np.linspace(0.0, 5.0, 50)
     with pytest.raises(NumericsError, match="does not vanish at t = 0"):
-        find_critical_times(ts, None, None, heat, bounds, [0.0, 1.0])
-    assert find_critical_times(ts, None, None, heat, bounds) != []
+        find_critical_times(ts, None, None, heat, bounds, spectral_plan([0.0, 1.0], ts))
+    assert find_critical_times(ts, heat(ts), bounds(ts), heat, bounds) != []
 
 
 @pytest.mark.parametrize("offset", [1e-10, 1e-12])
@@ -195,10 +212,10 @@ def test_a_nearly_commensurate_set_takes_the_scan(offset):
     # the closed form over the periods of the grid, so the scan takes it.
     raw = example_config("two_qubit_resonant")
     raw["interaction"]["a"] = 0.5 + offset
-    raw["time_grid"].update(t_max=60 * 2 * math.pi / (0.5 * raw["interaction"]["g"]), n_points=50)
+    raw["time_grid"].update(t_max=20 * 2 * math.pi / (0.5 * raw["interaction"]["g"]), n_points=50)
     engine = engine_of(raw)
     ts = engine.config.time_grid.times()
-    assert _base_frequency(engine.frequencies(), ts[-1]) is None
-    assert engine.crossings(ts) == find_critical_times(ts, None, None, engine.heat, engine.bounds)
+    assert spectral_plan(engine.frequencies(), ts) is None
+    assert engine.crossings(ts) == find_critical_times(ts, *engine.columns(ts), engine.heat, engine.bounds)
     raw["interaction"]["a"] = 0.5
-    assert _base_frequency(engine_of(raw).frequencies(), ts[-1]) == (pytest.approx(0.35), 5)
+    assert spectral_plan(engine_of(raw).frequencies(), ts) == (pytest.approx(0.35), 5)

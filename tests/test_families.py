@@ -376,14 +376,9 @@ def test_oracle_covers_every_grid_point(name, state, t_min, fault, monkeypatch):
     t_bad = ts[np.random.default_rng(5).integers(len(ts))]
     family = FAMILIES[name]
 
-    def heat(params, g, theta):
-        heat_at = family.heat(params, g, theta)
-
-        def off_at_t_bad(t):
-            q = heat_at(t)
-            return np.where(np.asarray(t) == t_bad, q + 1e-6 * engine.a_max, q)
-
-        return off_at_t_bad
+    def heat(params, g, theta, t):
+        q = family.heat(params, g, theta, t)
+        return np.where(np.asarray(t) == t_bad, q + 1e-6 * engine.a_max, q)
 
     delta_mutual_info = _ScenarioEngine.delta_mutual_info
 

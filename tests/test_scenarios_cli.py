@@ -755,13 +755,21 @@ class TestCli:
         assert result.output.splitlines()[0] == f"p_d = {p_d}  (analytic {p_d})"
         assert "cptp: yes" in result.output
 
-    def test_detuning_pd_bits_at_a_zero(self):
-        # At a = 0 the angle (-g)(t / 2) is -(g t) / 2 exactly: negation and
-        # halving are exact, so micadei's bound columns keep their bits.
+    @pytest.mark.parametrize(
+        "name,from_gt",
+        [
+            ("resonant-detuning", lambda x: np.sin((0.0 - 1.0) * x / 2) ** 2),
+            ("nonresonant", lambda x: np.sin(x / 2) ** 2),
+            ("partial-swap", lambda x: np.sin(x) ** 2),
+        ],
+    )
+    def test_pd_keeps_the_bits_of_its_form_in_g_t(self, name, from_gt):
+        # p_d is (half gap) t; its earlier form took x = g t. Negation and halving
+        # are exact, so at a = 0 the two agree bit for bit and micadei's bound
+        # columns keep their bits.
         rng = np.random.default_rng(43)
         g, t = rng.uniform(0.1, 1e3, 500), np.exp(rng.uniform(-20, 5, 500))
-        p_d = FACTORS["resonant-detuning"].p_d(g, t, 0.0)
-        assert np.array_equal(p_d, np.sin((0.0 - 1.0) * (g * t) / 2) ** 2)
+        assert np.array_equal(FACTORS[name].p_d(g, t, 0.0), from_gt(g * t))
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("option", ["--g", "--a", "--theta"])
