@@ -65,10 +65,7 @@ from .dynamics import (
     ResonantInteraction,
     EvolutionPlan,
 )
-from .thermo import (
-    heat_closed_form_2qubit_thermal,
-    heat_closed_form_qutrit,
-)
+from .thermo import build_heat_2qubit_thermal, build_heat_qutrit
 from .contextuality import (
     CROSSING_REL_TOL,
     Crossing,
@@ -332,8 +329,17 @@ def _complex_field(state: dict, key: str) -> complex:
     return z
 
 
+def _beta(state: dict, key: str) -> float:
+    """1 / state[key]; a temperature so small that its inverse overflows is refused."""
+    temperature = _positive("state", state, key)
+    beta = 1.0 / temperature
+    if not math.isfinite(beta):
+        raise ConfigError(f"state.{key} = {temperature:g} is too small: 1/{key} overflows")
+    return beta
+
+
 def _betas(state: dict) -> tuple[float, float]:
-    return 1.0 / _positive("state", state, "T_A"), 1.0 / _positive("state", state, "T_B")
+    return _beta(state, "T_A"), _beta(state, "T_B")
 
 
 def _coupling(interaction: dict) -> tuple[float, float, float]:
@@ -382,13 +388,23 @@ def _qutrit_params(state: dict) -> TwoQutritThermalParams:
     )
 
 
-def _no_heat(params, g, theta, t):
-    """The non-resonant interaction commutes with each local Hamiltonian."""
-    out = np.zeros_like(np.asarray(t, dtype=float))
-    return out if out.ndim else 0.0
+def _no_heat(params, g, theta):
+    """The non-resonant interaction commutes with each local Hamiltonian: no heat flows."""
+
+    def heat(t):
+        out = np.zeros_like(np.asarray(t, dtype=float))
+        return out if out.ndim else 0.0
+
+    return heat
 
 
 # -- interaction families ----------------------------------------------------
+
+
+def _p_d(half_gap, t):
+    """sin^2(half_gap t): half the gap times t, not a multiple of x = g t, which can
+    overflow where the angle does not."""
+    return np.sin(half_gap * t) ** 2
 
 
 @dataclass(frozen=True)
@@ -406,8 +422,7 @@ class Factor:
     half_gap: Callable
 
     def p_d(self, g, t, a):
-        # Half the gap times t, not a multiple of x = g t: g t can overflow where the angle does not.
-        return np.sin(self.half_gap(g, a) * t) ** 2
+        return _p_d(self.half_gap(g, a), t)
 
 
 FACTORS = {
@@ -438,7 +453,7 @@ class Family:
     state: Callable  # params -> DensityMatrix
     local: Callable  # params -> local Hamiltonian, the same on A and B
     h_int: Callable  # (g, a, theta) -> interaction Hamiltonian
-    heat: Callable  # (params, g, theta, t) -> closed-form <Q_A>
+    heat: Callable  # (params, g, theta) -> t -> closed-form <Q_A>, built once per engine
     factors: tuple[str, ...]  # FACTORS keys: one for Theorem 1, two for Theorem 2
 
 
@@ -452,7 +467,7 @@ FAMILIES = {
     "two_qubit_resonant": Family(
         **_QUBITS,
         h_int=lambda g, a, theta: ResonantInteraction(g, a, theta).hamiltonian(),
-        heat=heat_closed_form_2qubit_thermal,
+        heat=build_heat_2qubit_thermal,
         # The exchange part first, then the commuting detuning part.
         factors=("resonant-exchange", "resonant-detuning"),
     ),
@@ -467,7 +482,7 @@ FAMILIES = {
         state=two_qutrit_thermal,
         local=lambda p: qutrit_hamiltonian(p.omegas),
         h_int=lambda g, a, theta: PartialSwapInteraction(g, local_dim=3).hamiltonian(),
-        heat=lambda p, g, theta, t: heat_closed_form_qutrit(p, g, t),
+        heat=lambda p, g, theta: build_heat_qutrit(p, g),
         factors=("partial-swap",),
     ),
 }
@@ -500,11 +515,14 @@ class _ScenarioEngine:
         self.energies = np.repeat(np.diag(self.h_local.matrix).real, self.rho.dims[1])
         self.a_max = float(self.energies.max())
         self.h_int = self.family.h_int(self.g, self.a, self.theta)
+        # What heat and bounds need that does not depend on t, computed once.
+        self._heat = self.family.heat(self.params, self.g, self.theta)
+        self.half_gaps = [FACTORS[name].half_gap(self.g, self.a) for name in self.family.factors]
 
     # -- heat ---------------------------------------------------------------
 
     def heat(self, t):
-        return self.family.heat(self.params, self.g, self.theta, t)
+        return self._heat(t)
 
     def heat_trace_at(self, populations: np.ndarray) -> np.ndarray:
         """Trace-formula <Q_A> from the populations p(t) of rho(t), one row per time.
@@ -523,7 +541,7 @@ class _ScenarioEngine:
         with 0, which reduces Theorem 2 exactly to Theorem 1 at alpha = 1/2.
         """
         t = np.asarray(t, dtype=float)
-        p_d = [FACTORS[name].p_d(self.g, t, self.a) for name in self.family.factors] + [0.0]
+        p_d = [_p_d(half_gap, t) for half_gap in self.half_gaps] + [0.0]
         b_minus, b_plus = sequential_b_factors(p_d[0], p_d[1])
         return 2 * self.a_max * b_plus, -4 * self.a_max * b_minus
 
@@ -535,7 +553,7 @@ class _ScenarioEngine:
         Delta1 + Delta2 and |Delta1 - Delta2|.
         """
         w = np.linalg.eigvalsh(self.h_int.matrix).tolist()  # ascending
-        gaps = [2 * abs(FACTORS[name].half_gap(self.g, self.a)) for name in self.family.factors]
+        gaps = [2 * abs(half_gap) for half_gap in self.half_gaps]
         mixed = [gaps[0] + gaps[1], abs(gaps[0] - gaps[1])] if len(gaps) == 2 else []
         return sorted({b - a for i, a in enumerate(w) for b in w[i:]}.union(gaps, mixed))
 

@@ -69,14 +69,21 @@ class DensityMatrix:
         return DensityMatrix(red, (self.dims[keep],))
 
 
+def _boltzmann_weights(beta: float, energies: np.ndarray) -> np.ndarray:
+    """e^{-beta E_i} / Z for finite beta >= 0, shifted by the ground energy so no
+    exponential overflows. Where beta (E_i - E_min) overflows, the weight is its
+    limit exp(-inf) = 0, reached without a warning; finite products keep their bits."""
+    with np.errstate(over="ignore"):
+        e = np.exp(-beta * (energies - energies.min()))
+    return e / e.sum()
+
+
 def _gibbs_matrix(h, beta: float) -> np.ndarray:
     """e^{-beta h} / Z as a plain array, diagonal in the eigenbasis of h."""
     if not np.isfinite(beta) or beta < 0:
         raise ParamError(f"beta must be finite and >= 0, got {beta}")
     w, v = eig_hermitian(h)
-    # Shift by the ground energy so the exponentials never overflow.
-    ew = np.exp(-beta * (w - w.min()))
-    ew /= ew.sum()
+    ew = _boltzmann_weights(beta, w)
     rho = (v * ew) @ dagger(v)
     return (rho + dagger(rho)) / 2
 
@@ -207,10 +214,8 @@ class TwoQutritThermalParams:
     def diagonal_probabilities(self) -> np.ndarray:
         """The nine products p_i = p^A_i p^B_j in basis order |ij> -> 3i+j."""
         oms = np.asarray(self.omegas)
-        ea = np.exp(-self.beta_A * (oms - oms.min()))
-        eb = np.exp(-self.beta_B * (oms - oms.min()))
-        pa = ea / ea.sum()
-        pb = eb / eb.sum()
+        pa = _boltzmann_weights(self.beta_A, oms)
+        pb = _boltzmann_weights(self.beta_B, oms)
         return np.outer(pa, pb).reshape(9)
 
 

@@ -54,23 +54,34 @@ def heat_trace(rho: DensityMatrix, h_int, h_a_local, t: float) -> float:
     return float(np.real(np.trace((evolved - rho.matrix) @ ha_full)))
 
 
-def heat_closed_form_2qubit_thermal(
-    params: TwoQubitThermalParams, g: float, theta: float, t
-):
-    """Heat for the thermal two-qubit family in tanh form.
+def build_heat_2qubit_thermal(params: TwoQubitThermalParams, g: float, theta: float):
+    """t -> <Q_A>(t) for the thermal two-qubit family in tanh form.
 
     <Q_A> = omega * ( (1/2) sin^2(gt) [tanh(omega beta_A / 2) - tanh(omega beta_B / 2)]
                       + eta sin(2gt) sin(xi - theta) ).
+
+    The tanh term and sin(xi - theta) do not depend on t and are computed here,
+    once; each call evaluates only the t-dependent rest, in the same grouping.
     """
     p = params
-    x = g * np.asarray(t, dtype=float)
     thermal = 0.5 * (
         np.tanh(p.omega * p.beta_A / 2) - np.tanh(p.omega * p.beta_B / 2)
     )
-    out = p.omega * (
-        thermal * np.sin(x) ** 2 + p.eta * np.sin(2 * x) * np.sin(p.xi - theta)
-    )
-    return out if out.ndim else float(out)
+    phase = np.sin(p.xi - theta)
+
+    def heat(t):
+        x = g * np.asarray(t, dtype=float)
+        out = p.omega * (thermal * np.sin(x) ** 2 + p.eta * np.sin(2 * x) * phase)
+        return out if out.ndim else float(out)
+
+    return heat
+
+
+def heat_closed_form_2qubit_thermal(
+    params: TwoQubitThermalParams, g: float, theta: float, t
+):
+    """Heat for the thermal two-qubit family at t (see ``build_heat_2qubit_thermal``)."""
+    return build_heat_2qubit_thermal(params, g, theta)(t)
 
 
 def qutrit_heat_coefficients(params: TwoQutritThermalParams) -> tuple[float, float]:
@@ -99,13 +110,23 @@ def qutrit_heat_coefficients(params: TwoQutritThermalParams) -> tuple[float, flo
     return float(zeta), float(xi)
 
 
-def heat_closed_form_qutrit(params: TwoQutritThermalParams, g: float, t):
-    """Partial-SWAP heat for the two-qutrit family."""
+def build_heat_qutrit(params: TwoQutritThermalParams, g: float):
+    """t -> partial-SWAP <Q_A>(t) for the two-qutrit family, with (zeta, xi)
+    from ``qutrit_heat_coefficients`` computed here, once."""
     zeta, xi = qutrit_heat_coefficients(params)
-    x = g * np.asarray(t, dtype=float)
-    s = np.sin(x)
-    out = zeta * s**2 + xi * s * np.cos(x)
-    return out if out.ndim else float(out)
+
+    def heat(t):
+        x = g * np.asarray(t, dtype=float)
+        s = np.sin(x)
+        out = zeta * s**2 + xi * s * np.cos(x)
+        return out if out.ndim else float(out)
+
+    return heat
+
+
+def heat_closed_form_qutrit(params: TwoQutritThermalParams, g: float, t):
+    """Partial-SWAP heat for the two-qutrit family at t (see ``build_heat_qutrit``)."""
+    return build_heat_qutrit(params, g)(t)
 
 
 def clausius_report(

@@ -5,12 +5,22 @@
 without it, it scans the columns it is given, which is the reference here.
 """
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from heatctx import HeatctxError, NumericsError, ScenarioConfig, builtin_micadei, builtin_qutrit_demo
+from heatctx import (
+    HeatctxError,
+    NumericsError,
+    ScenarioConfig,
+    builtin_micadei,
+    builtin_qutrit_demo,
+    format_csv,
+    run_sweep,
+)
 from heatctx.contextuality import find_critical_times, spectral_plan
 from heatctx.scenarios import FACTORS, _ScenarioEngine
 from test_families import example_config
@@ -219,3 +229,61 @@ def test_a_nearly_commensurate_set_takes_the_scan(offset):
     assert engine.crossings(ts) == find_critical_times(ts, *engine.columns(ts), engine.heat, engine.bounds)
     raw["interaction"]["a"] = 0.5
     assert spectral_plan(engine_of(raw).frequencies(), ts) == (pytest.approx(0.35), 5)
+
+
+# The float.hex of every crossing, recorded from the code before the closed forms
+# were built once per engine: (config, grid field, value) -> [(time, side)]. A
+# regrouped closed form moves a crossing by an ulp, which 1e-9 relative misses.
+CROSSING_BITS = {
+    ('micadei', 'n_points', 2): [('0x1.845f9099e4617p-13', 'upper')],
+    ('micadei', 'n_points', 27): [('0x1.845f9099e4617p-13', 'upper')],
+    ('micadei', 'n_points', 400): [('0x1.845f9099c7972p-13', 'upper')],
+    ('micadei', 'n_points', None): [('0x1.845f909a03458p-13', 'upper')],
+    ('qutrit-demo', 'n_points', 2): [('0x1.aa50e2dfdae1dp-6', 'lower')],
+    ('qutrit-demo', 'n_points', 27): [('0x1.aa50e2dfdae1dp-6', 'lower')],
+    ('qutrit-demo', 'n_points', 400): [('0x1.aa50e2dffffffp-6', 'lower')],
+    ('qutrit-demo', 'n_points', None): [('0x1.aa50e2e001e94p-6', 'lower')],
+    ('qutrit-demo', 't_max', 0.5): [('0x1.aa50e2dfaa86fp-6', 'lower')],
+    ('qutrit-demo', 't_max', 7.0): [('0x1.aa50e2dfd6382p-6', 'lower'), ('0x1.8c3225529d2c0p+1', 'upper'), ('0x1.921fb54469fccp+1', 'upper'), ('0x1.921fb54469fccp+1', 'lower'), ('0x1.95745709fe2c8p+1', 'lower'), ('0x1.8f28ed4b83946p+2', 'upper'), ('0x1.921fb54469fccp+2', 'upper'), ('0x1.921fb54469fccp+2', 'lower'), ('0x1.93ca06273414ap+2', 'lower')],
+    ('qutrit_partial_swap', 'n_points', 400): [('0x1.d40ebe11345f7p-8', 'lower'), ('0x1.33af1ee5c6415p+1', 'upper'), ('0x1.355377be50d78p+1', 'upper'), ('0x1.355377be50d78p+1', 'lower'), ('0x1.363d7f1d980f7p+1', 'lower'), ('0x1.34814b520b8c7p+2', 'upper'), ('0x1.355377be50d78p+2', 'upper'), ('0x1.355377be5ac88p+2', 'lower'), ('0x1.35c87b6ddf15ap+2', 'lower')],
+    ('two_qubit_nonresonant', 'n_points', 400): [],
+    ('two_qubit_resonant', 'n_points', 400): [('0x1.1f8cf05bab4edp-4', 'upper')],
+}
+
+# The sha256 of each of those sweeps' CSV: every column keeps its bits too, and a
+# regrouped product that moves no crossing still moves a heat or bound value.
+CSV_SHA256 = {
+    ('micadei', 'n_points', 2): 'e8dfd03382b96d945857d07a3050bf799f0d16db5728426c9bcee7d6de3494df',
+    ('micadei', 'n_points', 27): '0113528fda3e03fe1afad570f191dd2a86c5ab0b3fca8cfb0cbd73ae1b49c4ca',
+    ('micadei', 'n_points', 400): '6f0b173daa2489d684e633c4ce2a40ff9a2e4bd0a1a3f93eb1bbac9e78ae50bf',
+    ('micadei', 'n_points', None): 'c3e007be6dbe5b74384c0fd9b0f199965a748010bc6c2d357ef272bbb1d640d0',
+    ('qutrit-demo', 'n_points', 2): '483c7baffb7f9cb98dfb2cb69059221392b4212335cda0ea97b8c49be9fade81',
+    ('qutrit-demo', 'n_points', 27): '07fdd3e3a93c231bdd9a50438cfd4d3cc36b650872354da5dc99eef72ca969d7',
+    ('qutrit-demo', 'n_points', 400): 'd95240c7efca78a3bb9372dafd2ea45e7730c0dfa6b9e0ec65ad4ade4f28dbe9',
+    ('qutrit-demo', 'n_points', None): '9112d76efb10f342d9cbe4a8585fe2aa743b8806aa5f9cfaf4ef51cefa2baf70',
+    ('qutrit-demo', 't_max', 0.5): '3ac6e5ffd682ddd21fc77c47272dce0beeccf426fba7d010622681edeba54d0c',
+    ('qutrit-demo', 't_max', 7.0): '14bd1ab87e882a35a7ca9985a2618bbb677a55102332f06f0e934c2658759b32',
+    ('qutrit_partial_swap', 'n_points', 400): 'b2f1d9f0bb94fdc16ac52474c9e58273620b8bb0159a2b02308101fbe6c08013',
+    ('two_qubit_nonresonant', 'n_points', 400): '96d988d26299119b51a4696d2ba57d47530df7b22eb4d165cf01fb60c8582023',
+    ('two_qubit_resonant', 'n_points', 400): '168a2aa41f97dc35a4a1932f8dcfa949de61b15c35a0528060f0ee382d091c64',
+}
+
+
+def pinned_config(name, field, value) -> ScenarioConfig:
+    builtins = {"micadei": builtin_micadei, "qutrit-demo": builtin_qutrit_demo}
+    if name not in builtins:
+        return ScenarioConfig.from_dict(example_config(name))
+    config = builtins[name]()
+    if value is None:
+        return config
+    return replace(config, time_grid=replace(config.time_grid, **{field: value}))
+
+
+@pytest.mark.parametrize("name, field, value", list(CROSSING_BITS))
+def test_crossings_and_columns_keep_their_bits(name, field, value):
+    config = pinned_config(name, field, value)
+    want = CROSSING_BITS[name, field, value]
+    result = run_sweep(config)
+    for crossings in (_ScenarioEngine(config).crossings(config.time_grid.times()), result.crossings):
+        assert [(c.time.hex(), c.side) for c in crossings] == want
+    assert hashlib.sha256(format_csv(result).encode()).hexdigest() == CSV_SHA256[name, field, value]

@@ -102,6 +102,8 @@ COMMON_BAD = [
     ("interaction", "g", "0.7"),
     ("time_grid", "t_max", "6.0"),
     ("time_grid", "n_points", "50"),
+    # 1 / T overflows to inf.
+    ("state", "T_B", 5e-324),
 ]
 QUBIT_BAD = [
     ("state", "omega", -1.0),
@@ -341,6 +343,17 @@ def test_a_sweep_builds_one_evolution_plan(name, monkeypatch):
     assert calls == {"eig_hermitian": 1, "eigenvector_blocks": 1}
 
 
+@pytest.mark.parametrize("command", ["critical-time", "sweep"])
+def test_qutrit_heat_coefficients_are_computed_once_per_engine(command, tmp_path, monkeypatch):
+    # zeta and xi do not depend on t: the engine computes them when it is built,
+    # not at every column, spectral sample or bisection step of the heat.
+    calls = count_calls(monkeypatch, [("heatctx.thermo", "qutrit_heat_coefficients")])
+    args = ["--output", str(tmp_path / "out.csv")] if command == "sweep" else []
+    result = CliRunner().invoke(main, [command, "--builtin", "qutrit-demo", *args])
+    assert result.exit_code == 0, result.output
+    assert calls == {"qutrit_heat_coefficients": 1}
+
+
 # Two-qubit state edits and whether both marginals stay diagonal under the
 # interaction: nu1 and nu2 couple |00> to |01> or |10>, which differ in one
 # qubit only, and gamma couples |00> to |11>.
@@ -376,9 +389,14 @@ def test_oracle_covers_every_grid_point(name, state, t_min, fault, monkeypatch):
     t_bad = ts[np.random.default_rng(5).integers(len(ts))]
     family = FAMILIES[name]
 
-    def heat(params, g, theta, t):
-        q = family.heat(params, g, theta, t)
-        return np.where(np.asarray(t) == t_bad, q + 1e-6 * engine.a_max, q)
+    def build_heat(params, g, theta):
+        closed_form = family.heat(params, g, theta)
+
+        def heat(t):
+            q = closed_form(t)
+            return np.where(np.asarray(t) == t_bad, q + 1e-6 * engine.a_max, q)
+
+        return heat
 
     delta_mutual_info = _ScenarioEngine.delta_mutual_info
 
@@ -387,7 +405,7 @@ def test_oracle_covers_every_grid_point(name, state, t_min, fault, monkeypatch):
         return delta_i, np.where(ts == t_bad, np.nan, q_trace)
 
     if fault == "heat off":
-        monkeypatch.setitem(FAMILIES, name, replace(family, heat=heat))
+        monkeypatch.setitem(FAMILIES, name, replace(family, heat=build_heat))
     else:
         monkeypatch.setattr(_ScenarioEngine, "delta_mutual_info", nan_trace)
     with pytest.raises(NumericsError, match=f"t={t_bad:g}:"):
@@ -548,6 +566,27 @@ def test_invalid_config_exits_2(name, section, key, value, tmp_path):
         assert result.exit_code == 2, (args, result.output, result.exception)
         assert isinstance(result.exception, SystemExit)
         assert "config error" in result.output
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("etas, status", [("demo", 2), ("zero", 0)])
+def test_qutrit_demo_near_zero_temperature_warns_nothing(etas, status, tmp_path):
+    # beta_B = 1e308 times the level spacings 1 and 2 overflows a float; B's
+    # excited levels get their limit weight 0, with no numpy warning. The demo's
+    # coherences then join populated levels to empty ones: not a state, exit 2.
+    config = builtin_qutrit_demo()
+    state = {**config.state, "T_B": 1e-308}
+    if etas == "zero":
+        state.update(eta31=0.0, eta62=0.0, eta75=0.0)
+    raw = {"scenario": config.scenario, "state": state, "interaction": config.interaction,
+           "time_grid": {"t_min": 0.0, "t_max": 3.0, "n_points": 400}}
+    cfg_path = tmp_path / "cold.json"
+    cfg_path.write_text(json.dumps(raw))
+    for args in (["critical-time"], ["sweep", "--output", str(tmp_path / "o.csv")]):
+        result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
+        assert result.exit_code == status, (args, result.output, result.exception)
+        if status == 2:
+            assert "non-positive matrix" in result.output
 
 
 @pytest.mark.parametrize("value", [True, False, [True, 0.0], [0.0, False]])

@@ -89,6 +89,12 @@ class TestGibbs:
         with pytest.raises(ParamError):
             gibbs_state(zeeman_hamiltonian(1.0), -0.1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_exponents_give_the_ground_state(self):
+        # beta (E_i - E_0) = 2e308 overflows a float: the weight is its limit 0.
+        rho = gibbs_state(qutrit_hamiltonian((0.0, 1.0, 2.0)), 1e308)
+        assert np.diag(rho.matrix).real.tolist() == [1.0, 0.0, 0.0]
+
 
 class TestTwoQubitThermal:
     def test_zero_correlations_gives_product(self):
@@ -154,6 +160,13 @@ class TestTwoQutritThermal:
             np.exp(-p.beta_A * oms) / za, np.exp(-p.beta_B * oms) / zb
         ).reshape(9)
         assert np.max(np.abs(np.diag(rho.matrix).real - expect)) < 1e-14
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_temperature_limit_is_the_ground_state(self):
+        p = TwoQutritThermalParams(omegas=(0.0, 1.0, 2.0), beta_A=0.4, beta_B=1e308)
+        w = np.exp(-0.4 * np.array([0.0, 1.0, 2.0]))
+        expect = np.outer(w / w.sum(), [1.0, 0.0, 0.0]).reshape(9)
+        assert p.diagonal_probabilities().tolist() == expect.tolist()
 
     def test_descending_omegas_rejected(self):
         with pytest.raises(ParamError):
