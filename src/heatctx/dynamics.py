@@ -143,6 +143,19 @@ def eigenvector_blocks(v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(r, np.flatnonzero(v[r].any(axis=0))) for r in rows]
 
 
+def distinct_eigenvalues(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, index) with distinct[index] == w bit for bit, from one pass over sorted w.
+
+    Runs of equal bits merge; -0.0 and +0.0 stay apart, as their phases differ
+    in the sign of a zero imaginary part, and equal values that do not sit next
+    to each other stay apart too, which costs a column, never a bit.
+    """
+    bits = w.view(np.int64)
+    first = np.empty(len(w), dtype=bool)
+    first[:1], first[1:] = True, bits[1:] != bits[:-1]
+    return w[first], np.cumsum(first) - 1
+
+
 class EvolutionPlan:
     """All that ``evolve_on_grid`` derives from rho and H_I, for a grid of ``n_points``.
 
@@ -168,6 +181,10 @@ class EvolutionPlan:
     ``diagonal`` lists the blocks b of the live pairs (b, b), which alone give
     the populations, when no live pair reaches an off-diagonal entry of rho_A
     or rho_B; else None.
+
+    The phases e^{-i t w} are evaluated once per distinct eigenvalue
+    (``distinct_eigenvalues``), and each block reads its columns through an
+    index into them: an eigenvalue of equal bits gives a phase of equal bits.
     """
 
     def __init__(self, rho: DensityMatrix, h_int, n_points: int):
@@ -175,7 +192,8 @@ class EvolutionPlan:
         v, d, blocked = UnitaryOp(v).matrix, len(v), n_points >= EINSUM_BELOW
         blocks = eigenvector_blocks(v) if blocked else [(np.arange(d), np.arange(d))]
         self.rows = rows = [r for r, _ in blocks]
-        self.blocks = [(c, v[r][:, c]) for r, c in blocks]
+        self.distinct, index = distinct_eigenvalues(self.w)
+        self.blocks = [(index[c], v[r][:, c]) for r, c in blocks]
         n = range(len(rows))
         slices = [(b, c, rho.matrix[np.ix_(rows[b], rows[c])]) for b in n for c in n]
         self.pairs = [(b, c, rho_bc) for b, c, rho_bc in slices if rho_bc.any()]
@@ -188,10 +206,10 @@ class EvolutionPlan:
 
     def _unitaries(self, ts) -> list[np.ndarray]:
         """U_b(t) of every block at every t of ts, (N, m, m) each, the grid axis fastest."""
-        phases = np.exp(-1j * np.outer(ts, self.w))  # (N, d)
+        phases = np.exp(-1j * np.outer(ts, self.distinct))  # (N, number of distinct eigenvalues)
         return [
-            np.einsum("ij,nj,kj->ikn", v, phases[:, cols], v.conj(), order="C").transpose(2, 0, 1)
-            for cols, v in self.blocks
+            np.einsum("ij,nj,kj->ikn", v, phases[:, index], v.conj(), order="C").transpose(2, 0, 1)
+            for index, v in self.blocks
         ]
 
     def evolve(self, ts) -> np.ndarray:

@@ -515,9 +515,18 @@ class _ScenarioEngine:
         self.energies = np.repeat(np.diag(self.h_local.matrix).real, self.rho.dims[1])
         self.a_max = float(self.energies.max())
         self.h_int = self.family.h_int(self.g, self.a, self.theta)
-        # What heat and bounds need that does not depend on t, computed once.
-        self._heat = self.family.heat(self.params, self.g, self.theta)
-        self.half_gaps = [FACTORS[name].half_gap(self.g, self.a) for name in self.family.factors]
+
+    # What heat and bounds need that does not depend on t, computed once, on
+    # first use: ``clausius`` evaluates no closed form. Neither can raise for a
+    # parsed config, so building them late moves no error.
+
+    @functools.cached_property
+    def _heat(self):
+        return self.family.heat(self.params, self.g, self.theta)
+
+    @functools.cached_property
+    def half_gaps(self) -> list[float]:
+        return [FACTORS[name].half_gap(self.g, self.a) for name in self.family.factors]
 
     # -- heat ---------------------------------------------------------------
 

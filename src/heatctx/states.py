@@ -248,10 +248,29 @@ def population_entropies(populations: np.ndarray, dims) -> tuple[np.ndarray, np.
     """``entropies`` of (rho_A, rho_B) from the (N, d_A d_B) diagonals of states whose
     marginals are diagonal, bit for bit: ``bipartite_marginals`` also sums from 0 in
     index order, and LAPACK's eigenvalues of a diagonal matrix of trace ~1 are its
-    sorted diagonal."""
+    sorted diagonal, sorted here as far as the sum needs (``_summed_in_order``)."""
     p = populations.reshape(-1, *dims)  # the builtin sum adds from 0, in index order
     p_a, p_b = sum(p.transpose(2, 0, 1)), sum(p.transpose(1, 0, 2))
-    return spectral_entropies(np.sort(p_a)), spectral_entropies(np.sort(p_b))
+    return spectral_entropies(_summed_in_order(p_a)), spectral_entropies(_summed_in_order(p_b))
+
+
+def _summed_in_order(p: np.ndarray) -> np.ndarray:
+    """Rows of p in an order whose ``spectral_entropies`` are those of ``np.sort(p)``, bit for bit.
+
+    Rows of one or two entries keep their order: a sum of two terms does not
+    depend on it. Rows of three go through a three-comparator network, whose
+    values come out as np.sort's (a tie of -0.0 and +0.0 may swap, and both give
+    the term 0); a NaN spreads through it, and its row's entropy stays NaN.
+    Wider rows are sorted.
+    """
+    if p.shape[-1] <= 2:
+        return p
+    if p.shape[-1] > 3:
+        return np.sort(p)
+    a, b, c = p[..., 0], p[..., 1], p[..., 2]
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    low, mid = np.minimum(low, c), np.maximum(low, c)
+    return np.stack([low, np.minimum(mid, high), np.maximum(mid, high)], axis=-1)
 
 
 def spectral_entropies(w: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ from heatctx import (
     zeeman_hamiltonian,
 )
 
+from heatctx.dynamics import distinct_eigenvalues
+
 from conftest import random_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -149,3 +151,13 @@ class TestResonantFactors:
             t = rng.uniform(0, 5)
             u1, u2 = resonant_factors(inter, t)
             assert np.max(np.abs(u1.matrix @ u2.matrix - u2.matrix @ u1.matrix)) < 1e-12
+
+
+def test_distinct_eigenvalues_merge_runs_of_equal_bits():
+    # -0.0 == 0.0, but their phases e^{-i t w} differ in the sign of a zero
+    # imaginary part, so they stay apart; so does an equal value out of its run.
+    w = np.array([-1.0, -1.0, -0.0, 0.0, 0.0, 0.5, np.nextafter(0.5, 1), 0.5, 2.0])
+    distinct, index = distinct_eigenvalues(w)
+    assert distinct.view(np.uint64).tolist() == w[[0, 2, 3, 5, 6, 7, 8]].view(np.uint64).tolist()
+    assert index.tolist() == [0, 0, 1, 2, 2, 3, 4, 5, 6]
+    assert np.array_equal(distinct[index].view(np.uint64), w.view(np.uint64))

@@ -343,15 +343,42 @@ def test_a_sweep_builds_one_evolution_plan(name, monkeypatch):
     assert calls == {"eig_hermitian": 1, "eigenvector_blocks": 1}
 
 
-@pytest.mark.parametrize("command", ["critical-time", "sweep"])
+@pytest.mark.parametrize("command", ["critical-time", "sweep", "clausius"])
 def test_qutrit_heat_coefficients_are_computed_once_per_engine(command, tmp_path, monkeypatch):
-    # zeta and xi do not depend on t: the engine computes them when it is built,
-    # not at every column, spectral sample or bisection step of the heat.
+    # zeta and xi do not depend on t: the engine computes them on the first use
+    # of the heat, not at every column, spectral sample or bisection step of it;
+    # clausius evaluates no closed form, so never.
     calls = count_calls(monkeypatch, [("heatctx.thermo", "qutrit_heat_coefficients")])
-    args = ["--output", str(tmp_path / "out.csv")] if command == "sweep" else []
-    result = CliRunner().invoke(main, [command, "--builtin", "qutrit-demo", *args])
+    args = {"sweep": ["--output", str(tmp_path / "out.csv")], "clausius": ["--t", "0.7"]}
+    result = CliRunner().invoke(main, [command, "--builtin", "qutrit-demo", *args.get(command, [])])
     assert result.exit_code == 0, result.output
-    assert calls == {"qutrit_heat_coefficients": 1}
+    assert calls == {"qutrit_heat_coefficients": int(command != "clausius")}
+
+
+class CountingNumpy:
+    """numpy, with the number of elements each np.exp call receives recorded in ``exp_sizes``."""
+
+    def __init__(self):
+        self.exp_sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.exp_sizes.append(np.size(x))
+        return np.exp(x, *args, **kwargs)
+
+
+def test_the_phases_follow_the_distinct_eigenvalues(monkeypatch):
+    # g S has the eigenvalues -g (3 times) and g (6 times): the blocked path takes
+    # 2 phases per grid point, not 9.
+    engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config("qutrit_partial_swap")))
+    n = EINSUM_BELOW + 1
+    plan = EvolutionPlan(engine.rho, engine.h_int, n)
+    counting = CountingNumpy()
+    monkeypatch.setattr("heatctx.dynamics.np", counting)
+    plan.populations(np.linspace(0.0, 6.0, n))
+    assert counting.exp_sizes == [2 * n]
 
 
 # Two-qubit state edits and whether both marginals stay diagonal under the

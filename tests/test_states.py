@@ -268,11 +268,33 @@ def test_eigvalsh_of_a_diagonal_state_is_its_sorted_diagonal(d):
     assert np.array_equal(bits(w), bits(np.sort(p)))
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def edge_populations(d):
+    """Rows of trace 1 whose marginals tie exactly, hold 1.0 (whose term is -0.0) or
+    zeros, from entries of +-0.0 and round-off below zero."""
+    uniform = np.full(d, 1.0 / d)
+    one = np.zeros(d)
+    one[d // 2] = 1.0
+    signed = np.where(np.arange(d) % 2, -0.0, 0.0)
+    signed[-1] = 1.0
+    below = one.copy()
+    below[0], below[-1] = -1e-17, -0.0
+    halves = np.zeros(d)
+    halves[[0, -1]] = 0.5
+    return np.array([uniform, one, signed, below, halves])
+
+
+# Marginals of 2 entries are not sorted, of 3 go through a comparator network,
+# and of 4 (dims (2, 4) and (4, 2)) are sorted.
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 2)])
 def test_population_entropies_match_entropies_of_the_marginals(dims):
     rng = np.random.default_rng(sum(dims))
-    p = random_populations(rng, 5000, dims[0] * dims[1])
+    d = dims[0] * dims[1]
+    p = np.concatenate([random_populations(rng, 5000, d), edge_populations(d)])
     rho_a, rho_b = bipartite_marginals(diagonal_stack(p, rng), dims)
     s_a, s_b = population_entropies(p, dims)
     assert np.array_equal(bits(s_a), bits(entropies(rho_a)))
     assert np.array_equal(bits(s_b), bits(entropies(rho_b)))
+
+    nan = edge_populations(d)[:1]
+    nan[0, 0] = np.nan
+    assert all(np.isnan(s).all() for s in population_entropies(nan, dims))
