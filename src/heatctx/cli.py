@@ -50,7 +50,7 @@ def _cli_errors(fn):
     return wrapper
 
 
-def _load_config(config_path, builtin, t_max, n_points) -> ScenarioConfig:
+def _load_config(config_path, builtin, t_max=None, n_points=None) -> ScenarioConfig:
     if (config_path is None) == (builtin is None):
         raise ConfigError("provide exactly one of --config or --builtin")
     if builtin is not None:
@@ -80,6 +80,8 @@ def _resolve_output(output, fmt, config: ScenarioConfig) -> tuple[str, str]:
 _CONFIG_OPTIONS = [
     click.option("--config", "config_path", type=click.Path(), help="Scenario config JSON."),
     click.option("--builtin", type=click.Choice(sorted(BUILTINS)), help="Use a builtin scenario."),
+]
+_GRID_OPTIONS = [
     click.option("--t-max", type=float, default=None, help="Override time_grid.t_max."),
     click.option("--n-points", type=int, default=None, help="Override time_grid.n_points."),
 ]
@@ -102,7 +104,7 @@ def main():
 
 
 @main.command()
-@_options(_CONFIG_OPTIONS)
+@_options(_CONFIG_OPTIONS + _GRID_OPTIONS)
 @click.option("--output", type=click.Path(), default=None, help="Output file path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 @_cli_errors
@@ -122,7 +124,7 @@ def sweep(config_path, builtin, t_max, n_points, output, fmt):
 
 
 @main.command("critical-time")
-@_options(_CONFIG_OPTIONS)
+@_options(_CONFIG_OPTIONS + _GRID_OPTIONS)
 @_cli_errors
 def critical_time(config_path, builtin, t_max, n_points):
     """Report bound-crossing times only."""
@@ -199,9 +201,9 @@ def choi(kind, g, a, theta, local_dim, t, p_d):
 @_options(_CONFIG_OPTIONS)
 @click.option("--t", type=float, required=True, help="Evolution time.")
 @_cli_errors
-def clausius(config_path, builtin, t_max, n_points, t):
+def clausius(config_path, builtin, t):
     """Heat, mutual-information change, and entropy production at one time."""
-    config = _load_config(config_path, builtin, t_max, n_points)
+    config = _load_config(config_path, builtin)
     engine = _ScenarioEngine(config)
     check_time("--t", engine.h_int, t)
     beta_a, beta_b = engine.params.beta_A, engine.params.beta_B

@@ -305,7 +305,7 @@ def _opposite(a: float, b: float) -> bool:
     return (a < 0 < b) or (b < 0 < a)
 
 
-def spectral_plan(frequencies: list[float], ts: np.ndarray) -> tuple[float, int] | None:
+def spectral_plan(frequencies, ts: np.ndarray) -> tuple[float, int] | None:
     """(w0, K) for the spectral search on the grid ts, or None for the scan.
 
     Every frequency must be k w0 with 0 <= k <= K, to ``COMMENSURATE_TOL`` per
@@ -314,7 +314,8 @@ def spectral_plan(frequencies: list[float], ts: np.ndarray) -> tuple[float, int]
     period 2 pi / w0 the grid touches, must fit a scan of max(n_points,
     ``SCAN_BUDGET_POINTS``) points: the spectral path never costs more than the
     scan of micadei's grid, or of the config's own when that is larger. The
-    budget bounds K first, through the companion matrices alone.
+    budget bounds K first, through the companion matrices alone. A w0 whose
+    period 2 pi / w0 overflows a float is left to the scan.
     """
     top = max(frequencies, default=0.0)
     if not top > 0:
@@ -325,6 +326,8 @@ def spectral_plan(frequencies: list[float], ts: np.ndarray) -> tuple[float, int]
     for k in range(1, k_max + 1):
         if all(abs(r * k - round(r * k)) <= COMMENSURATE_TOL * k for r in ratios):
             w0 = top / k
+            if not math.isfinite(2 * math.pi / w0):  # a subnormal w0, whose period overflows
+                return None
             turns = (float(ts[-1]) - float(ts[0])) * w0 / (2 * math.pi) + 2  # periods touched, at most
             cost = 2 * EIGVALS_COST * (2 * k - 1) ** 3 + CANDIDATE_COST * 2 * (2 * k) * turns
             return (w0, k) if cost <= budget else None
@@ -454,12 +457,8 @@ def _polish(f, ts: np.ndarray, brackets: list[tuple], values: list[list[float]])
     return sorted(set(times))
 
 
-def _spectral_crossings(ts, heat_at, bounds_at, w0: float, degree: int, sides) -> list[list[float]]:
+def _spectral_crossings(ts, curves, w0: float, degree: int, sides) -> list[list[float]]:
     """Crossing times per side from the spectral form, f of each side in ``sides``."""
-
-    def curves(t):  # heat, upper and lower on an array t, as rows
-        return np.array([heat_at(t), *bounds_at(t)], dtype=float)
-
     brackets = [_brackets(ts, roots, w0) for roots in _spectral_candidates(ts, curves, w0, degree)]
     points = [p for side in brackets for *_, p in side]
     f = _signed(curves(np.array(points).ravel())).reshape(2, len(points), 8).tolist() if points else [[], []]
@@ -470,9 +469,9 @@ def _spectral_crossings(ts, heat_at, bounds_at, w0: float, degree: int, sides) -
     ]
 
 
-def _scan(ts, heat, bounds, f, i, sign) -> list[float]:
-    """Crossing times of one side from the columns on the grid ts."""
-    s = np.sign(sign * (heat - bounds[i]))
+def _scan(ts, f_grid: np.ndarray, f) -> list[float]:
+    """Crossing times of one side from its f on the grid ts."""
+    s = np.sign(f_grid)
     times = [_refine_bisection(f, ts[j], ts[j + 1]) for j in np.flatnonzero(s[:-1] * s[1:] < 0)]
     for j in np.flatnonzero(s[1:-1] == 0) + 1:
         if s[j - 1] * s[j + 1] < 0:
@@ -480,14 +479,7 @@ def _scan(ts, heat, bounds, f, i, sign) -> list[float]:
     return times
 
 
-def find_critical_times(
-    ts: np.ndarray,
-    heat: np.ndarray | None,
-    bounds: tuple[np.ndarray, np.ndarray] | None,
-    heat_at: Callable,
-    bounds_at: Callable,
-    spectrum: tuple[float, int] | None = None,
-) -> list[Crossing]:
+def find_critical_times(ts: np.ndarray, heat_at: Callable, bounds_at: Callable, frequencies=()) -> list[Crossing]:
     """Ordered crossing times of the heat curve with either bound in (t_min, t_max] of ts.
 
     A crossing is a strict sign change of f_upper = heat - upper or of
@@ -496,24 +488,29 @@ def find_critical_times(
     without sign change, such as the common zero at t = 0, is none. An empty
     list means no crossing, which is a valid outcome.
 
-    With ``spectrum`` = (w0, K) from ``spectral_plan``, heat and both bounds are
-    sums of harmonics k w0, k <= K: the roots come from that spectral form
+    ``frequencies`` are the angular frequencies in t of heat and both bounds.
+    Where ``spectral_plan`` gives them a (w0, K), heat and both bounds are sums
+    of harmonics k w0, k <= K: the roots come from that spectral form
     (``_spectral_candidates``) and are polished on the cells of ts that hold
-    them (``_polish``), so every crossing is found whatever the grid's spacing,
-    and the columns are not read. Without it, ts is scanned: ``heat`` and
-    ``bounds`` = (upper, lower) are the columns on ts, a crossing is a strict
-    sign change between grid points, or an interior grid point exactly on the
-    bound between neighbours of opposite sign, and a crossing between two
-    points of equal sign is missed.
+    them (``_polish``), so every crossing is found whatever the grid's spacing.
+    Otherwise heat and both bounds are evaluated on ts and scanned: a crossing
+    is a strict sign change between grid points, or an interior grid point
+    exactly on the bound between neighbours of opposite sign, and a crossing
+    between two points of equal sign is missed.
     """
+
+    def curves(t):  # heat, upper and lower on an array t, as rows
+        return np.array([heat_at(t), *bounds_at(t)], dtype=float)
+
     sides = [
         lambda t: float(heat_at(t)) - float(bounds_at(t)[0]),  # f_upper > 0: violation
         lambda t: float(bounds_at(t)[1]) - float(heat_at(t)),  # f_lower > 0: violation
     ]
-    if spectrum:
-        times = _spectral_crossings(ts, heat_at, bounds_at, *spectrum, sides)
+    plan = spectral_plan(frequencies, ts)
+    if plan:
+        times = _spectral_crossings(ts, curves, *plan, sides)
     else:
-        times = [_scan(ts, heat, bounds, f, i, sign) for i, (f, sign) in enumerate(zip(sides, (1, -1)))]
+        times = [_scan(ts, f_grid, f) for f_grid, f in zip(_signed(curves(ts)), sides)]
     crossings = [
         Crossing(time=float(t), side=side) for side, side_times in zip(("upper", "lower"), times) for t in side_times
     ]

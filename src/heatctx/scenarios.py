@@ -2,9 +2,9 @@
 
 A scenario bundles a correlated thermal state, an energy-conserving
 interaction, a time grid, and units. Sweeps evaluate the closed-form heat and
-the noncontextual bounds on the full grid once, find the bound-crossing times
+the noncontextual bounds on the full grid, find the bound-crossing times
 (from the spectral form of heat - bound where its frequencies are commensurate,
-else in those columns), evolve the state once over the grid for the mutual-information
+else by a scan of the grid), evolve the state once over the grid for the mutual-information
 change, check the heat against the trace formula of that evolved state on every
 grid point, and evaluate per-point violation flags. A ``SweepResult`` holds these
 as numpy columns, one entry per grid point, and CSV and JSON are rendered
@@ -71,7 +71,6 @@ from .contextuality import (
     Crossing,
     find_critical_times,
     sequential_b_factors,
-    spectral_plan,
 )
 
 UNITS = ("natural", "eV_seconds")
@@ -388,6 +387,13 @@ def _qutrit_params(state: dict) -> TwoQutritThermalParams:
     )
 
 
+def _qubit_heat(params, g, theta):
+    """``build_heat_2qubit_thermal``, once its phase xi - theta is a finite float."""
+    if not math.isfinite(params.xi - theta):
+        raise ConfigError(f"state.xi ({params.xi:g}) - interaction.theta ({theta:g}) overflows a float")
+    return build_heat_2qubit_thermal(params, g, theta)
+
+
 def _no_heat(params, g, theta):
     """The non-resonant interaction commutes with each local Hamiltonian: no heat flows."""
 
@@ -467,7 +473,7 @@ FAMILIES = {
     "two_qubit_resonant": Family(
         **_QUBITS,
         h_int=lambda g, a, theta: ResonantInteraction(g, a, theta).hamiltonian(),
-        heat=build_heat_2qubit_thermal,
+        heat=_qubit_heat,
         # The exchange part first, then the commuting detuning part.
         factors=("resonant-exchange", "resonant-detuning"),
     ),
@@ -517,8 +523,8 @@ class _ScenarioEngine:
         self.h_int = self.family.h_int(self.g, self.a, self.theta)
 
     # What heat and bounds need that does not depend on t, computed once, on
-    # first use: ``clausius`` evaluates no closed form. Neither can raise for a
-    # parsed config, so building them late moves no error.
+    # first use: ``clausius`` evaluates no closed form, and so does not refuse
+    # the one config the heat's build does, a qubit xi - theta that overflows.
 
     @functools.cached_property
     def _heat(self):
@@ -566,28 +572,9 @@ class _ScenarioEngine:
         mixed = [gaps[0] + gaps[1], abs(gaps[0] - gaps[1])] if len(gaps) == 2 else []
         return sorted({b - a for i, a in enumerate(w) for b in w[i:]}.union(gaps, mixed))
 
-    def columns(self, ts: np.ndarray):
-        """(heat, (upper, lower)): the closed-form columns on ts."""
-        heat = np.asarray(self.heat(ts), dtype=float)
-        return heat, tuple(np.asarray(b, dtype=float) for b in self.bounds(ts))
-
-    def crossings(self, ts: np.ndarray, columns=None) -> list[Crossing]:
-        """The crossings on the grid ts: spectral where ``spectral_plan`` allows, else a scan.
-
-        The scan reads ``columns`` = (heat, (upper, lower)) on ts where the caller
-        has them, and evaluates them otherwise.
-        """
-        spectrum = spectral_plan(self.frequencies(), ts)
-        if spectrum is None and columns is None:
-            columns = self.columns(ts)
-        heat, bounds = columns or (None, None)
-        return find_critical_times(ts, heat, bounds, self.heat, self.bounds, spectrum)
-
-    def scan(self, ts: np.ndarray):
-        """(heat, upper, lower, crossings): the closed-form columns on ts and their crossings."""
-        check_time("time_grid.t_max", self.h_int, float(np.max(ts, initial=0.0)))  # grids hold t >= 0
-        heat, (upper, lower) = self.columns(ts)
-        return heat, upper, lower, self.crossings(ts, (heat, (upper, lower)))
+    def crossings(self, ts: np.ndarray) -> list[Crossing]:
+        """The crossings of heat with either bound on the grid ts (``find_critical_times``)."""
+        return find_critical_times(ts, self.heat, self.bounds, self.frequencies())
 
     # -- mutual information -------------------------------------------------
 
@@ -639,7 +626,9 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     """Evaluate the sweep as columns; deterministic given the config."""
     engine = _ScenarioEngine(config)
     ts = config.time_grid.times()
-    heat, upper, lower, crossings = engine.scan(ts)
+    check_time("time_grid.t_max", engine.h_int, config.time_grid.t_max)
+    heat, (upper, lower) = engine.heat(ts), engine.bounds(ts)
+    crossings = engine.crossings(ts)
 
     # Delta mutual information and the trace-formula heat; row 0 is the reference t = 0.
     delta_i, q_trace = (column[1:] for column in engine.delta_mutual_info(np.append(0.0, ts)))

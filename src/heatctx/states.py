@@ -48,6 +48,10 @@ class DensityMatrix:
             raise DimensionError(
                 f"subsystem dims {dims} do not match matrix dimension {m.shape[0]}"
             )
+        # |rho_ij| <= 1 in a state; a larger entry could overflow the sums below.
+        entry = max(max_norm(m.real), max_norm(m.imag))
+        if entry > 1 + STATE_TOL:
+            raise NotAStateError(f"an entry has a real or imaginary part of modulus {entry:.3g} > 1")
         if max_norm(m - dagger(m)) > STATE_TOL:
             raise NotAStateError("density matrix is not Hermitian to 1e-12")
         if abs(np.trace(m).real - 1.0) > STATE_TOL or abs(np.trace(m).imag) > STATE_TOL:

@@ -254,7 +254,7 @@ def test_criterion_8_qutrit_analytic_crossings():
             return upper(t), lower(t)
 
         ts = np.linspace(0.0, 0.999 * math.pi / g, 40000)
-        crossings = find_critical_times(ts, heat(ts), bounds(ts), heat, bounds)
+        crossings = find_critical_times(ts, heat, bounds)
         by_side = {}
         for c in crossings:
             by_side.setdefault(c.side, c.time)

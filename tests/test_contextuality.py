@@ -457,10 +457,10 @@ class TestBounds:
 
 
 def scan(heat, upper, lower, t_max, n_grid):
-    """find_critical_times on n_grid points over [0, t_max], columns taken from the curves."""
+    """find_critical_times on n_grid points over [0, t_max], a scan: no frequencies are given."""
     ts = np.linspace(0.0, t_max, n_grid)
     bounds_at = lambda t: (upper(t), lower(t))
-    return find_critical_times(ts, heat(ts), bounds_at(ts), heat, bounds_at)
+    return find_critical_times(ts, heat, bounds_at)
 
 
 class TestCriticalTimes:

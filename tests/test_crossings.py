@@ -2,15 +2,17 @@
 
 ``find_critical_times`` takes the spectral path with the (w0, K) that
 ``spectral_plan`` gives for commensurate frequencies within its budget;
-without it, it scans the columns it is given, which is the reference here.
+without it, it scans heat and bounds on the grid, which is the reference here.
 """
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from heatctx import (
     HeatctxError,
@@ -21,6 +23,7 @@ from heatctx import (
     format_csv,
     run_sweep,
 )
+from heatctx.cli import main
 from heatctx.contextuality import find_critical_times, spectral_plan
 from heatctx.scenarios import FACTORS, _ScenarioEngine
 from test_families import example_config
@@ -97,7 +100,7 @@ def test_seeded_configs_report_every_crossing_of_a_dense_scan():
         paths[spectral] += 1
         fine = np.linspace(grid.t_min, grid.t_max, DENSE)
         step = fine[1] - fine[0]
-        dense = find_critical_times(fine, *engine.columns(fine), engine.heat, engine.bounds)
+        dense = find_critical_times(fine, engine.heat, engine.bounds)
         missed = [
             c for c in dense if not any(r.side == c.side and abs(r.time - c.time) <= step for r in got)
         ]
@@ -122,10 +125,8 @@ def test_fallback_configs_scan_their_own_grid(n_points):
     engine = engine_of(raw)
     ts = engine.config.time_grid.times()
     assert spectral_plan(engine.frequencies(), ts) is None
-    heat, (upper, lower) = engine.columns(ts)
-    scanned = find_critical_times(ts, heat, (upper, lower), engine.heat, engine.bounds)
+    scanned = find_critical_times(ts, engine.heat, engine.bounds)
     assert engine.crossings(ts) == scanned
-    assert engine.crossings(ts, (heat, (upper, lower))) == scanned
 
 
 def test_too_many_periods_take_the_scan():
@@ -190,8 +191,8 @@ def test_a_missing_frequency_raises():
     bounds = lambda t: (0.0 * np.asarray(t, dtype=float) + 0.1 * np.sin(np.asarray(t, dtype=float)) ** 2,) * 2
     ts = np.linspace(0.0, 5.0, 50)
     with pytest.raises(NumericsError, match="not a sum of harmonics"):
-        find_critical_times(ts, None, None, heat, bounds, spectral_plan([0.0, 1.0], ts))
-    assert find_critical_times(ts, None, None, heat, bounds, spectral_plan([0.0, 2.0], ts)) == []
+        find_critical_times(ts, heat, bounds, [0.0, 1.0])
+    assert find_critical_times(ts, heat, bounds, [0.0, 2.0]) == []
 
 
 def test_a_touch_is_no_crossing_on_any_grid():
@@ -212,8 +213,8 @@ def test_heat_minus_bound_must_vanish_at_zero():
     bounds = lambda t: (0.0 * np.asarray(t, dtype=float),) * 2
     ts = np.linspace(0.0, 5.0, 50)
     with pytest.raises(NumericsError, match="does not vanish at t = 0"):
-        find_critical_times(ts, None, None, heat, bounds, spectral_plan([0.0, 1.0], ts))
-    assert find_critical_times(ts, heat(ts), bounds(ts), heat, bounds) != []
+        find_critical_times(ts, heat, bounds, [0.0, 1.0])
+    assert find_critical_times(ts, heat, bounds) != []
 
 
 @pytest.mark.parametrize("offset", [1e-10, 1e-12])
@@ -226,9 +227,29 @@ def test_a_nearly_commensurate_set_takes_the_scan(offset):
     engine = engine_of(raw)
     ts = engine.config.time_grid.times()
     assert spectral_plan(engine.frequencies(), ts) is None
-    assert engine.crossings(ts) == find_critical_times(ts, *engine.columns(ts), engine.heat, engine.bounds)
+    assert engine.crossings(ts) == find_critical_times(ts, engine.heat, engine.bounds)
     raw["interaction"]["a"] = 0.5
     assert spectral_plan(engine_of(raw).frequencies(), ts) == (pytest.approx(0.35), 5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_a_subnormal_coupling_takes_the_scan(family, tmp_path):
+    # g = 5e-324 gives w0 ~ 1e-323, whose period 2 pi / w0 overflows a float:
+    # no spectral plan, and the scan finds no crossing, with no warning.
+    raw = example_config(family)
+    raw["interaction"]["g"] = 5e-324
+    engine = engine_of(raw)
+    ts = engine.config.time_grid.times()
+    assert spectral_plan(engine.frequencies(), ts) is None
+    assert engine.crossings(ts) == []
+    cfg_path = tmp_path / "subnormal.json"
+    cfg_path.write_text(json.dumps(raw))
+    result = CliRunner().invoke(main, ["critical-time", "--config", str(cfg_path)])
+    assert (result.exit_code, result.output) == (0, "no crossings on the grid\n"), result.exception
+    result = CliRunner().invoke(main, ["sweep", "--config", str(cfg_path), "--output", str(tmp_path / "o.csv")])
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert "critical times: none" in result.output
 
 
 # The float.hex of every crossing, recorded from the code before the closed forms

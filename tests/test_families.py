@@ -616,6 +616,47 @@ def test_qutrit_demo_near_zero_temperature_warns_nothing(etas, status, tmp_path)
             assert "non-positive matrix" in result.output
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("two_qubit_resonant", "eta", 1e308),
+        ("two_qubit_resonant", "nu1", [1e308, 0.0]),
+        ("two_qubit_resonant", "gamma", [0.01, 1e308]),
+        ("two_qubit_resonant", "gamma", [1.5e308, 1.5e308]),  # |gamma| itself overflows
+        ("two_qubit_nonresonant", "nu2", [0.0, -1e308]),
+        ("qutrit_partial_swap", "eta31", 1e308),
+    ],
+)
+def test_a_huge_state_entry_is_not_a_state(name, key, value, tmp_path):
+    # Each value is finite, but no entry of a density matrix exceeds 1 in modulus,
+    # and validating such a matrix as a state would overflow: exit 2, no warning.
+    raw = example_config(name)
+    raw["state"][key] = value
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(raw))
+    for args in (["critical-time"], ["sweep", "--output", str(tmp_path / "o.csv")], ["clausius", "--t", "0.5"]):
+        result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
+        assert result.exit_code == 2, (args, result.output, result.exception)
+        assert "non-positive matrix: an entry has a real or imaginary part" in result.output
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_phase_xi_minus_theta_that_overflows_is_a_config_error(tmp_path):
+    # xi and theta are each finite; their difference, the phase of the qubit heat, is not.
+    raw = example_config("two_qubit_resonant")
+    raw["state"]["xi"], raw["interaction"]["theta"] = 1e308, -1e308
+    cfg_path = tmp_path / "phase.json"
+    cfg_path.write_text(json.dumps(raw))
+    for args in (["critical-time"], ["sweep", "--output", str(tmp_path / "o.csv")]):
+        result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
+        assert result.exit_code == 2, (args, result.output, result.exception)
+        assert "config error: state.xi (1e+308) - interaction.theta (-1e+308) overflows" in result.output
+    # clausius evaluates no closed-form heat, so it never forms the phase.
+    result = CliRunner().invoke(main, ["clausius", "--t", "0.5", "--config", str(cfg_path)])
+    assert result.exit_code == 0, (result.output, result.exception)
+
+
 @pytest.mark.parametrize("value", [True, False, [True, 0.0], [0.0, False]])
 @pytest.mark.parametrize("key", ["nu1", "nu2", "gamma"])
 def test_json_booleans_are_not_complex_fields(key, value):

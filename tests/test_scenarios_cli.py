@@ -688,6 +688,17 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "entropy_production" in result.output
 
+    @pytest.mark.parametrize("option", [["--n-points", "5"], ["--t-max", "1.0"]])
+    def test_clausius_takes_no_grid_options(self, option):
+        # clausius evaluates one time and reads no grid, so it has no grid overrides.
+        runner = CliRunner()
+        result = runner.invoke(main, ["clausius", "--builtin", "micadei", "--t", "1e-4", *option])
+        assert result.exit_code == 2, result.output
+        assert f"No such option '{option[0]}'" in result.output
+        result = runner.invoke(main, ["clausius", "--builtin", "micadei", "--t", "1e-4"])
+        assert result.exit_code == 0, result.output
+        assert "entropy_production" in result.output
+
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "command",
