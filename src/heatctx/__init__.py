@@ -31,7 +31,6 @@ from .states import (
     TwoQubitThermalParams,
     TwoQutritThermalParams,
     entropies,
-    gibbs_state,
     mutual_information,
     qutrit_hamiltonian,
     relative_entropy,
@@ -44,7 +43,6 @@ from .dynamics import (
     NonResonantInteraction,
     PartialSwapInteraction,
     ResonantInteraction,
-    check_energy_conservation,
     evolve_interaction_picture,
     evolve_on_grid,
     interaction_unitary,
@@ -53,8 +51,6 @@ from .dynamics import (
 from .thermo import (
     HeatResult,
     clausius_report,
-    heat_closed_form_2qubit_thermal,
-    heat_closed_form_qutrit,
     heat_trace,
     qutrit_heat_coefficients,
 )

@@ -14,7 +14,6 @@ import sys
 from dataclasses import replace
 
 import click
-import numpy as np
 
 from .errors import ConfigError, HeatctxError, NumericsError
 from .contextuality import extract_stochastic_reversibility, find_minimal_pd
@@ -193,7 +192,7 @@ def verify_decomposition(kind, g, a, theta, local_dim, t, p_d, minimal):
 def choi(kind, g, a, theta, local_dim, t, p_d):
     """Print the Choi spectrum of the extracted residual channel."""
     *_, report = _factor_generator(kind, g, a, theta, local_dim, t, p_d)
-    for ev in np.sort(report.choi_eigenvalues):
+    for ev in report.choi_eigenvalues:
         click.echo(f"{ev:.12e}")
 
 

@@ -9,8 +9,9 @@ Certification takes the generator H and the time t of U = e^{-itH} and never
 builds U or these d^2 x d^2 maps: every verdict is decided on a d x d matrix
 in the eigenbasis of H, from its eigenvalues w alone, so it holds down to
 g t = 1e-8 and below. ``unitary_to_superoperator``,
-``_symmetrized_conjugation``, ``_residual_channel``, ``choi_matrix`` and
-``trace_preservation_residual`` are the reference the tests compare it with.
+``_symmetrized_conjugation``, ``choi_matrix`` and
+``trace_preservation_residual`` are the reference the tests compare it with,
+together with the residual channel in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -136,18 +137,6 @@ def _schur_multiplier(gaps: np.ndarray, p_d: float) -> np.ndarray:
     whose multiplier is all ones.
     """
     return 1 - gaps / p_d if p_d else np.ones_like(gaps)
-
-
-def _residual_channel(m: Superoperator, p_d: float) -> Superoperator:
-    """The C of M = (1 - p_d) id + p_d C; at p_d = 0, M must be the identity."""
-    ident = np.eye(m.dim * m.dim, dtype=complex)
-    if p_d == 0:
-        if max_norm(m.matrix - ident) > 1e-12:
-            raise DecompositionError(
-                "p_d = 0 claimed but the symmetrized map is not the identity"
-            )
-        return Superoperator.identity(m.dim)
-    return Superoperator(m.dim, (m.matrix - (1 - p_d) * ident) / p_d)
 
 
 def _decomposition_report(gaps: np.ndarray, p_d: float) -> DecompositionReport:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, ParamError
+from .errors import ParamError
 from .linalg import (
     HermitianOp,
     UnitaryOp,
@@ -19,12 +19,9 @@ from .linalg import (
     dagger,
     eig_hermitian,
     expm_hermitian_generator,
-    kron,
-    max_norm,
 )
 from .states import DensityMatrix
 
-ENERGY_CONSERVATION_TOL = 1e-12
 EINSUM_BELOW = 256  # grid points below which the dense einsums' lower fixed cost wins
 
 
@@ -103,21 +100,6 @@ class PartialSwapInteraction:
 
     def hamiltonian(self) -> HermitianOp:
         return HermitianOp(self.g * swap_operator(self.local_dim).astype(complex))
-
-
-def check_energy_conservation(h_int, h_a_local, h_b_local) -> tuple[bool, float]:
-    """Residual max-norm of [H_I, H_A x 1 + 1 x H_B] and a pass flag at 1e-12."""
-    hi = as_matrix(h_int)
-    ha = as_matrix(h_a_local)
-    hb = as_matrix(h_b_local)
-    total_local = kron(ha, np.eye(hb.shape[0])) + kron(np.eye(ha.shape[0]), hb)
-    if total_local.shape != hi.shape:
-        raise DimensionError(
-            f"interaction dim {hi.shape[0]} incompatible with locals "
-            f"{ha.shape[0]}x{hb.shape[0]}"
-        )
-    residual = max_norm(hi @ total_local - total_local @ hi)
-    return residual <= ENERGY_CONSERVATION_TOL, residual
 
 
 def interaction_unitary(h_int, t: float) -> UnitaryOp:

@@ -71,10 +71,6 @@ class UnitaryOp:
             raise NumericsError(f"matrix is not unitary to {UNITARY_TOL:g}")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product; dimensions multiply."""

@@ -561,16 +561,18 @@ class _ScenarioEngine:
         return 2 * self.a_max * b_plus, -4 * self.a_max * b_minus
 
     def frequencies(self) -> list[float]:
-        """Angular frequencies in t of heat - bound, each a distance of two eigenvalues.
+        """Angular frequencies in t of heat - bound: 0, the factors' gaps, their sum and difference.
 
-        The heat's are the Bohr frequencies of H_I. A factor's p_d = sin^2(Delta t / 2)
-        has its generator's gap Delta, and Theorem 2's product p_d1 p_d2 adds
-        Delta1 + Delta2 and |Delta1 - Delta2|.
+        A factor's p_d = sin^2(Delta t / 2) has its generator's gap Delta, and
+        Theorem 2's product p_d1 p_d2 adds Delta1 + Delta2 and |Delta1 - Delta2|.
+        The heat's, the Bohr frequencies of H_I, are among these already: the
+        partial SWAP's 2g and the non-resonant g are their factor's gap, and the
+        resonant g |a - 1|, 2g and g |a + 1| are the two gaps and, for a >= 1,
+        their sum, else their difference.
         """
-        w = np.linalg.eigvalsh(self.h_int.matrix).tolist()  # ascending
         gaps = [2 * abs(half_gap) for half_gap in self.half_gaps]
         mixed = [gaps[0] + gaps[1], abs(gaps[0] - gaps[1])] if len(gaps) == 2 else []
-        return sorted({b - a for i, a in enumerate(w) for b in w[i:]}.union(gaps, mixed))
+        return sorted({0.0}.union(gaps, mixed))
 
     def crossings(self, ts: np.ndarray) -> list[Crossing]:
         """The crossings of heat with either bound on the grid ts (``find_critical_times``)."""

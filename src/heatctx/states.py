@@ -92,12 +92,6 @@ def _gibbs_matrix(h, beta: float) -> np.ndarray:
     return (rho + dagger(rho)) / 2
 
 
-def gibbs_state(h, beta: float) -> DensityMatrix:
-    """Thermal state e^{-beta h} / Z, validated."""
-    rho = _gibbs_matrix(h, beta)
-    return DensityMatrix(rho, (rho.shape[0],))
-
-
 def zeeman_hamiltonian(omega: float) -> HermitianOp:
     """Single-qubit local Hamiltonian (omega/2)(1 - sigma_z) = diag(0, omega)."""
     return HermitianOp(np.diag([0.0, omega]).astype(complex))

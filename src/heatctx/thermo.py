@@ -77,13 +77,6 @@ def build_heat_2qubit_thermal(params: TwoQubitThermalParams, g: float, theta: fl
     return heat
 
 
-def heat_closed_form_2qubit_thermal(
-    params: TwoQubitThermalParams, g: float, theta: float, t
-):
-    """Heat for the thermal two-qubit family at t (see ``build_heat_2qubit_thermal``)."""
-    return build_heat_2qubit_thermal(params, g, theta)(t)
-
-
 def qutrit_heat_coefficients(params: TwoQutritThermalParams) -> tuple[float, float]:
     """Coefficients (zeta, xi) of <Q_A> = zeta sin^2(gt) + xi sin(gt)cos(gt).
 
@@ -122,11 +115,6 @@ def build_heat_qutrit(params: TwoQutritThermalParams, g: float):
         return out if out.ndim else float(out)
 
     return heat
-
-
-def heat_closed_form_qutrit(params: TwoQutritThermalParams, g: float, t):
-    """Partial-SWAP heat for the two-qutrit family at t (see ``build_heat_qutrit``)."""
-    return build_heat_qutrit(params, g)(t)
 
 
 def clausius_report(

@@ -13,12 +13,17 @@ from dataclasses import asdict
 import numpy as np
 
 from heatctx import (
+    DecompositionError,
+    DensityMatrix,
+    DimensionError,
+    Superoperator,
     SweepResult,
     TwoQubitThermalParams,
     TwoQutritThermalParams,
     clausius_report,
     eig_hermitian,
     interaction_unitary,
+    kron,
     two_qubit_thermal,
     zeeman_hamiltonian,
 )
@@ -27,11 +32,14 @@ from heatctx.contextuality import (
     MINIMAL_PD_TOL,
     TRACE_PRESERVATION_TOL,
     _eigenbasis_gaps,
-    _residual_channel,
     _symmetrized_conjugation,
     choi_matrix,
 )
+from heatctx.linalg import as_matrix, max_norm
 from heatctx.scenarios import COLUMNS, CSV_HEADER
+from heatctx.states import _gibbs_matrix
+
+ENERGY_CONSERVATION_TOL = 1e-12
 
 
 def random_hermitian(rng, d):
@@ -114,6 +122,39 @@ def reference_delta_mutual_info(rho, h_int, ts):
     return (s_a - s_a[0]) + (s_b - s_b[0])
 
 
+def check_energy_conservation(h_int, h_a_local, h_b_local) -> tuple[bool, float]:
+    """Residual max-norm of [H_I, H_A x 1 + 1 x H_B] and a pass flag at 1e-12."""
+    hi = as_matrix(h_int)
+    ha = as_matrix(h_a_local)
+    hb = as_matrix(h_b_local)
+    total_local = kron(ha, np.eye(hb.shape[0])) + kron(np.eye(ha.shape[0]), hb)
+    if total_local.shape != hi.shape:
+        raise DimensionError(
+            f"interaction dim {hi.shape[0]} incompatible with locals "
+            f"{ha.shape[0]}x{hb.shape[0]}"
+        )
+    residual = max_norm(hi @ total_local - total_local @ hi)
+    return residual <= ENERGY_CONSERVATION_TOL, residual
+
+
+def gibbs_state(h, beta: float) -> DensityMatrix:
+    """Thermal state e^{-beta h} / Z, validated."""
+    rho = _gibbs_matrix(h, beta)
+    return DensityMatrix(rho, (rho.shape[0],))
+
+
+def residual_channel(m: Superoperator, p_d: float) -> Superoperator:
+    """The C of M = (1 - p_d) id + p_d C; at p_d = 0, M must be the identity."""
+    ident = np.eye(m.dim * m.dim, dtype=complex)
+    if p_d == 0:
+        if max_norm(m.matrix - ident) > 1e-12:
+            raise DecompositionError(
+                "p_d = 0 claimed but the symmetrized map is not the identity"
+            )
+        return Superoperator.identity(m.dim)
+    return Superoperator(m.dim, (m.matrix - (1 - p_d) * ident) / p_d)
+
+
 def reference_tp_residual(s):
     """Reference: max |Tr{C(|i><j|)} - delta_ij|, one np.trace per matrix element."""
     d = s.dim
@@ -146,7 +187,7 @@ def reference_minimal_pd(h, t):
         return 0.0, True
 
     def feasible(p):
-        return reference_cptp_verdict(_residual_channel(m, p))
+        return reference_cptp_verdict(residual_channel(m, p))
 
     lo, hi = _eigenbasis_gaps(h, t).max() / 4, 1.0
     assert feasible(hi) and not feasible(lo)

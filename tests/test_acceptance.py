@@ -18,8 +18,6 @@ from heatctx import (
     extract_stochastic_reversibility,
     find_critical_times,
     format_csv,
-    heat_closed_form_2qubit_thermal,
-    heat_closed_form_qutrit,
     heat_trace,
     nc_bound_theorem1,
     nc_bound_theorem2,
@@ -31,6 +29,7 @@ from heatctx import (
     two_qutrit_thermal,
     zeeman_hamiltonian,
 )
+from heatctx.thermo import build_heat_2qubit_thermal, build_heat_qutrit
 
 from conftest import (
     population_form_heat,
@@ -119,7 +118,7 @@ def test_criterion_4_closed_forms_vs_trace():
         q_pop = population_form_heat(
             pops[1], pops[2], params.eta, params.xi, g, theta, params.omega, t
         )
-        q_th = heat_closed_form_2qubit_thermal(params, g, theta, t)
+        q_th = build_heat_2qubit_thermal(params, g, theta)(t)
         worst = max(worst, abs(q_pop - q_ref), abs(q_th - q_ref))
     # partial-SWAP qutrit form
     for _ in range(1000):
@@ -129,7 +128,7 @@ def test_criterion_4_closed_forms_vs_trace():
         t = rng.uniform(0.0, 2 * math.pi / g)
         h = PartialSwapInteraction(g, local_dim=3).hamiltonian()
         q_ref = heat_trace(rho, h, qutrit_hamiltonian(params.omegas), t)
-        worst = max(worst, abs(heat_closed_form_qutrit(params, g, t) - q_ref))
+        worst = max(worst, abs(build_heat_qutrit(params, g)(t) - q_ref))
     report(4, "closed forms match trace formula to 1e-10 (1000 each)", worst <= 1e-10, f"max |diff| {worst:.2e}")
 
 
@@ -209,7 +208,7 @@ def test_criterion_7_coherence_witness():
         trials += 1
         g, a = 1.0, 0.0
         ts = np.geomspace(1e-9, 2 * math.pi, 4000)
-        heat = heat_closed_form_2qubit_thermal(params, g, theta, ts)
+        heat = build_heat_2qubit_thermal(params, g, theta)(ts)
         upper, lower = _two_qubit_bounds(params.omega, g, a, ts)
         if np.any((heat > upper) | (heat < lower)):
             found += 1

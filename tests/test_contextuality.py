@@ -5,6 +5,7 @@ from click.testing import CliRunner
 from heatctx import (
     Crossing,
     DecompositionError,
+    DimensionError,
     NonResonantInteraction,
     NumericsError,
     ParamError,
@@ -32,7 +33,6 @@ from heatctx.contextuality import (
     MINIMAL_PD_TOL,
     _cptp_verdict,
     _eigenbasis_gaps,
-    _residual_channel,
     _symmetrized_conjugation,
 )
 from heatctx import dynamics
@@ -47,6 +47,7 @@ from conftest import (
     reference_cptp_verdict,
     reference_minimal_pd,
     reference_tp_residual,
+    residual_channel,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -95,6 +96,14 @@ def assert_matches_the_reference(h, t, gt, p_analytic):
 
 
 class TestSuperoperator:
+    def test_rejects_a_matrix_of_the_wrong_shape(self):
+        with pytest.raises(DimensionError, match="must be 4x4"):
+            Superoperator(2, np.eye(3))
+
+    def test_apply_rejects_an_operand_of_the_wrong_size(self):
+        with pytest.raises(DimensionError, match="operand must be 2x2"):
+            Superoperator.identity(2).apply(np.eye(3))
+
     def test_identity(self):
         s = Superoperator.identity(3)
         x = np.arange(9).reshape(3, 3).astype(complex)
@@ -195,7 +204,7 @@ class TestDecomposition:
         h = PartialSwapInteraction(g, 2).hamiltonian()
         p_d = np.sin(g * t) ** 2
         assert extract_stochastic_reversibility(h, t, p_d).is_cptp
-        c = _residual_channel(_symmetrized_conjugation(interaction_unitary(h, t)), p_d)
+        c = residual_channel(_symmetrized_conjugation(interaction_unitary(h, t)), p_d)
         swap_conj = unitary_to_superoperator(swap_operator(2))
         assert np.max(np.abs(c.matrix - swap_conj.matrix)) < 1e-10
 
@@ -391,7 +400,7 @@ class TestSmallPd:
             u = interaction_unitary(h, t)
             for p_d in (p_analytic, rng.uniform(p_analytic, 1.0), 1.0):
                 report = extract_stochastic_reversibility(h, t, p_d)
-                c = _residual_channel(_symmetrized_conjugation(u), p_d)
+                c = residual_channel(_symmetrized_conjugation(u), p_d)
                 choi = np.linalg.eigvalsh(choi_matrix(c).matrix)
                 assert np.max(np.abs(report.choi_eigenvalues - choi)) <= 1e-9
                 d = h.dim
@@ -543,6 +552,11 @@ class TestCriticalTimes:
     def test_xi_zero_rejected(self):
         with pytest.raises(ParamError):
             qutrit_critical_times_analytic(0.3, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("g", [0.0, -1.0])
+    def test_non_positive_g_rejected(self, g):
+        with pytest.raises(ParamError, match="g must be positive"):
+            qutrit_critical_times_analytic(0.3, 0.2, 1.0, g)
 
     def test_small_xi_limit(self):
         tau_u, _ = qutrit_critical_times_analytic(0.0, 1e-8, 1.0, 1.0)

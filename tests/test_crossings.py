@@ -24,7 +24,14 @@ from heatctx import (
     run_sweep,
 )
 from heatctx.cli import main
-from heatctx.contextuality import find_critical_times, spectral_plan
+from heatctx.contextuality import (
+    SPECTRAL_TRIM_TOL,
+    _polish,
+    _refine_bisection,
+    _root_phases,
+    find_critical_times,
+    spectral_plan,
+)
 from heatctx.scenarios import FACTORS, _ScenarioEngine
 from test_families import example_config
 
@@ -167,7 +174,7 @@ def test_a_larger_grid_buys_a_higher_degree():
 
 
 def test_micadei_frequencies():
-    # Bohr frequencies of H_I {g, 2g}, the gaps 2g and g, and their sum 3g.
+    # The gaps 2g and g, their sum 3g and difference g; H_I's Bohr frequencies {g, 2g} are among them.
     engine = _ScenarioEngine(builtin_micadei())
     g = engine.g
     assert engine.frequencies() == pytest.approx([0.0, g, 2 * g, 3 * g], rel=1e-12, abs=1e-9 * g)
@@ -215,6 +222,63 @@ def test_heat_minus_bound_must_vanish_at_zero():
     with pytest.raises(NumericsError, match="does not vanish at t = 0"):
         find_critical_times(ts, heat, bounds, [0.0, 1.0])
     assert find_critical_times(ts, heat, bounds) != []
+
+
+def never_called(t):
+    raise AssertionError(f"f evaluated at {t}")
+
+
+# _polish on synthetic brackets: cell j = 1 of the grid 0, 1, 2, 3, whose points
+# are t_0 .. t_3, the root's own bracket (1.4, 1.6) and its share (1, 2), with
+# values chosen per rule. Only the rule under test can report a crossing.
+@pytest.mark.parametrize(
+    "values,expect",
+    [
+        ([-1.0, 0.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0], 1.0),  # f(t_j) = 0 between opposite signs
+        ([-2.0, -1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0], 2.0),  # f(t_j+1) = 0 between opposite signs
+    ],
+)
+def test_polish_reports_an_interior_grid_zero_itself(values, expect):
+    ts = np.array([0.0, 1.0, 2.0, 3.0])
+    brackets = [(1, True, [0.0, 1.0, 2.0, 3.0, 1.4, 1.6, 1.0, 2.0])]
+    assert _polish(never_called, ts, brackets, [values]) == [expect]
+    # Not alone in its cell, or not between opposite signs: no crossing.
+    assert _polish(never_called, ts, [(1, False, brackets[0][2])], [values]) == []
+    flat = [abs(v) for v in values]
+    assert _polish(never_called, ts, brackets, [flat]) == []
+
+
+def test_polish_refines_on_the_share_when_the_own_bracket_keeps_its_sign():
+    ts = np.array([0.0, 1.0, 2.0, 3.0])
+    f = lambda t: t - 1.3
+    brackets = [(1, True, [0.0, 1.0, 2.0, 3.0, 1.4, 1.6, 1.0, 2.0])]
+    values = [[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0]]
+    (time,) = _polish(f, ts, brackets, values)
+    assert time == pytest.approx(1.3, rel=1e-10)
+    values[0][6] = 1.0
+    assert _polish(f, ts, brackets, values) == []
+
+
+def test_refine_bisection_returns_a_midpoint_where_f_is_zero():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t - 0.5
+
+    assert _refine_bisection(f, 0.0, 1.0) == 0.5
+    assert calls == [0.0, 0.5]
+
+
+def test_root_phases_drop_a_top_harmonic_below_the_trim(monkeypatch):
+    # f = sin(w0 t) has roots at phases 0 and pi; a harmonic 2 below the trim is
+    # rounding, so f stays of degree 1, whose 1 x 1 companion needs no eigvals.
+    solved = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: solved.append(m.shape) or eigvals(m))
+    for top in (0.0, 0.5 * SPECTRAL_TRIM_TOL):
+        assert _root_phases(np.array([[0.0, -0.5j, top * (1 + 1j)]]), 1.0) == [[math.pi, 0.0]]
+    assert solved == []
 
 
 @pytest.mark.parametrize("offset", [1e-10, 1e-12])

@@ -6,9 +6,7 @@ from heatctx import (
     NonResonantInteraction,
     PartialSwapInteraction,
     ResonantInteraction,
-    check_energy_conservation,
     evolve_interaction_picture,
-    gibbs_state,
     interaction_unitary,
     kron,
     qutrit_hamiltonian,
@@ -18,7 +16,7 @@ from heatctx import (
 
 from heatctx.dynamics import distinct_eigenvalues
 
-from conftest import random_density
+from conftest import check_energy_conservation, gibbs_state, random_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])

@@ -35,13 +35,13 @@ from heatctx.cli import main
 from heatctx.dynamics import (
     EINSUM_BELOW,
     EvolutionPlan,
-    check_energy_conservation,
     eigenvector_blocks,
     evolve_on_grid,
 )
 from heatctx.linalg import HermitianOp, eig_hermitian
 from heatctx.scenarios import FACTORS, FAMILIES, SWEEP_BLOCK, _blocks, _ScenarioEngine
 from conftest import (
+    check_energy_conservation,
     count_calls,
     random_density,
     reference_csv,
@@ -578,21 +578,55 @@ BAD_CASES = [
 ] + [(name, *edit) for name in sorted(FAMILIES) for edit in SHAPE_BAD]
 
 
-@pytest.mark.parametrize("name,section,key,value", BAD_CASES)
-def test_invalid_config_exits_2(name, section, key, value, tmp_path):
+MISSING = object()  # an edit that deletes the field
+
+
+def edited_config(tmp_path, name, section, key, value):
+    """The path of the example config of ``name`` with one edit written to a file."""
     raw = example_config(name)
     if key is None:
         raw = value
     else:
-        (raw if section is None else raw.setdefault(section, {}))[key] = value
+        fields = raw if section is None else raw.setdefault(section, {})
+        if value is MISSING:
+            del fields[key]
+        else:
+            fields[key] = value
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(raw))
+    return cfg_path
+
+
+@pytest.mark.parametrize("name,section,key,value", BAD_CASES)
+def test_invalid_config_exits_2(name, section, key, value, tmp_path):
+    cfg_path = edited_config(tmp_path, name, section, key, value)
     runner = CliRunner()
     for args in (["sweep", "--output", str(tmp_path / "o.csv")], ["critical-time"]):
         result = runner.invoke(main, args + ["--config", str(cfg_path)])
         assert result.exit_code == 2, (args, result.output, result.exception)
         assert isinstance(result.exception, SystemExit)
         assert "config error" in result.output
+
+
+@pytest.mark.parametrize(
+    "name,section,key,value,message",
+    [
+        ("two_qubit_resonant", None, "units", "furlongs", "units must be one of"),
+        ("two_qubit_resonant", "output", "format", "xml", "output.format must be one of"),
+        ("two_qubit_resonant", "state", "omega", MISSING, "state is missing field 'omega'"),
+        ("two_qubit_resonant", "state", "omega", [1.3], "state.omega must be a number, got [1.3]"),
+        ("two_qubit_resonant", "state", "nu1", [0.0, 0.0, 0.0], "state.nu1 as a pair must be [re, im]"),
+        ("two_qubit_resonant", "state", "nu1", {"re": 0.0}, "state.nu1 must be a number or [re, im]"),
+        ("qutrit_partial_swap", "state", "omegas", [0.0, 1.0], "state.omegas must list three level energies"),
+    ],
+)
+def test_an_invalid_config_names_its_mistake(name, section, key, value, message, tmp_path):
+    cfg_path = edited_config(tmp_path, name, section, key, value)
+    out_path = tmp_path / "o.csv"
+    result = CliRunner().invoke(main, ["sweep", "--config", str(cfg_path), "--output", str(out_path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: ") and message in result.stderr
+    assert not out_path.exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -87,6 +87,18 @@ def test_partial_trace_dim_mismatch():
         partial_trace(np.eye(6), (2, 2), 0)
 
 
+@pytest.mark.parametrize("keep", [-1, 2])
+def test_partial_trace_keep_out_of_range(keep):
+    with pytest.raises(DimensionError, match="keep index"):
+        partial_trace(np.eye(6) / 6, (2, 3), keep)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_a_non_square_operand_is_rejected(shape):
+    with pytest.raises(DimensionError, match="expected a square matrix"):
+        kron(np.zeros(shape), np.eye(2))
+
+
 def test_eig_pauli_z_and_x():
     w, _ = eig_hermitian(SZ)
     assert np.allclose(w, [-1.0, 1.0])

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from heatctx import (
     ConfigError,
     DensityMatrix,
+    NumericsError,
     ScenarioConfig,
     SweepRecord,
     TimeGrid,
@@ -593,6 +594,58 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["sweep", "--config", "/does/not/exist.json"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("both", [False, True])
+    def test_neither_or_both_config_sources_exit_2(self, both, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(builtin_micadei().to_dict()))
+        sources = ["--config", str(cfg_path), "--builtin", "micadei"] if both else []
+        result = CliRunner().invoke(main, ["critical-time", *sources])
+        assert result.exit_code == 2, result.output
+        assert "provide exactly one of --config or --builtin" in result.stderr
+
+    def test_a_config_that_is_not_json_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{not json")
+        result = CliRunner().invoke(main, ["critical-time", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert f"config {cfg_path} is not valid JSON" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["sweep", "--builtin", "micadei", "--n-points", "2", "--output"], "cannot write output to"),
+            (["builtin", "micadei", "-o"], "cannot write config to"),
+        ],
+    )
+    def test_unwritable_output_exits_2(self, args, message, tmp_path):
+        result = CliRunner().invoke(main, [*args, str(tmp_path / "missing" / "out")])
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
+
+    def test_builtin_writes_its_config_where_asked(self, tmp_path):
+        path = tmp_path / "micadei.json"
+        result = CliRunner().invoke(main, ["builtin", "micadei", "-o", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.output == f"wrote micadei config to {path}\n"
+        assert path.read_text() == CliRunner().invoke(main, ["builtin", "micadei"]).output
+        assert ScenarioConfig.from_dict(json.loads(path.read_text())) == builtin_micadei()
+
+    def test_numerics_error_in_a_sweep_exits_3(self, tmp_path, monkeypatch):
+        def failing(config):
+            raise NumericsError("the oracle disagrees")
+
+        monkeypatch.setattr("heatctx.cli.run_sweep", failing)
+        args = ["sweep", "--builtin", "micadei", "--output", str(tmp_path / "out.csv")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "numerics error: the oracle disagrees\n"
+
+    def test_a_claimed_pd_that_is_not_cptp_exits_3(self):
+        args = ["verify-decomposition", "--interaction", "partial-swap", "--local-dim", "3"]
+        result = CliRunner().invoke(main, [*args, "--t", "0.8", "--p-d", "1e-6"])
+        assert result.exit_code == 3, result.output
+        assert "cptp: no" in result.output
 
     @pytest.mark.parametrize("n_points", [10**12, 2**60, 2**63 - 1, 2**63, 10**20, 1e300])
     @pytest.mark.parametrize("command", ["sweep", "critical-time"])

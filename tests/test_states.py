@@ -3,13 +3,13 @@ import pytest
 
 from heatctx import (
     DensityMatrix,
+    DimensionError,
     NotAStateError,
     NumericsError,
     ParamError,
     SupportError,
     TwoQubitThermalParams,
     TwoQutritThermalParams,
-    gibbs_state,
     kron,
     mutual_information,
     qutrit_hamiltonian,
@@ -27,6 +27,7 @@ from heatctx.states import (
 )
 
 from conftest import (
+    gibbs_state,
     random_density,
     random_two_qubit_params,
     random_two_qutrit_params,
@@ -41,6 +42,11 @@ def bell_state():
 
 
 class TestDensityMatrix:
+    def test_rejects_non_hermitian(self):
+        m = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(NotAStateError, match="not Hermitian"):
+            DensityMatrix(m, (2,))
+
     def test_rejects_trace_not_one(self):
         with pytest.raises(NotAStateError):
             DensityMatrix(np.eye(2, dtype=complex), (2,))
@@ -134,6 +140,11 @@ class TestTwoQubitThermal:
 
 
 class TestTwoQutritThermal:
+    @pytest.mark.parametrize("omegas", [(0.0, 1.0), (0.0, 1.0, 2.0, 3.0)])
+    def test_qutrit_hamiltonian_needs_three_energies(self, omegas):
+        with pytest.raises(ParamError, match="exactly three energies"):
+            qutrit_hamiltonian(omegas)
+
     def test_zero_etas_gives_product(self):
         p = TwoQutritThermalParams(omegas=(0.0, 0.5, 1.0), beta_A=0.7, beta_B=0.2)
         rho = two_qutrit_thermal(p)
@@ -184,6 +195,15 @@ class TestTwoQutritThermal:
 
 
 class TestEntropies:
+    def test_relative_entropy_needs_equal_dimensions(self):
+        with pytest.raises(DimensionError, match="equal dimensions"):
+            relative_entropy(np.eye(2) / 2, np.eye(3) / 3)
+
+    def test_mutual_information_needs_a_bipartite_state(self):
+        rho = DensityMatrix(np.eye(8) / 8, (2, 2, 2))
+        with pytest.raises(DimensionError, match="bipartite"):
+            mutual_information(rho)
+
     def test_pure_state_entropy_zero(self):
         v = np.array([1.0, 0.0], dtype=complex)
         rho = DensityMatrix(np.outer(v, v.conj()), (2,))

@@ -11,9 +11,6 @@ from heatctx import (
     ResonantInteraction,
     TwoQubitThermalParams,
     clausius_report,
-    gibbs_state,
-    heat_closed_form_2qubit_thermal,
-    heat_closed_form_qutrit,
     heat_trace,
     kron,
     qutrit_hamiltonian,
@@ -24,6 +21,7 @@ from heatctx import (
 )
 
 from heatctx import thermo
+from heatctx.thermo import build_heat_2qubit_thermal, build_heat_qutrit
 
 from conftest import (
     count_calls,
@@ -56,6 +54,13 @@ def test_heat_trace_builds_no_evolution_plan(monkeypatch):
     assert calls == {"EvolutionPlan": 1}
 
 
+def test_heat_trace_needs_a_local_dim_dividing_the_states():
+    rho = DensityMatrix(np.eye(4) / 4, (2, 2))
+    h = ResonantInteraction(1.0).hamiltonian()
+    with pytest.raises(DimensionError, match="does not divide"):
+        heat_trace(rho, h, qutrit_hamiltonian((0.0, 1.0, 2.0)), 0.3)
+
+
 def test_nonresonant_transfers_no_heat():
     rng = np.random.default_rng(9)
     h = NonResonantInteraction(0.8).hamiltonian()
@@ -70,14 +75,14 @@ def test_closed_form_quarter_period():
     # at gt = pi/2 the coherent term vanishes, leaving omega*(p01 - p10)
     params = TwoQubitThermalParams(omega=2.0, beta_A=0.8, beta_B=0.3, eta=0.05, xi=0.7)
     p = qubit_thermal_populations(params.omega, params.beta_A, params.beta_B)
-    q = heat_closed_form_2qubit_thermal(params, 1.0, 0.2, np.pi / 2)
+    q = build_heat_2qubit_thermal(params, 1.0, 0.2)(np.pi / 2)
     assert q == pytest.approx(2.0 * (p[1] - p[2]), abs=1e-12)
 
 
 def test_closed_form_vanishes_without_imbalance():
     ts = np.linspace(0, 5, 50)
     params = TwoQubitThermalParams(omega=1.0, beta_A=0.7, beta_B=0.7)
-    q = heat_closed_form_2qubit_thermal(params, 1.0, 0.5, ts)
+    q = build_heat_2qubit_thermal(params, 1.0, 0.5)(ts)
     assert np.max(np.abs(q)) == 0.0
 
 
@@ -92,7 +97,7 @@ def test_closed_form_matches_trace_resonant():
         t = rng.uniform(0, 2 * np.pi / g)
         h = ResonantInteraction(g, a, theta).hamiltonian()
         q_ref = heat_trace(rho, h, zeeman_hamiltonian(params.omega), t)
-        q = heat_closed_form_2qubit_thermal(params, g, theta, t)
+        q = build_heat_2qubit_thermal(params, g, theta)(t)
         assert abs(q - q_ref) < 1e-10
 
 
@@ -107,14 +112,14 @@ def test_thermal_form_equals_population_form():
         q_pop = population_form_heat(
             p[1], p[2], params.eta, params.xi, g, theta, params.omega, t
         )
-        q_th = heat_closed_form_2qubit_thermal(params, g, theta, t)
+        q_th = build_heat_2qubit_thermal(params, g, theta)(t)
         assert abs(q_pop - q_th) < 1e-12
 
 
 def test_equal_temperatures_no_coherence_no_heat():
     params = TwoQubitThermalParams(omega=1.0, beta_A=0.6, beta_B=0.6)
     ts = np.linspace(0, 8, 100)
-    q = heat_closed_form_2qubit_thermal(params, 1.0, 0.3, ts)
+    q = build_heat_2qubit_thermal(params, 1.0, 0.3)(ts)
     assert np.max(np.abs(q)) < 1e-15
 
 
@@ -122,7 +127,7 @@ def test_colder_a_receives_heat_without_coherence():
     # beta_A > beta_B means A colder; heat into A should never be negative
     params = TwoQubitThermalParams(omega=1.0, beta_A=1.5, beta_B=0.4)
     ts = np.linspace(0, 8, 200)
-    q = heat_closed_form_2qubit_thermal(params, 1.0, 0.0, ts)
+    q = build_heat_2qubit_thermal(params, 1.0, 0.0)(ts)
     assert np.min(q) >= -1e-15
 
 
@@ -131,7 +136,7 @@ def test_micadei_anomalous_heat_is_positive():
     params = TwoQubitThermalParams(
         omega=4.135e-12, beta_A=1 / 4.3e-12, beta_B=1 / 3.66e-12, eta=-0.19
     )
-    q = heat_closed_form_2qubit_thermal(params, np.pi * 215.1, np.pi / 2, 1e-4)
+    q = build_heat_2qubit_thermal(params, np.pi * 215.1, np.pi / 2)(1e-4)
     assert q > 0
     rho = two_qubit_thermal(params)
     h = ResonantInteraction(np.pi * 215.1, 0.0, np.pi / 2).hamiltonian()
@@ -149,7 +154,7 @@ class TestQutritHeat:
         zeta, xi = qutrit_heat_coefficients(p0)
         assert xi == 0.0
         ts = np.linspace(0, 4, 20)
-        q = heat_closed_form_qutrit(p0, 1.0, ts)
+        q = build_heat_qutrit(p0, 1.0)(ts)
         assert np.max(np.abs(q - zeta * np.sin(ts) ** 2)) < 1e-15
 
     def test_equally_spaced_simple_form(self):
@@ -176,7 +181,7 @@ class TestQutritHeat:
         rng = np.random.default_rng(21)
         p = random_two_qutrit_params(rng)
         zeta, _ = qutrit_heat_coefficients(p)
-        assert heat_closed_form_qutrit(p, 1.0, np.pi / 2) == pytest.approx(zeta, abs=1e-15)
+        assert build_heat_qutrit(p, 1.0)(np.pi / 2) == pytest.approx(zeta, abs=1e-15)
 
     def test_matches_trace_formula(self):
         rng = np.random.default_rng(303)
@@ -187,7 +192,7 @@ class TestQutritHeat:
             t = rng.uniform(0, 2 * np.pi / g)
             h = PartialSwapInteraction(g, local_dim=3).hamiltonian()
             q_ref = heat_trace(rho, h, qutrit_hamiltonian(p.omegas), t)
-            assert abs(heat_closed_form_qutrit(p, g, t) - q_ref) < 1e-10
+            assert abs(build_heat_qutrit(p, g)(t) - q_ref) < 1e-10
 
     def test_hotter_a_gives_negative_zeta(self):
         # beta_A < beta_B (A hotter): excitation flows out of A, so the
