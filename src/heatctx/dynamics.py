@@ -22,8 +22,6 @@ from .linalg import (
 )
 from .states import DensityMatrix
 
-EINSUM_BELOW = 256  # grid points below which the dense einsums' lower fixed cost wins
-
 
 @dataclass(frozen=True)
 class ResonantInteraction:
@@ -109,7 +107,7 @@ def interaction_unitary(h_int, t: float) -> UnitaryOp:
 
 def evolve_on_grid(rho: DensityMatrix, h_int, ts) -> np.ndarray:
     """rho(t) = U(t) rho U(t)^dag at every t of ts, as an (N, d, d) array."""
-    return EvolutionPlan(rho, h_int, len(ts)).evolve(ts)
+    return EvolutionPlan(rho, h_int).evolve(ts)
 
 
 def eigenvector_blocks(v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -121,8 +119,10 @@ def eigenvector_blocks(v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     linked = (v != 0) @ (v != 0).T  # boolean: one link
     for _ in range(len(v).bit_length()):  # each squaring doubles the chains' reach
         linked = linked @ linked
-    rows = [np.flatnonzero(row) for row in np.unique(linked, axis=0)[::-1]]
-    return [(r, np.flatnonzero(v[r].any(axis=0))) for r in rows]
+    first = linked.argmax(axis=1)  # the first row each row reaches names its block
+    rows = first[:, None] == np.unique(first)  # (d, blocks): row i lies in block b
+    columns = rows[(v != 0).argmax(axis=0)]  # as the column's first nonzero row does
+    return [(r.nonzero()[0], c.nonzero()[0]) for r, c in zip(rows.T, columns.T)]
 
 
 def distinct_eigenvalues(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +139,7 @@ def distinct_eigenvalues(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class EvolutionPlan:
-    """All that ``evolve_on_grid`` derives from rho and H_I, for a grid of ``n_points``.
+    """All that ``evolve_on_grid`` derives from rho and H_I, for a grid of any length.
 
     U(t) = V diag(e^{-i t w}) V^dag from one eigendecomposition
     H_I = V diag(w) V^dag; V is checked unitary once, so every U(t) is.
@@ -147,50 +147,45 @@ class EvolutionPlan:
     U(t) is zero between the blocks of V (``eigenvector_blocks``), so rho(t) is
     zero outside the block pairs (b, c) whose slice rho[b, c] has a nonzero
     entry. Per block U_b(t) is the einsum "ij,nj,kj->nik" on b's eigen-columns,
-    and per such live pair rho(t)[b, c] is "nij,jk,nlk->nil". Below
-    ``EINSUM_BELOW`` grid points one block covers the basis: the two dense
-    einsums, whose fixed cost is lowest there.
+    and per such live pair rho(t)[b, c] is "nij,jk,nlk->nil", on every grid.
 
     The blocks keep the dense einsums' bits. Unoptimised np.einsum sums each
     output's terms in row-major order of the summed indices, into an
     accumulator that starts at +0. A running sum that starts at +0 is never -0
     (x + -x is +0), so a term that is +-0 leaves it unchanged; every dropped
     term has an exactly zero factor of U, so is +-0. einsum keeps that order
-    only while each U_b has the grid axis fastest in memory and each slice of
-    rho is C-ordered, as np.ix_ gives it: with C-ordered U_b, or a slice
-    rho[r][:, c] (F-ordered), it iterates otherwise and the last bits change.
+    only while each U_b has the grid axis fastest in memory, then its rows (so
+    F-ordered on one time), and each slice of rho is C-ordered: with C-ordered
+    U_b, or a slice rho[r][:, c], it iterates otherwise and the last bits change.
 
-    ``diagonal`` lists the blocks b of the live pairs (b, b), which alone give
-    the populations, when no live pair reaches an off-diagonal entry of rho_A
-    or rho_B; else None.
+    ``diagonal`` is True when no live pair reaches an off-diagonal entry of
+    rho_A or rho_B: then the diagonal pairs (b, b) alone give the populations.
 
     The phases e^{-i t w} are evaluated once per distinct eigenvalue
     (``distinct_eigenvalues``), and each block reads its columns through an
     index into them: an eigenvalue of equal bits gives a phase of equal bits.
     """
 
-    def __init__(self, rho: DensityMatrix, h_int, n_points: int):
+    def __init__(self, rho: DensityMatrix, h_int):
         self.w, v = eig_hermitian(h_int)
-        v, d, blocked = UnitaryOp(v).matrix, len(v), n_points >= EINSUM_BELOW
-        blocks = eigenvector_blocks(v) if blocked else [(np.arange(d), np.arange(d))]
+        v, d = UnitaryOp(v).matrix, len(v)
+        blocks = eigenvector_blocks(v)
         self.rows = rows = [r for r, _ in blocks]
         self.distinct, index = distinct_eigenvalues(self.w)
         self.blocks = [(index[c], v[r][:, c]) for r, c in blocks]
-        n = range(len(rows))
-        slices = [(b, c, rho.matrix[np.ix_(rows[b], rows[c])]) for b in n for c in n]
-        self.pairs = [(b, c, rho_bc) for b, c, rho_bc in slices if rho_bc.any()]
-        self.diagonal = None
-        if blocked and len(rho.dims) == 2:  # output (a b, a2 b2) adds to rho_A[a, a2] if b == b2
-            a, b = np.divmod(np.arange(d), rho.dims[1])
-            off = (a[:, None] == a) != (b[:, None] == b)  # outputs off rho_A's or rho_B's diagonal
-            if not any(off[np.ix_(rows[p], rows[q])].any() for p, q, _ in self.pairs):
-                self.diagonal = [p for p, q, _ in self.pairs if p == q]
+        member = np.array([np.bincount(r, minlength=d) for r in rows], bool).T  # row i in block b
+        live = member.T @ (rho.matrix != 0) @ member  # boolean: slice rho[b, c] is nonzero
+        pairs = zip(*live.nonzero())  # in row-major order
+        self.pairs = [(b, c, rho.matrix[rows[b][:, None], rows[c]]) for b, c in pairs]
+        a, b = np.divmod(np.arange(d), rho.dims[-1])  # (a b, a2 b2) adds to rho_A[a, a2] if b == b2
+        off = (a[:, None] == a) != (b[:, None] == b)  # outputs off rho_A's or rho_B's diagonal
+        self.diagonal = len(rho.dims) == 2 and not (live & (member.T @ off @ member)).any()
 
     def _unitaries(self, ts) -> list[np.ndarray]:
-        """U_b(t) of every block at every t of ts, (N, m, m) each, the grid axis fastest."""
+        """U_b(t) of every block at every t of ts, (N, m, m) each, the grid axis fastest, then i."""
         phases = np.exp(-1j * np.outer(ts, self.distinct))  # (N, number of distinct eigenvalues)
         return [
-            np.einsum("ij,nj,kj->ikn", v, phases[:, index], v.conj(), order="C").transpose(2, 0, 1)
+            np.einsum("ij,nj,kj->kin", v, phases[:, index], v.conj(), order="C").transpose(2, 1, 0)
             for index, v in self.blocks
         ]
 
@@ -209,8 +204,7 @@ class EvolutionPlan:
         out = np.zeros((len(u[0]), len(self.w)))
         for b, c, rho_bb in self.pairs:
             if b == c:
-                p = np.einsum("nij,jk,nik->ni", u[b], rho_bb, u[b].conj())
-                out[:, self.rows[b]] = p.real
+                out[:, self.rows[b]] = np.einsum("nij,jk,nik->ni", u[b], rho_bb, u[b].conj()).real
         return out
 
 

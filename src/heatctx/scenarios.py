@@ -388,9 +388,14 @@ def _qutrit_params(state: dict) -> TwoQutritThermalParams:
 
 
 def _qubit_heat(params, g, theta):
-    """``build_heat_2qubit_thermal``, once its phase xi - theta is a finite float."""
-    if not math.isfinite(params.xi - theta):
-        raise ConfigError(f"state.xi ({params.xi:g}) - interaction.theta ({theta:g}) overflows a float")
+    """``build_heat_2qubit_thermal``, once its phase xi - theta is a finite float whose
+    rounding (exact by ``math.fsum``) stays within the oracle's ``CROSS_CHECK_TOL``."""
+    phase, fields = params.xi - theta, f"state.xi ({params.xi:g}) - interaction.theta ({theta:g})"
+    if not math.isfinite(phase):
+        raise ConfigError(f"{fields} overflows a float")
+    lost = abs(math.fsum([params.xi, -theta, -phase]))
+    if lost > CROSS_CHECK_TOL:
+        raise ConfigError(f"{fields} rounds off {lost:g} rad, more than {CROSS_CHECK_TOL:g}")
     return build_heat_2qubit_thermal(params, g, theta)
 
 
@@ -589,10 +594,10 @@ class _ScenarioEngine:
         ``heat_trace_at`` reads the populations of each block's rho(t). Each step acts
         per grid point: blocks change no bit.
         """
-        plan, dims = EvolutionPlan(self.rho, self.h_int, len(ts)), self.rho.dims
+        plan, dims = EvolutionPlan(self.rho, self.h_int), self.rho.dims
         s_a, s_b, q = np.empty(len(ts)), np.empty(len(ts)), np.empty(len(ts))
         for block in _blocks(len(ts)):
-            if plan.diagonal is not None:
+            if plan.diagonal:
                 populations = plan.populations(ts[block])
                 s_a[block], s_b[block] = population_entropies(populations, dims)
             else:

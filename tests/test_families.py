@@ -6,6 +6,7 @@ test here then covers it.
 
 import json
 import math
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from heatctx import (
 )
 from heatctx.cli import main
 from heatctx.dynamics import (
-    EINSUM_BELOW,
     EvolutionPlan,
     eigenvector_blocks,
     evolve_on_grid,
@@ -163,9 +163,9 @@ def bits(a):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 class TestFamily:
-    @pytest.mark.parametrize("n", [20, EINSUM_BELOW + 1])
+    @pytest.mark.parametrize("n", [20, 257])
     def test_closed_form_heat_matches_trace(self, name, n):
-        # The einsums below EINSUM_BELOW points, the populations path from there.
+        # A short grid and a long one both take the blocks and the populations path.
         engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
         ts = seeded_times(6.0, n)
         _, q_trace = engine.delta_mutual_info(ts)
@@ -195,14 +195,14 @@ class TestFamily:
         engine = _ScenarioEngine(config)
         ts = config.time_grid.times()
         # Every family's marginals stay diagonal here: the sweep takes the populations path.
-        assert EvolutionPlan(engine.rho, engine.h_int, n_points).diagonal is not None
+        assert EvolutionPlan(engine.rho, engine.h_int).diagonal
         if t_min == 0:
             expect = reference_delta_mutual_info(engine.rho, engine.h_int, ts)
         else:
             expect = reference_delta_mutual_info(engine.rho, engine.h_int, np.r_[0.0, ts])[1:]
         assert np.array_equal(bits(run_sweep(config).delta_mutual_info), bits(expect))
 
-    @pytest.mark.parametrize("n", [1, 2, EINSUM_BELOW - 1, EINSUM_BELOW + 1, SEAM_POINTS])
+    @pytest.mark.parametrize("n", [1, 2, 255, 257, SEAM_POINTS])
     @pytest.mark.parametrize("state", ["example", "dense"])
     def test_evolve_on_grid_matches_the_einsums_bit_for_bit(self, name, state, n):
         engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
@@ -213,6 +213,18 @@ class TestFamily:
         ts = np.linspace(0.0, 6.0, n)  # t = 0 is on the grid
         expect = reference_evolve_on_grid(rho, engine.h_int, ts)
         assert np.array_equal(bits(evolve_on_grid(rho, engine.h_int, ts)), bits(expect))
+
+    @pytest.mark.parametrize("state", ["example", "dense"])
+    def test_one_time_matches_the_einsums_bit_for_bit(self, name, state):
+        # clausius evolves a single time. On a one-point grid einsum sums in
+        # the dense order only while each U_b keeps its row axis fastest.
+        engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
+        rho = engine.rho
+        if state == "dense":
+            rho = DensityMatrix(random_density(np.random.default_rng(1), len(rho.matrix)), rho.dims)
+        for t in seeded_times(6.0, 5):
+            expect = reference_evolve_on_grid(rho, engine.h_int, [t])
+            assert np.array_equal(bits(evolve_on_grid(rho, engine.h_int, [t])), bits(expect)), t
 
     def test_eigenvector_blocks(self, name):
         engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
@@ -288,7 +300,7 @@ def random_sector_interaction(rng):
     return HermitianOp(h)
 
 
-@pytest.mark.parametrize("n", [1, EINSUM_BELOW + 1, SWEEP_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 257, SWEEP_BLOCK + 1])
 def test_evolution_on_blocks_no_family_produces(n):
     # LAPACK's V links the sectors through roundoff-sized entries, into blocks
     # of sizes 1, 7 and 1. SWEEP_BLOCK + 1 points run as the sweep runs them,
@@ -303,11 +315,64 @@ def test_evolution_on_blocks_no_family_produces(n):
     ts = np.linspace(0.0, 6.0, n)
     expect = reference_evolve_on_grid(rho, h, ts)
     assert np.array_equal(bits(evolve_on_grid(rho, h, ts)), bits(expect))
-    plan = EvolutionPlan(rho, h, n)
+    plan = EvolutionPlan(rho, h)
     evolved = np.concatenate([plan.evolve(ts[block]) for block in _blocks(n)])
     populations = np.concatenate([plan.populations(ts[block]) for block in _blocks(n)])
     assert np.array_equal(bits(evolved), bits(expect))
     assert np.array_equal(bits(populations), bits(np.diagonal(expect, axis1=1, axis2=2).real))
+
+
+def random_block_unitary(rng, sizes):
+    """A unitary with blocks of the given sizes, rows and columns shuffled.
+
+    Each block is a product of random rotations along a path through its rows,
+    one per edge in random order, so some of its rows share no column and link
+    only through a chain of others.
+    """
+    d = sum(sizes)
+    u, rows = np.eye(d, dtype=complex), rng.permutation(d)
+    for block in np.split(rows, np.cumsum(sizes)[:-1]):
+        for k in rng.permutation(np.arange(1, len(block))):
+            i, j = block[k - 1], block[k]
+            angle, phase = rng.uniform(0.3, 1.2), np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+            rotation = np.eye(d, dtype=complex)
+            rotation[[i, i, j, j], [i, j, i, j]] = [
+                np.cos(angle), np.sin(angle) * phase, -np.sin(angle) / phase, np.cos(angle)
+            ]
+            u = rotation @ u
+    return u[:, rng.permutation(d)]
+
+
+def connected_blocks(v):
+    """The blocks of V by breadth-first search: rows linked by a nonzero v_ij v_kj."""
+    blocks, seen = [], set()
+    for first in range(len(v)):
+        if first in seen:
+            continue
+        found, queue = {first}, deque([first])
+        while queue:
+            for j in np.flatnonzero(v[queue.popleft()]):
+                for k in np.flatnonzero(v[:, j]):
+                    if k not in found:
+                        found.add(k)
+                        queue.append(k)
+        seen |= found
+        rows = sorted(found)
+        blocks.append((rows, sorted({j for i in rows for j in np.flatnonzero(v[i])})))
+    return blocks
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_eigenvector_blocks_are_the_connected_components(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 10))
+    cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(min(d, 3)), replace=False))
+    sizes = np.diff(np.r_[0, cuts, d]).tolist()
+    v = random_block_unitary(rng, sizes)
+    assert np.allclose(v @ v.conj().T, np.eye(d))
+    blocks = [(rows.tolist(), columns.tolist()) for rows, columns in eigenvector_blocks(v)]
+    assert blocks == connected_blocks(v)
+    assert sorted(len(rows) for rows, _ in blocks) == sorted(sizes)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -370,11 +435,11 @@ class CountingNumpy:
 
 
 def test_the_phases_follow_the_distinct_eigenvalues(monkeypatch):
-    # g S has the eigenvalues -g (3 times) and g (6 times): the blocked path takes
+    # g S has the eigenvalues -g (3 times) and g (6 times): the plan takes
     # 2 phases per grid point, not 9.
     engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config("qutrit_partial_swap")))
-    n = EINSUM_BELOW + 1
-    plan = EvolutionPlan(engine.rho, engine.h_int, n)
+    n = 257
+    plan = EvolutionPlan(engine.rho, engine.h_int)
     counting = CountingNumpy()
     monkeypatch.setattr("heatctx.dynamics.np", counting)
     plan.populations(np.linspace(0.0, 6.0, n))
@@ -390,8 +455,8 @@ PATHS = [
     ({"gamma": [0.02, 0.01]}, True),
 ]
 
-# Each family's example, which takes the populations path from EINSUM_BELOW
-# points on, and the nu1 state of PATHS, which takes the general path.
+# Each family's example, which takes the populations path at every grid size,
+# and the nu1 state of PATHS, which takes the general path.
 ORACLE_CASES = [(name, "example") for name in sorted(FAMILIES)] + [
     (name, "nu1") for name in ("two_qubit_nonresonant", "two_qubit_resonant")
 ]
@@ -410,8 +475,7 @@ def test_oracle_covers_every_grid_point(name, state, t_min, fault, monkeypatch):
     raw["time_grid"]["t_min"] = t_min
     config = ScenarioConfig.from_dict(raw)
     engine = _ScenarioEngine(config)
-    plan = EvolutionPlan(engine.rho, engine.h_int, config.time_grid.n_points)
-    assert (plan.diagonal is None) == (state == "nu1")
+    assert EvolutionPlan(engine.rho, engine.h_int).diagonal == (state == "example")
     ts = config.time_grid.times()
     t_bad = ts[np.random.default_rng(5).integers(len(ts))]
     family = FAMILIES[name]
@@ -444,21 +508,19 @@ def test_oracle_covers_every_grid_point(name, state, t_min, fault, monkeypatch):
 @pytest.mark.parametrize("edit, diagonal", PATHS)
 @pytest.mark.parametrize("name", ["two_qubit_resonant", "two_qubit_nonresonant"])
 def test_delta_mutual_info_path(name, edit, diagonal, n_points, block, monkeypatch):
-    # The populations path calls no eigvalsh; the general one, and every grid
-    # below EINSUM_BELOW points, eigensolves the marginals. Both give the
-    # reference's bits.
+    # The populations path calls no eigvalsh, on 2 points as on 400; the general
+    # one eigensolves the marginals. Both give the reference's bits.
     raw = example_config(name)
     raw["state"].update(edit)
     raw["time_grid"]["n_points"] = n_points
     config = ScenarioConfig.from_dict(raw)
     engine = _ScenarioEngine(config)
     ts = config.time_grid.times()
-    populations = diagonal and n_points >= EINSUM_BELOW
-    assert (EvolutionPlan(engine.rho, engine.h_int, n_points).diagonal is not None) == populations
+    assert EvolutionPlan(engine.rho, engine.h_int).diagonal == diagonal
     monkeypatch.setattr("heatctx.scenarios.SWEEP_BLOCK", block)
     calls = count_calls(monkeypatch, [("numpy.linalg", "eigvalsh")])
     delta_i = engine.delta_mutual_info(ts)[0]
-    assert (calls["eigvalsh"] == 0) == populations
+    assert (calls["eigvalsh"] == 0) == diagonal
     expect = reference_delta_mutual_info(engine.rho, engine.h_int, ts)
     assert np.array_equal(bits(delta_i), bits(expect))
 
@@ -677,18 +739,27 @@ def test_a_huge_state_entry_is_not_a_state(name, key, value, tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_a_phase_xi_minus_theta_that_overflows_is_a_config_error(tmp_path):
-    # xi and theta are each finite; their difference, the phase of the qubit heat, is not.
-    raw = example_config("two_qubit_resonant")
-    raw["state"]["xi"], raw["interaction"]["theta"] = 1e308, -1e308
-    cfg_path = tmp_path / "phase.json"
-    cfg_path.write_text(json.dumps(raw))
-    for args in (["critical-time"], ["sweep", "--output", str(tmp_path / "o.csv")]):
-        result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
-        assert result.exit_code == 2, (args, result.output, result.exception)
-        assert "config error: state.xi (1e+308) - interaction.theta (-1e+308) overflows" in result.output
-    # clausius evaluates no closed-form heat, so it never forms the phase.
-    result = CliRunner().invoke(main, ["clausius", "--t", "0.5", "--config", str(cfg_path)])
-    assert result.exit_code == 0, (result.output, result.exception)
+    # xi and theta are each finite; their difference, the phase of the qubit heat,
+    # overflows, or rounds off more than CROSS_CHECK_TOL radians: xi - theta is
+    # -1e308 at xi = 0.2, theta = 1e308, and loses 7.6e-7 rad at theta = 1e10.
+    # theta = 1e6 loses 4.7e-11 rad and runs.
+    for xi, theta, error in (
+        (1e308, -1e308, "state.xi (1e+308) - interaction.theta (-1e+308) overflows"),
+        (0.2, 1e308, "state.xi (0.2) - interaction.theta (1e+308) rounds off 0.2 rad, more than"),
+        (0.2, 1e10, "state.xi (0.2) - interaction.theta (1e+10) rounds off 7.62939e-07 rad"),
+        (0.2, 1e6, None),
+    ):
+        raw = example_config("two_qubit_resonant")
+        raw["state"]["xi"], raw["interaction"]["theta"] = xi, theta
+        cfg_path = tmp_path / "phase.json"
+        cfg_path.write_text(json.dumps(raw))
+        for args in (["critical-time"], ["sweep", "--output", str(tmp_path / "o.csv")]):
+            result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
+            assert result.exit_code == (0 if error is None else 2), (args, result.output)
+            assert error is None or f"config error: {error}" in result.output, result.output
+        # clausius evaluates no closed-form heat, so it never forms the phase.
+        result = CliRunner().invoke(main, ["clausius", "--t", "0.5", "--config", str(cfg_path)])
+        assert result.exit_code == 0, (result.output, result.exception)
 
 
 @pytest.mark.parametrize("value", [True, False, [True, 0.0], [0.0, False]])
