@@ -1,8 +1,10 @@
 """Energy-conserving interaction families and interaction-picture evolution.
 
-Local Hamiltonians in scope are diagonal, so they commute with the free
-evolution; heat computed purely in the interaction picture equals the
-full-picture value and the free unitary is never constructed.
+Local Hamiltonians in scope are real diagonal, a contract checked where every
+local energy is first read (``states._gibbs_matrix`` raises ParamError for any
+other), so they commute with the free evolution; heat computed purely in the
+interaction picture equals the full-picture value and the free unitary is
+never constructed.
 """
 
 from __future__ import annotations

@@ -507,9 +507,13 @@ def check_time(field: str, h_int, t: float) -> None:
     """
     if not math.isfinite(t):
         raise ConfigError(f"{field} must be finite, got {t}")
-    rate = float(np.abs(as_matrix(h_int)).sum(axis=1).max())
-    if not math.isfinite(2 * rate * t):
+    if not math.isfinite(2 * _rate(h_int) * t):
         raise ConfigError(f"{field} = {t:g} is too large: its phases under H_I overflow")
+
+
+def _rate(h_int) -> float:
+    """The largest absolute row sum of H_I, a bound on its eigenvalues."""
+    return float(np.abs(as_matrix(h_int)).sum(axis=1).max())
 
 
 class _ScenarioEngine:
@@ -617,12 +621,20 @@ def _blocks(n: int) -> Iterator[slice]:
 def _check_against_trace(
     engine: _ScenarioEngine, ts: np.ndarray, heat: np.ndarray, q_ref: np.ndarray
 ) -> None:
-    """NumericsError at the worst grid point where heat leaves the trace formula q_ref."""
+    """NumericsError at the worst grid point where heat leaves the trace formula q_ref, or a
+    ConfigError where one ulp of its phase 2 rate t exceeds ``CROSS_CHECK_TOL``: there both
+    sides are rounding noise, and the grid, not the program, is at fault."""
     deviation = np.abs(q_ref - heat)
     allowed = CROSS_CHECK_TOL * np.maximum(max(abs(engine.a_max), 1.0e-300), np.abs(q_ref))
     bad = np.flatnonzero(~(deviation <= allowed))  # NaN fails too
     if bad.size:
         i = bad[np.argmax(deviation[bad] / allowed[bad])]
+        ulp = np.spacing(2 * _rate(engine.h_int) * ts[i])
+        if ulp > CROSS_CHECK_TOL:
+            raise ConfigError(
+                f"time_grid.t_max = {ts[-1]:g} is too large: at t={ts[i]:g} one ulp of the "
+                f"phase under H_I is {ulp:.3g} rad, more than {CROSS_CHECK_TOL:g}"
+            )
         raise NumericsError(
             f"closed-form heat deviates from trace formula at t={ts[i]:g}: "
             f"{heat[i]:.17g} vs {q_ref[i]:.17g}"

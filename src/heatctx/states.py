@@ -83,13 +83,14 @@ def _boltzmann_weights(beta: float, energies: np.ndarray) -> np.ndarray:
 
 
 def _gibbs_matrix(h, beta: float) -> np.ndarray:
-    """e^{-beta h} / Z as a plain array, diagonal in the eigenbasis of h."""
+    """e^{-beta h} / Z as a plain array, from the ``_boltzmann_weights`` of h's diagonal:
+    h must be real diagonal, its energies (ParamError otherwise, with no tolerance)."""
     if not np.isfinite(beta) or beta < 0:
         raise ParamError(f"beta must be finite and >= 0, got {beta}")
-    w, v = eig_hermitian(h)
-    ew = _boltzmann_weights(beta, w)
-    rho = (v * ew) @ dagger(v)
-    return (rho + dagger(rho)) / 2
+    m = as_matrix(h)
+    if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)) or np.diagonal(m).imag.any():
+        raise ParamError("a local Hamiltonian must be real diagonal: its diagonal is read as its energies")
+    return np.diag(_boltzmann_weights(beta, np.diagonal(m).real))
 
 
 def zeeman_hamiltonian(omega: float) -> HermitianOp:
@@ -171,7 +172,9 @@ def check_thermal_marginals(state: DensityMatrix, h_locals, betas, tol: float, e
     """Raise ``error`` unless each marginal is the Gibbs state of its local
     Hamiltonian at its beta to ``tol`` in max-norm.
 
-    DimensionError when a local Hamiltonian does not match its subsystem.
+    ParamError when a local Hamiltonian is not real diagonal (``_gibbs_matrix``),
+    so a caller that passed this check may read the diagonals as energies;
+    DimensionError when one does not match its subsystem.
     """
     for keep, (h, beta) in enumerate(zip(h_locals, betas)):
         want = _gibbs_matrix(h, beta)

@@ -41,7 +41,9 @@ class HeatResult:
 
 def heat_trace(rho: DensityMatrix, h_int, h_a_local, t: float) -> float:
     """<Q_A> = Tr{U rho U^dag (H_A x 1)} - Tr{rho (H_A x 1)}, with U from
-    ``interaction_unitary``: a reference evolved apart from the sweep's ``EvolutionPlan``."""
+    ``interaction_unitary``: a reference evolved apart from the sweep's ``EvolutionPlan``,
+    and the general one, taking any H_A through ``kron``, where ``clausius_report`` and the
+    sweep read diagonal energies."""
     ha = as_matrix(h_a_local)
     d_b = rho.dim // ha.shape[0]
     if ha.shape[0] * d_b != rho.dim:
@@ -132,7 +134,10 @@ def clausius_report(
         S(rho_A'||rho_A) + S(rho_B'||rho_B)
             = beta_A <Q_A> + beta_B <Q_B> - Delta I(A:B)
     to 1e-9 and returns all pieces. Requires thermal marginals at the given
-    betas (to 1e-8, looser than construction so externally loaded states pass).
+    betas (to 1e-8, looser than construction so externally loaded states pass),
+    a check that admits only real diagonal local Hamiltonians. <Q_A> and <Q_B>
+    are then the change of the evolved state's diagonal against the energies,
+    A's repeated and B's tiled: the sweep oracle's formula, with no ``kron``.
     rho was validated when it was built; the evolved state and the four
     marginals derived from it are plain arrays.
     """
@@ -142,9 +147,9 @@ def clausius_report(
     )
 
     evolved = evolve_on_grid(rho, h_int, [t])[0]
-    change = evolved - rho.matrix
-    q_a = float(np.real(np.trace(change @ kron(ha, np.eye(hb.shape[0])))))
-    q_b = float(np.real(np.trace(change @ kron(np.eye(ha.shape[0]), hb))))
+    change = np.diagonal(evolved).real - np.diagonal(rho.matrix).real
+    q_a = float(change @ np.repeat(np.diagonal(ha).real, rho.dims[1]))
+    q_b = float(change @ np.tile(np.diagonal(hb).real, rho.dims[0]))
 
     # Row 0 holds the marginals of rho, row 1 those of the evolved state.
     rho_a, rho_b = bipartite_marginals(np.stack([rho.matrix, evolved]), rho.dims)

@@ -245,6 +245,7 @@ class TestFamily:
                 p.beta_A, p.beta_B, float(result.t[i]),
             )
             assert abs(report.delta_mutual_info - result.delta_mutual_info[i]) <= 1e-12
+            assert abs(report.q_A - result.heat[i]) <= 1e-10 * engine.a_max
 
     @pytest.mark.parametrize("n_points", [301, SEAM_POINTS])
     @pytest.mark.parametrize("t_min", [0.0, 0.7])
@@ -399,13 +400,33 @@ def test_a_sweep_builds_one_evolution_plan(name, monkeypatch):
     raw = example_config(name)
     raw["time_grid"]["n_points"] = 1000
     config = ScenarioConfig.from_dict(raw)
-    engine = _ScenarioEngine(config)  # its state builder eigensolves Gibbs states
+    engine = _ScenarioEngine(config)  # built outside the count: only the sweep's own calls count
     monkeypatch.setattr("heatctx.scenarios._ScenarioEngine", lambda _: engine)
     monkeypatch.setattr("heatctx.scenarios.SWEEP_BLOCK", 300)
     targets = [("heatctx.linalg", "eig_hermitian"), ("heatctx.dynamics", "eigenvector_blocks")]
     calls = count_calls(monkeypatch, targets)
     run_sweep(config)
     assert calls == {"eig_hermitian": 1, "eigenvector_blocks": 1}
+
+
+@pytest.mark.parametrize(
+    "args, count",
+    [
+        (["clausius", "--builtin", "micadei", "--t", "0.7"], 3),
+        (["clausius", "--builtin", "qutrit-demo", "--t", "0.7"], 3),
+        (["critical-time", "--builtin", "micadei"], 0),
+        (["sweep", "--builtin", "micadei", "--n-points", "2"], 1),
+    ],
+)
+def test_gibbs_references_take_no_eigensolver(args, count, tmp_path, monkeypatch):
+    # The Gibbs references are read off the local energies. What is left is H_I's
+    # one eigendecomposition where a state is evolved, and the two of clausius's
+    # relative entropies (the initial marginals).
+    calls = count_calls(monkeypatch, [("heatctx.linalg", "eig_hermitian")])
+    output = ["--output", str(tmp_path / "out.csv")] if args[0] == "sweep" else []
+    result = CliRunner().invoke(main, [*args, *output])
+    assert result.exit_code == 0, result.output
+    assert calls == {"eig_hermitian": count}
 
 
 @pytest.mark.parametrize("command", ["critical-time", "sweep", "clausius"])
@@ -760,6 +781,35 @@ def test_a_phase_xi_minus_theta_that_overflows_is_a_config_error(tmp_path):
         # clausius evaluates no closed-form heat, so it never forms the phase.
         result = CliRunner().invoke(main, ["clausius", "--t", "0.5", "--config", str(cfg_path)])
         assert result.exit_code == 0, (result.output, result.exception)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_min, t_max", [(0.0, 1e8), (0.0, 1e12), (1e300, 2e300)])
+def test_a_grid_beyond_double_precision_is_a_config_error(t_min, t_max, tmp_path):
+    # Where one ulp of the phase 2 rate t of H_I exceeds CROSS_CHECK_TOL, the closed
+    # form and the evolution are each rounding noise, so the oracle's disagreement is
+    # the grid's fault, not the program's: exit 2, naming time_grid.t_max.
+    raw = example_config("two_qubit_resonant")
+    raw["time_grid"] = {"t_min": t_min, "t_max": t_max, "n_points": 50}
+    cfg_path = tmp_path / "bigt.json"
+    cfg_path.write_text(json.dumps(raw))
+    out_path = tmp_path / "o.csv"
+    result = CliRunner().invoke(main, ["sweep", "--config", str(cfg_path), "--output", str(out_path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"config error: time_grid.t_max = {t_max:g} is too large: ")
+    assert not out_path.exists()
+
+
+def test_a_closed_form_off_the_trace_formula_is_a_numerics_error(tmp_path, monkeypatch):
+    # On t <= 6 the phases keep their digits, so a closed form 1e-6 relative off the
+    # trace formula is a fault of the program: exit 3.
+    heat = _ScenarioEngine.heat
+    monkeypatch.setattr(_ScenarioEngine, "heat", lambda self, t: heat(self, t) * (1 + 1e-6))
+    cfg_path = tmp_path / "a037.json"
+    cfg_path.write_text(json.dumps(example_config("two_qubit_resonant")))
+    result = CliRunner().invoke(main, ["sweep", "--config", str(cfg_path), "--output", str(tmp_path / "o.csv")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("numerics error: closed-form heat deviates from trace formula at t=")
 
 
 @pytest.mark.parametrize("value", [True, False, [True, 0.0], [0.0, False]])

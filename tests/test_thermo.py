@@ -7,6 +7,7 @@ from heatctx import (
     NonResonantInteraction,
     NonThermalMarginalsError,
     NumericsError,
+    ParamError,
     PartialSwapInteraction,
     ResonantInteraction,
     TwoQubitThermalParams,
@@ -25,6 +26,7 @@ from heatctx.thermo import build_heat_2qubit_thermal, build_heat_qutrit
 
 from conftest import (
     count_calls,
+    gibbs_state,
     population_form_heat,
     qubit_clausius,
     qubit_thermal_populations,
@@ -280,6 +282,24 @@ class TestClausius:
             clausius_report(
                 two_qubit_thermal(params), h, qutrit, zeeman_hamiltonian(1.0), 0.9, 0.4, 0.3
             )
+
+    @pytest.mark.parametrize(
+        "local",
+        [
+            np.array([[0.0, 0.1], [0.1, 1.0]]),
+            np.array([[0.0, 1e-300], [1e-300, 1.0]]),  # no tolerance
+            np.diag([0.0, 1.0 + 1e-300j]),
+        ],
+    )
+    def test_a_local_hamiltonian_must_be_real_diagonal(self, local):
+        # Gibbs references and heats read a local Hamiltonian's diagonal as its energies.
+        rho = two_qubit_thermal(TwoQubitThermalParams(omega=1.0, beta_A=0.9, beta_B=0.4))
+        h, zeeman = ResonantInteraction(1.0).hamiltonian(), zeeman_hamiltonian(1.0)
+        for ha, hb in ((local, zeeman), (zeeman, local)):
+            with pytest.raises(ParamError, match="must be real diagonal"):
+                clausius_report(rho, h, ha, hb, 0.9, 0.4, 0.3)
+        with pytest.raises(ParamError, match="must be real diagonal"):
+            gibbs_state(local, 0.9)
 
     def test_nu0_has_no_effect_on_heat(self):
         base = TwoQubitThermalParams(omega=1.0, beta_A=0.9, beta_B=0.4, eta=0.05)
