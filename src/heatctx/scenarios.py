@@ -31,7 +31,10 @@ x), subnormals, zeros and non-finite values.
 
 Blocks of fewer than ``FORMAT_IN_PYTHON_BELOW`` rows take their floats from
 Python's '%.16e' and repr, whose per-value cost is below the kernels' fixed cost
-there; every block's records are then laid out in one uint8 matrix.
+there. A block's records are the rows of one uint64 matrix, every field starting on
+a word and each word read from a table built on first use; ``bytes.translate``
+deletes the NUL padding, and the output stays bytes until ``format_csv`` and
+``format_json`` decode it once.
 """
 
 from __future__ import annotations
@@ -667,23 +670,18 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
 FORMAT_IN_PYTHON_BELOW = 24  # block rows below which Python's formatting beats the kernels' fixed cost
 
 _E_MIN, _E_MAX = -325, 309  # decimal exponents of the doubles, plus one correction either way
-_DIGITS = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype("u1").view("<u4")[:, 0]
-_EXPONENTS = np.array([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)], dtype="S8").view("<u8")
-_FIELD = 24  # len('%.16e' % -1.7976931348623157e308), the longest field
+_FIELD = 32  # bytes of a '%.16e' field, 4 words: "-d.", 16 digits, "e+308"
+_REPR_FIELD = 48  # bytes of a repr field, 6 words: its 46 slots (_repr_layouts) and 2 NUL
 _FLOAT_COLUMNS = [name for name in COLUMNS if name != "violates"]
-_FLAGS = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
+_FLAGS = np.frombuffer(b"false\0\0\0true\0\0\0\0", "<u8")  # the violates field, one word
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps's spelling
-
-# The slots of a repr field: its sign, "0." and three zeros (0.0001), 17 digits each
-# followed by a point, a closing zero (1000.0) and the exponent (e-05, e+300).
-_REPR_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 17 + b"0e+000", np.uint8)
-_REPR_FIELD = len(_REPR_TEMPLATE)
 
 
 @functools.cache
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hi, lo, b) at E - _E_MIN: 10^(16-E) = (hi + lo) 2^b, hi in [2^52, 2^53) an integer."""
-    rows = []
+def _powers_of_ten() -> np.ndarray:
+    """Rows hi, hi_hi, hi_lo, lo, b with column E - _E_MIN for E: 10^(16-E) = (hi + lo) 2^b,
+    hi in [2^52, 2^53) an integer and hi_hi + hi_lo its Veltkamp split (``_split``)."""
+    columns = []
     for e in range(_E_MIN, _E_MAX + 1):
         num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
         b = num.bit_length() - den.bit_length() - 53
@@ -691,9 +689,9 @@ def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if num >= den << 53:
             b, den = b + 1, den << 1
         hi, rest = divmod(num, den)
-        rows.append((hi, rest / den, b))
-    hi, lo, b = zip(*rows)
-    return np.array(hi, dtype=float), np.array(lo), np.array(b, dtype=np.int32)
+        columns.append((hi, rest / den, b))
+    hi, lo, b = (np.array(row, dtype=float) for row in zip(*columns))
+    return np.stack([hi, *_split(hi), lo, b])
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -713,11 +711,11 @@ def _scaled(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np
     corrected. Fewer digits (repr's 15 or 16) come from the 17-digit N by integer
     division, never from here at a shifted e.
     """
-    hi, lo, b = (p[e - _E_MIN] for p in _powers_of_ten())
+    hi, hh, hl, lo, b = np.take(_powers_of_ten(), e - _E_MIN, axis=1)
     p = m * hi
-    (mh, ml), (hh, hl) = _split(m), _split(hi)
+    mh, ml = _split(m)
     err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl  # m hi = p + err (Dekker)
-    s = q + b
+    s = q + b.astype(np.int32)
     rest = np.ldexp(err + m * lo, s)
     whole = np.floor(rest)
     return np.ldexp(p, s).astype(np.int64) + whole.astype(np.int64), rest - whole
@@ -800,37 +798,69 @@ def _python_fields(values: list, spell: Callable, width: int) -> np.ndarray:
     return np.frombuffer(text, np.uint8).reshape(-1, width)
 
 
-def _digit_slots(digits: np.ndarray) -> np.ndarray:
-    """The 16 digits after the leading one of 17-figure integers, as (len, 16) bytes."""
-    n = len(digits)
-    groups = np.empty((n, 4), np.int64)  # four digits at a time
-    np.divmod(digits % 10**16, 10**8, out=(groups[:, 0], groups[:, 2]))
-    np.divmod(groups[:, ::2], 10**4, out=(groups[:, ::2], groups[:, 1::2]))
-    return _DIGITS[groups].view(np.uint8).reshape(n, 16)
+class _Words(NamedTuple):
+    """The words fields are built from: a field's bytes, NUL-padded, as little-endian integers."""
+
+    digits: np.ndarray  # <u8 at g < 10^4: g's four ASCII digits, in the low half
+    pointed: np.ndarray  # <u8 at g: "d.d.d.d.", g's digits in repr's digit and point slots
+    last: np.ndarray  # at g: the place, 1 to 4, of g's last nonzero digit; -12 for 0000
+    e16_lead: np.ndarray  # <u8 at 10 sign + lead digit: "-d."
+    repr_lead: np.ndarray  # <u8 at 10 sign + lead digit: "-0.000d.", the sign slot NUL for +
+    e16_exponent: np.ndarray  # <u8 at E - _E_MIN: "e-05", "e+300"
+    repr_exponent: np.ndarray  # <u8 at E - _E_MIN: "0e-05", repr's closing-zero slot first
+
+
+@functools.cache
+def _words() -> _Words:
+    chars = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    nonzero = chars != ord("0")
+    last = np.where(nonzero.any(axis=1), 4 - nonzero[:, ::-1].argmax(axis=1), -12)
+    leads = [b"%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)]
+    exponents = [b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)]
+    repr_leads = [s[:1] + b"0.000" + s[1:] for s in leads]  # the sign slot first
+    texts = leads, repr_leads, exponents, [b"0" + s for s in exponents]
+    return _Words(
+        chars.view("<u4")[:, 0].astype("<u8"),
+        np.insert(chars, [1, 2, 3, 4], ord("."), axis=1).view("<u8")[:, 0],
+        last.astype(np.int8),
+        *(np.array(words, dtype="S8").view("<u8") for words in texts),
+    )
+
+
+def _groups(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, groups): the leading digit of 17-figure integers and the other 16 as four
+    4-digit groups, (4, len), by floor division, whose scalar divisors numpy multiplies out."""
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    high = rest // 10**8
+    halves = np.stack([high, rest - high * 10**8])
+    high = halves // 10**4
+    return lead, np.stack([high, halves - high * 10**4], axis=1).reshape(4, -1)
 
 
 def _e16_fields(x: np.ndarray) -> np.ndarray:
     """'%.16e' % v for each v of x as (len(x), _FIELD) bytes, NUL-padded."""
     digits, e, fallback = _round_e16(x)
-    n = len(x)
-    text = np.empty((n, _FIELD), np.uint8)
-    text[:, 0] = np.signbit(x) * ord("-")
-    text[:, 1:3] = np.frombuffer(b"0.", np.uint8)
-    text[:, 1] += (digits // 10**16).astype(np.uint8)
-    text[:, 3:19] = _digit_slots(digits)
-    text[:, 19:] = _EXPONENTS[e - _E_MIN].view(np.uint8).reshape(n, 8)[:, :5]
-    bad = fallback.nonzero()[0]
-    if bad.size:
-        text[bad] = _python_fields(x[bad].tolist(), "%.16e".__mod__, _FIELD)
+    words, (lead, groups) = _words(), _groups(digits)
+    fields = np.empty((len(x), _FIELD // 8), "<u8")
+    fields[:, 0] = words.e16_lead[np.signbit(x) * 10 + lead]
+    chars = words.digits[groups]
+    fields[:, 1] = chars[0] | chars[1] << 32  # two groups a word
+    fields[:, 2] = chars[2] | chars[3] << 32
+    fields[:, 3] = words.e16_exponent[e - _E_MIN]
+    text = fields.view(np.uint8)
+    text[fallback] = _python_fields(x[fallback].tolist(), "%.16e".__mod__, _FIELD)
     return text
 
 
 @functools.cache
 def _repr_layouts() -> np.ndarray:
-    """The slots a repr field keeps, 0xFF, at 22 (figures - 1) + form; the sign slot is 0.
+    """The words of the slots a repr field keeps, 0xFF, at 22 (figures - 1) + form.
 
-    form is E + 4 for the positional -4 <= E <= 15 (0.0001, 1000000000000000.0)
-    and 20 or 21 for scientific notation with a 2- or 3-digit exponent (1e-05, 5e-324).
+    The slots are the sign, "0." and three zeros (0.0001), 17 digits each followed
+    by a point, a closing zero (1000.0) and the exponent (e-05, e+300). form is
+    E + 4 for the positional -4 <= E <= 15 (0.0001, 1000000000000000.0) and 20 or 21
+    for scientific notation with a 2- or 3-digit exponent (1e-05, 5e-324).
     """
     slot = np.arange(_REPR_FIELD)
     k = np.arange(1, 18)[:, None, None]
@@ -839,26 +869,15 @@ def _repr_layouts() -> np.ndarray:
     digit = np.where((slot >= 6) & (slot < 40) & (slot % 2 == 0), (slot - 6) // 2, 99)
     point = np.where((slot >= 7) & (slot < 40) & (slot % 2 == 1), (slot - 7) // 2, 99)
     kept = (
-        ((form < 4) & ((slot == 1) | (slot == 2) | ((slot >= 3) & (slot < 6 - form))))
+        (slot == 0)
+        | ((form < 4) & ((slot == 1) | (slot == 2) | ((slot >= 3) & (slot < 6 - form))))
         | (digit < np.where(positional, np.maximum(k, e + 1), k))
         | (positional & (point == e))
         | (scientific & (point == 0) & (k > 1))
         | (positional & (slot == 40) & (k <= e + 1))
         | (scientific & (slot > 40))
     )
-    return kept.reshape(-1, _REPR_FIELD).astype(np.uint8) * np.uint8(0xFF)
-
-
-def _figures(chars: np.ndarray) -> np.ndarray:
-    """Significant figures of (n, 17) digit characters led by a nonzero digit.
-
-    The last nonzero character is the highest set byte of two 8-byte words of
-    0/1 flags, read off the exponent of the word converted to float.
-    """
-    words = np.zeros((len(chars), 16), np.uint8)
-    np.not_equal(chars[:, 1:], ord("0"), out=words.view(bool))
-    low, high = (np.frexp(w.astype(float))[1] for w in words.view("<u8").T)
-    return np.where(high > 0, 9 + (high + 7) // 8, 1 + (low + 7) // 8)
+    return (kept.reshape(-1, _REPR_FIELD).astype(np.uint8) * np.uint8(0xFF)).view("<u8")
 
 
 def _json_spelling(v: float) -> str:
@@ -870,18 +889,18 @@ def _json_spelling(v: float) -> str:
 def _repr_fields(x: np.ndarray) -> np.ndarray:
     """json.dumps's spelling of each v of x as (len(x), _REPR_FIELD) bytes, NUL-padded."""
     digits, e, fallback = _repr_digits(x)
-    n = len(x)
-    text = np.empty((n, _REPR_FIELD), np.uint8)
-    text[:] = _REPR_TEMPLATE
-    text[:, 6] += (digits // 10**16).astype(np.uint8)
-    text[:, 8:40:2] = _digit_slots(digits)
-    text[:, 41:] = _EXPONENTS[e - _E_MIN].view(np.uint8).reshape(n, 8)[:, :5]
+    words, (lead, groups) = _words(), _groups(digits)
+    fields = np.empty((len(x), _REPR_FIELD // 8), "<u8")
+    fields[:, 0] = words.repr_lead[np.signbit(x) * 10 + lead]
+    for j, group in enumerate(groups, start=1):
+        fields[:, j] = words.pointed[group]
+    fields[:, 5] = words.repr_exponent[e - _E_MIN]
+    # The last nonzero digit of group j is figure 4 j + 1 + last; zero groups never win.
+    figures = (words.last[groups] + np.array([[1], [5], [9], [13]], np.int8)).max(axis=0)
     form = np.where((e >= -4) & (e <= 15), e + 4, 20 + (np.abs(e) >= 100))
-    text &= np.take(_repr_layouts(), (_figures(text[:, 6:40:2]) - 1) * 22 + form, axis=0)
-    text[:, 0] = np.signbit(x) * ord("-")
-    bad = fallback.nonzero()[0]
-    if bad.size:
-        text[bad] = _python_fields(x[bad].tolist(), _json_spelling, _REPR_FIELD)
+    fields &= np.take(_repr_layouts(), 22 * (figures - 1).astype(np.intp) + form, axis=0)
+    text = fields.view(np.uint8)
+    text[fallback] = _python_fields(x[fallback].tolist(), _json_spelling, _REPR_FIELD)
     return text
 
 
@@ -890,19 +909,21 @@ class _Layout(NamedTuple):
 
     fields: Callable  # floats -> NUL-padded bytes, from a numpy kernel
     spell: Callable  # one float -> its text, by Python
-    width: int  # slots of one float field
-    row: np.ndarray  # a record's bytes, its fields NUL
-    starts: list[int]  # first slot of each column's field
+    width: int  # bytes of one float field, a multiple of 8
+    row: np.ndarray  # a record's words, its fields NUL
+    starts: list[int]  # first word of each column's field
 
 
 def _layout(fields: Callable, spell: Callable, width: int, pieces: list[str]) -> _Layout:
-    """pieces[i] goes before the field of COLUMNS[i], pieces[-1] after the last."""
-    row, starts = "", []
+    """pieces[i] goes before the field of COLUMNS[i], pieces[-1] after the last; NULs pad
+    each piece to whole words, so that every field starts on a word."""
+    row, starts = b"", []
     for piece, name in zip(pieces, COLUMNS):
-        starts.append(len(row) + len(piece))
-        row += piece + "\0" * (_FLAGS.shape[1] if name == "violates" else width)
-    row = np.frombuffer((row + pieces[-1]).encode(), np.uint8)
-    return _Layout(fields, spell, width, row, starts)
+        row += piece.encode().ljust(-(-len(piece) // 8) * 8, b"\0")
+        starts.append(len(row) // 8)
+        row += b"\0" * (8 if name == "violates" else width)
+    row += pieces[-1].encode().ljust(-(-len(pieces[-1]) // 8) * 8, b"\0")
+    return _Layout(fields, spell, width, np.frombuffer(row, "<u8"), starts)
 
 
 _CSV_ROW = _layout(_e16_fields, "%.16e".__mod__, _FIELD, [""] + [","] * (len(COLUMNS) - 1) + ["\n"])
@@ -917,12 +938,12 @@ _JSON_RECORD = _layout(
 )
 
 
-def _records(result: SweepResult, block: slice, layout: _Layout) -> str:
+def _records(result: SweepResult, block: slice, layout: _Layout) -> bytes:
     """The records of ``block`` in ``layout``, flags as true/false.
 
     Floats come from the layout's numpy kernel, or from Python for blocks of fewer
     than ``FORMAT_IN_PYTHON_BELOW`` rows, where the kernel's fixed cost would dominate.
-    The records are laid out as rows of bytes and their NUL padding deleted.
+    The records are laid out as rows of words and their NUL padding deleted.
     """
     floats = np.concatenate([getattr(result, name)[block] for name in _FLOAT_COLUMNS])
     n = len(floats) // len(_FLOAT_COLUMNS)
@@ -930,18 +951,17 @@ def _records(result: SweepResult, block: slice, layout: _Layout) -> str:
         text = _python_fields(floats.tolist(), layout.spell, layout.width)
     else:
         text = layout.fields(floats)
-    columns = iter(text.reshape(-1, n, layout.width))
-    flags = _FLAGS[result.violates[block].view(np.uint8)]
-    rows = np.empty((n, len(layout.row)), np.uint8)
+    fields = list(text.view("<u8").reshape(len(_FLOAT_COLUMNS), n, -1))
+    fields.insert(COLUMNS.index("violates"), _FLAGS[result.violates[block].view(np.uint8), None])
+    rows = np.empty((n, len(layout.row)), "<u8")
     rows[:] = layout.row
-    for name, start in zip(COLUMNS, layout.starts):
-        field = flags if name == "violates" else next(columns)
+    for field, start in zip(fields, layout.starts):
         rows[:, start : start + field.shape[1]] = field
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+    return rows.tobytes().translate(None, b"\0")
 
 
-def _chunks(result: SweepResult, fmt: str) -> Iterator[str]:
-    """The sweep's CSV or JSON text in pieces of at most ``SWEEP_BLOCK`` records.
+def _chunks(result: SweepResult, fmt: str) -> Iterator[bytes]:
+    """The sweep's CSV or JSON bytes in pieces of at most ``SWEEP_BLOCK`` records.
 
     The JSON is json.dumps(payload, indent=2), byte for byte: json.dumps
     lays out everything but the records, which are rendered from the columns
@@ -950,7 +970,7 @@ def _chunks(result: SweepResult, fmt: str) -> Iterator[str]:
     """
     blocks = _blocks(len(result.t))
     if fmt == "csv":
-        yield CSV_HEADER + "\n"
+        yield (CSV_HEADER + "\n").encode()
         for block in blocks:
             yield _records(result, block, _CSV_ROW)
         return
@@ -960,25 +980,25 @@ def _chunks(result: SweepResult, fmt: str) -> Iterator[str]:
         "critical_times": result.critical_times,
         "crossings": [{"time": c.time, "side": c.side} for c in result.crossings],
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    text = (json.dumps(payload, indent=2) + "\n").encode()  # ASCII: json.dumps escapes the rest
     if not len(result.t):
         yield text
         return
-    head, tail = text.split('\n  "records": []', 1)
-    yield head + '\n  "records": [\n'
+    head, tail = text.split(b'\n  "records": []', 1)
+    yield head + b'\n  "records": [\n'
     for i, block in enumerate(blocks):
         records = _records(result, block, _JSON_RECORD)
         yield records if i else records[2:]
-    yield "\n  ]" + tail
+    yield b"\n  ]" + tail
 
 
 def format_csv(result: SweepResult) -> str:
-    return "".join(_chunks(result, "csv"))
+    return b"".join(_chunks(result, "csv")).decode("ascii")
 
 
 def format_json(result: SweepResult) -> str:
     """The sweep as json.dumps(payload, indent=2), byte for byte."""
-    return "".join(_chunks(result, "json"))
+    return b"".join(_chunks(result, "json")).decode("ascii")
 
 
 def emit(result: SweepResult, fmt: str, path: str) -> None:
@@ -986,7 +1006,7 @@ def emit(result: SweepResult, fmt: str, path: str) -> None:
     if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
     try:
-        with open(path, "w") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(_chunks(result, fmt))
     except OSError as exc:
         raise ConfigError(f"cannot write output to {path}: {exc}") from exc

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -512,6 +515,113 @@ class TestSmallBlocks:
         assert format_csv(result) == reference_csv(result.records)
         assert format_json(result) == reference_json(result)
         assert calls == ([] if n_points < FORMAT_IN_PYTHON_BELOW else [5 * n_points] * 2)
+
+
+def scan_random_doubles(seed, exponent, keep):
+    """The first of seeded random bit patterns in [2^exponent, 2^(exponent + 1)) that keep marks."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**52, size=4096, dtype=np.uint64) | np.uint64(1023 + exponent) << 52
+    x = bits.view(np.float64)
+    found = x[keep(x)]
+    assert found.size, "no value found"
+    return float(found[0])
+
+
+def decimal_exponent(v):
+    """E with 10^E <= |v| < 10^(E+1), for v != 0, exactly."""
+    a = Fraction(abs(v))
+    e = math.floor(math.log10(a))
+    return e + (a >= Fraction(10) ** (e + 1)) - (a < Fraction(10) ** e)
+
+
+def e16_near_tie():
+    """A double whose 17-digit N = |x| 10^(16-E) has a fraction within 2^-40 of 1/2.
+
+    Above 10^15, the doubles of [2^50, 2^51) are quarter-integers: the odd ones are ties.
+    """
+    x = scan_random_doubles(26, 50, lambda x: _round_e16(x)[2])
+    n = Fraction(x) * Fraction(10) ** (16 - decimal_exponent(x))
+    assert abs(n - math.floor(n) - Fraction(1, 2)) < Fraction(1, 2**40)
+    return x
+
+
+def repr_boundary():
+    """A double an end of whose rounding interval lies within 2^-30 of a 15- or 16-digit decimal.
+
+    The doubles of [2^54, 2^55) are multiples of 4 whose interval ends at x +- 2; where
+    x + 2 or x - 2 is a multiple of 10, the 16-digit candidate sits on the end.
+    """
+    x = scan_random_doubles(27, 54, lambda x: _repr_digits(x)[2] & ~_round_e16(x)[2])
+    m = math.frexp(x)[0] * 2**53
+    assert m != 2**52
+    e = decimal_exponent(x)
+    distances = []
+    for k in (15, 16):
+        n_k = Fraction(x) * Fraction(10) ** (k - 1 - e)
+        distances.append(abs(abs(round(n_k) - n_k) - n_k / (2 * Fraction(m))))
+    assert min(distances) < Fraction(1, 2**30)
+    return x
+
+
+class TestPythonFieldsInAKernelBlock:
+    """Fields Python spells land where the numpy kernels' word rows put their own."""
+
+    def test_first_middle_and_last_rows_of_every_float_column(self):
+        specials = [0.0, -0.0, 5e-324, 2.0**-30, math.nan, math.inf, -math.inf]
+        specials += [e16_near_tie(), repr_boundary()]
+        x = np.array(specials)
+        assert (_round_e16(x)[2] | _repr_digits(x)[2]).all()  # each Python's in a format
+        n = 4 * len(specials)
+        assert FORMAT_IN_PYTHON_BELOW <= n <= SWEEP_BLOCK  # one block, numpy-formatted
+        result = run_sweep(small_config(time_grid={"t_min": 0, "t_max": 6.0, "n_points": n}))
+        columns = {}
+        floats = ("t", "heat", "bound_upper", "bound_lower", "delta_mutual_info")
+        for k, name in enumerate(floats):
+            column = getattr(result, name).copy()
+            turned = specials[k:] + specials[:k]  # each column its own order
+            for start in (0, (n - len(specials)) // 2, n - len(specials)):
+                column[start : start + len(specials)] = turned
+            columns[name] = column
+        odd = replace(result, **columns)
+        assert format_csv(odd) == reference_csv(odd.records)
+        assert format_json(odd) == reference_json(odd)
+
+
+def significant_bits(v):
+    """The bits from the first to the last set bit of a float's significand; 0 for zero."""
+    n = abs(v.as_integer_ratio()[0])
+    return (n >> ((n & -n).bit_length() - 1)).bit_length() if n else 0
+
+
+def test_power_table_row_by_row():
+    # Each E's (hi, hi_hi, hi_lo, lo, b), checked with Python integers and fractions.
+    table = scenarios._powers_of_ten()
+    exponents = range(scenarios._E_MIN, scenarios._E_MAX + 1)
+    assert table.shape == (5, len(exponents))
+    for e, (hi, hi_hi, hi_lo, lo, b) in zip(exponents, table.T.tolist()):
+        assert hi.is_integer() and 2**52 <= hi < 2**53 and b.is_integer(), e
+        assert Fraction(hi_hi) + Fraction(hi_lo) == Fraction(hi), e
+        assert significant_bits(hi_hi) <= 26 and significant_bits(hi_lo) <= 26, e
+        power = Fraction(10) ** (16 - e)
+        scaled = (Fraction(hi) + Fraction(lo)) * Fraction(2) ** int(b)
+        assert abs(scaled - power) <= power / 2**46, e
+
+
+def test_importing_heatctx_builds_no_writer_table():
+    # The tables are built on first use, so they stay out of every command's start-up.
+    tables = "_powers_of_ten", "_words", "_repr_layouts"
+    code = (
+        "import heatctx.scenarios as s; "
+        f"print(*(getattr(s, name).cache_info().currsize for name in {tables!r}))"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"] * len(tables)
+    result = run_sweep(small_config(time_grid={"t_min": 0, "t_max": 6.0, "n_points": 64}))
+    format_json(result)  # in this process the sweep's output builds them all
+    assert all(getattr(scenarios, name).cache_info().currsize == 1 for name in tables)
 
 
 class TestMemory:
