@@ -166,22 +166,37 @@ def extract_stochastic_reversibility(h_int, t: float, p_d_claimed: float) -> Dec
 
 
 def find_minimal_pd(h_int, t: float) -> tuple[float, DecompositionReport]:
-    """Smallest p_d in (0, 1] keeping the extracted channel CPTP, by bisection.
+    """Smallest p_d in (0, 1] keeping the extracted channel CPTP, to ``MINIMAL_PD_TOL``.
 
     Useful for validating analytic p_d values; returns 0 when the symmetrized
-    map is already the identity. Each step is a d x d verdict on the Schur
-    multiplier A(p_d). The bisection is geometric, mid = sqrt(lo hi), on
-    [G_max / 4, 1] and stops when the bracket is at most ``MINIMAL_PD_TOL``
-    times its upper end wide, so p_d resolves to 1e-9 relative however small
-    it is. p_d = 1 is always feasible: A(1)_ij = cos((w_i - w_j) t) is a Gram
-    matrix. G_max / 4 never is: there the 2 x 2 principal minor of A on the
-    pair with the largest gap is 1 - (1 - 4)^2 = -8.
+    map is already the identity. Each verdict is a d x d one on the Schur
+    multiplier A(p_d). The 2 x 2 principal minor of A on the pair with the
+    largest gap is 1 - (1 - G_max / p_d)^2, negative below G_max / 2, so no
+    p_d there is feasible. A generator with two distinct eigenvalues reaches
+    that bound: A is ones on each eigenspace's block and 1 - G_max / p_d
+    between them, so its nonzero eigenvalues are those of a 2 x 2 matrix
+    with determinant m n (1 - (1 - G_max / p_d)^2), and p_d = G_max / 2 =
+    sin^2(Delta t / 2) is the minimum. The search therefore probes G_max / 2
+    and, if it is feasible, G_max / 2 (1 - ``MINIMAL_PD_TOL``); a feasible
+    seed with an infeasible point below it closes the bracket in those two
+    verdicts. Otherwise the bisection, geometric, mid = sqrt(lo hi), runs on
+    what the probes left of [G_max / 4, 1] and stops when the bracket is at
+    most ``MINIMAL_PD_TOL`` times its upper end wide, so p_d resolves to
+    1e-9 relative however small it is. p_d = 1 is always feasible:
+    A(1)_ij = cos((w_i - w_j) t) is a Gram matrix.
     """
     gaps = _eigenbasis_gaps(h_int, t)
     g_max = gaps.max()
     if g_max <= IDENTITY_GAP_TOL:
         return 0.0, _decomposition_report(gaps, 0.0)
     lo, hi = g_max / 4, 1.0
+    seed = g_max / 2
+    if not _cptp_verdict(_schur_multiplier(gaps, seed)):
+        lo = seed
+    elif _cptp_verdict(_schur_multiplier(gaps, seed * (1 - MINIMAL_PD_TOL))):
+        hi = seed * (1 - MINIMAL_PD_TOL)
+    else:
+        return seed, _decomposition_report(gaps, seed)
     while hi - lo > MINIMAL_PD_TOL * hi:
         mid = math.sqrt(lo * hi)
         if _cptp_verdict(_schur_multiplier(gaps, mid)):

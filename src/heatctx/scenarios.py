@@ -502,16 +502,19 @@ FAMILIES = {
 }
 
 
-def check_time(field: str, h_int, t: float) -> None:
-    """ConfigError unless t is finite and 2 t times the largest rate of H_I is a finite float.
+def check_time(field: str, h_int, t: float) -> float:
+    """ConfigError unless t is finite and the phase 2 t times the largest rate of H_I is a
+    finite float; returns that phase.
 
     H_I's absolute row sums bound its eigenvalues, g and g |a - 1|; the closed
     forms take angles up to 2 g t, the evolution w t.
     """
     if not math.isfinite(t):
         raise ConfigError(f"{field} must be finite, got {t}")
-    if not math.isfinite(2 * _rate(h_int) * t):
+    phase = 2 * _rate(h_int) * t
+    if not math.isfinite(phase):
         raise ConfigError(f"{field} = {t:g} is too large: its phases under H_I overflow")
+    return phase
 
 
 def _rate(h_int) -> float:

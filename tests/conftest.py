@@ -178,9 +178,11 @@ def reference_minimal_pd(h, t):
     """Reference: the minimal p_d of U = e^{-itH} judged on the full Choi spectrum.
 
     Returns (p, is_cptp of the extraction at p). The search is
-    find_minimal_pd's geometric bisection on [G_max / 4, 1]; every verdict,
-    the two bracket ends included, is read off the d^2 x d^2 Choi matrix of
-    the residual channel of the symmetrized map of U.
+    find_minimal_pd's: probes at G_max / 2 and, if it is feasible, one
+    ``MINIMAL_PD_TOL`` below, then the geometric bisection on what they left
+    of [G_max / 4, 1]. Every verdict, the two bracket ends included, is read
+    off the d^2 x d^2 Choi matrix of the residual channel of the symmetrized
+    map of U.
     """
     m = _symmetrized_conjugation(interaction_unitary(h, t))
     if np.max(np.abs(m.matrix - np.eye(m.dim * m.dim))) <= 1e-12:
@@ -189,8 +191,16 @@ def reference_minimal_pd(h, t):
     def feasible(p):
         return reference_cptp_verdict(residual_channel(m, p))
 
-    lo, hi = _eigenbasis_gaps(h, t).max() / 4, 1.0
+    g_max = _eigenbasis_gaps(h, t).max()
+    lo, hi = g_max / 4, 1.0
     assert feasible(hi) and not feasible(lo)
+    seed = g_max / 2
+    if not feasible(seed):
+        lo = seed
+    elif feasible(seed * (1 - MINIMAL_PD_TOL)):
+        hi = seed * (1 - MINIMAL_PD_TOL)
+    else:
+        return seed, True
     while hi - lo > MINIMAL_PD_TOL * hi:
         mid = math.sqrt(lo * hi)
         if feasible(mid):

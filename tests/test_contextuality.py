@@ -33,6 +33,7 @@ from heatctx.contextuality import (
     MINIMAL_PD_TOL,
     _cptp_verdict,
     _eigenbasis_gaps,
+    _schur_multiplier,
     _symmetrized_conjugation,
 )
 from heatctx import dynamics
@@ -343,6 +344,42 @@ class TestMinimalPd:
             h, t = random_hermitian(rng, d), rng.uniform(0.5, 3.0)
             p, report = find_minimal_pd(h, t)
             assert (p, report.is_cptp) == reference_minimal_pd(h, t)
+
+    @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
+    def test_p_is_feasible_and_one_bracket_below_is_not(self, kind, local_dim):
+        # The search's contract: p passes the d x d verdict and p (1 - MINIMAL_PD_TOL)
+        # fails it, and so on the d^2 x d^2 Choi reference where that judges reliably.
+        cases = seeded_factor_cases(kind, local_dim, seed=83, n=40, gt_range=(1e-7, np.pi))
+        for h, t, gt, _ in cases:
+            p, _ = find_minimal_pd(h, t)
+            gaps = _eigenbasis_gaps(h, t)
+            if gaps.max() <= IDENTITY_GAP_TOL:
+                assert p == 0.0
+                continue
+            below = p * (1 - MINIMAL_PD_TOL)
+            assert _cptp_verdict(_schur_multiplier(gaps, p)), (gt, p)
+            assert not _cptp_verdict(_schur_multiplier(gaps, below)), (gt, p)
+            if gt >= REFERENCE_GT_MIN:
+                m = _symmetrized_conjugation(interaction_unitary(h, t))
+                assert reference_cptp_verdict(residual_channel(m, p)), (gt, p)
+                assert not reference_cptp_verdict(residual_channel(m, below)), (gt, p)
+
+    def test_two_level_factors_take_two_verdicts_and_others_bisect(self, monkeypatch):
+        # Each factor's generator has two distinct eigenvalues, so the probes at
+        # G_max / 2 and one bracket below close the search; a random 3-level
+        # generator's minimum lies above G_max / 2, and the bisection runs.
+        calls = count_calls(monkeypatch, [("heatctx.contextuality", "_cptp_verdict")])
+        for kind, local_dim in FACTOR_CASES:
+            for h, t, gt, _ in seeded_factor_cases(kind, local_dim, seed=89, n=10):
+                calls["_cptp_verdict"] = 0
+                find_minimal_pd(h, t)
+                identity = _eigenbasis_gaps(h, t).max() <= IDENTITY_GAP_TOL
+                assert calls["_cptp_verdict"] == (0 if identity else 2), (kind, gt)
+        rng = np.random.default_rng(97)
+        for _ in range(10):
+            calls["_cptp_verdict"] = 0
+            find_minimal_pd(random_hermitian(rng, 3), rng.uniform(0.5, 3.0))
+            assert calls["_cptp_verdict"] > 2
 
     @pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
     def test_closing_report_is_the_report_at_p(self, kind, local_dim):

@@ -788,7 +788,8 @@ def test_a_phase_xi_minus_theta_that_overflows_is_a_config_error(tmp_path):
 def test_a_grid_beyond_double_precision_is_a_config_error(t_min, t_max, tmp_path):
     # Where one ulp of the phase 2 rate t of H_I exceeds CROSS_CHECK_TOL, the closed
     # form and the evolution are each rounding noise, so the oracle's disagreement is
-    # the grid's fault, not the program's: exit 2, naming time_grid.t_max.
+    # the grid's fault, not the program's: exit 2, naming time_grid.t_max. The
+    # crossings there would be roots of rounding noise, so critical-time exits 2 too.
     raw = example_config("two_qubit_resonant")
     raw["time_grid"] = {"t_min": t_min, "t_max": t_max, "n_points": 50}
     cfg_path = tmp_path / "bigt.json"
@@ -798,6 +799,25 @@ def test_a_grid_beyond_double_precision_is_a_config_error(t_min, t_max, tmp_path
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith(f"config error: time_grid.t_max = {t_max:g} is too large: ")
     assert not out_path.exists()
+    # critical-time runs no oracle, so it refuses such a t_max by the rule alone.
+    result = CliRunner().invoke(main, ["critical-time", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"config error: time_grid.t_max = {t_max:g} is too large: ")
+
+
+@pytest.mark.parametrize("scale, code", [(0.999, 0), (1.001, 2)])
+def test_critical_time_refuses_t_max_where_one_ulp_of_the_phase_passes_the_tolerance(
+    scale, code, tmp_path
+):
+    # One ulp of the phase 2 rate t_max first exceeds CROSS_CHECK_TOL = 1e-9 rad at
+    # 2 rate t_max = 2^23, where it becomes 2^-29; the sweep oracle's grids there agree.
+    raw = example_config("two_qubit_resonant")
+    rate = np.abs(_ScenarioEngine(ScenarioConfig.from_dict(raw)).h_int.matrix).sum(axis=1).max()
+    raw["time_grid"] = {"t_min": 0.0, "t_max": scale * 2.0**23 / (2 * rate), "n_points": 50}
+    cfg_path = tmp_path / "edge.json"
+    cfg_path.write_text(json.dumps(raw))
+    result = CliRunner().invoke(main, ["critical-time", "--config", str(cfg_path)])
+    assert result.exit_code == code, result.output
 
 
 def test_a_closed_form_off_the_trace_formula_is_a_numerics_error(tmp_path, monkeypatch):

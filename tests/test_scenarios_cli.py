@@ -832,6 +832,23 @@ class TestCli:
         else:
             assert abs(minimal - analytic) <= 2 * MINIMAL_PD_TOL * analytic
 
+    @pytest.mark.parametrize("t", ["0.8", "1e-4", "1e-7"])
+    @pytest.mark.parametrize(
+        "kind,local_dim", [(kind, 2) for kind in FACTORS] + [("partial-swap", 3)]
+    )
+    def test_minimal_pd_line_agrees_with_the_analytic_line(self, kind, local_dim, t):
+        # Every factor's generator has two distinct eigenvalues, so its minimal p_d is
+        # G_max / 2, the analytic sin^2(Delta t / 2), up to the roundoff of its spectrum.
+        args = ["verify-decomposition", "--interaction", kind, "--local-dim", str(local_dim)]
+        result = CliRunner().invoke(main, [*args, "--t", t, "--minimal"])
+        assert result.exit_code == 0, result.output
+        analytic = float(re.search(r"\(analytic (\S+)\)", result.output).group(1))
+        minimal = float(re.search(r"minimal feasible p_d = (\S+)", result.output).group(1))
+        if 2 * analytic <= IDENTITY_GAP_TOL:
+            assert minimal == 0.0
+        else:
+            assert abs(minimal - analytic) <= 1e-11 * analytic, (minimal, analytic)
+
     @pytest.mark.parametrize("t", ["1e-7", "1e-8"])
     @pytest.mark.parametrize(
         "kind,local_dim", [(kind, 2) for kind in FACTORS] + [("partial-swap", 3)]
@@ -897,7 +914,12 @@ class TestCli:
         over, under = runs["1e306"], runs["1.3e305"]
         assert over.exit_code == 2 and isinstance(over.exception, SystemExit), over.output
         assert f"config error: {field} = 1e+306 is too large" in over.output
-        assert under.exit_code == 0, under.output
+        if command[0] == "critical-time":
+            # Finite, but one ulp of the phase is far past CROSS_CHECK_TOL there.
+            assert under.exit_code == 2 and isinstance(under.exception, SystemExit), under.output
+            assert "one ulp of the phase under H_I" in under.output
+        else:
+            assert under.exit_code == 0, under.output
 
     @pytest.mark.parametrize(
         "command",
