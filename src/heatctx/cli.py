@@ -18,12 +18,12 @@ import click
 from .errors import ConfigError, HeatctxError, NumericsError
 from .contextuality import extract_stochastic_reversibility, find_minimal_pd
 from .scenarios import (
-    CROSS_CHECK_TOL,
     FACTORS,
     ScenarioConfig,
     _ScenarioEngine,
     builtin_micadei,
     builtin_qutrit_demo,
+    check_phase_digits,
     check_time,
     emit,
     run_sweep,
@@ -131,14 +131,10 @@ def critical_time(config_path, builtin, t_max, n_points):
     config = _load_config(config_path, builtin, t_max, n_points)
     engine = _ScenarioEngine(config)
     t_max = config.time_grid.t_max
-    # sweep's oracle refuses such a grid when heat leaves the trace formula; without
+    check_time("time_grid.t_max", engine.h_int, t_max)
+    # sweep's oracle applies this rule where heat leaves the trace formula; without
     # an oracle, the crossings would be roots of rounding noise.
-    ulp = math.ulp(check_time("time_grid.t_max", engine.h_int, t_max))
-    if ulp > CROSS_CHECK_TOL:
-        raise ConfigError(
-            f"time_grid.t_max = {t_max:g} is too large: one ulp of the phase under H_I "
-            f"is {ulp:.3g} rad, more than {CROSS_CHECK_TOL:g}"
-        )
+    check_phase_digits(engine.h_int, t_max, t_max)
     crossings = engine.crossings(config.time_grid.times())
     if not crossings:
         click.echo("no crossings on the grid")

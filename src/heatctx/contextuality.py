@@ -28,7 +28,6 @@ from .errors import DecompositionError, DimensionError, NumericsError, ParamErro
 from .linalg import HermitianOp, UnitaryOp, as_matrix, dagger, eig_hermitian, max_norm
 
 CHOI_EIGENVALUE_FLOOR = -1e-9
-TRACE_PRESERVATION_TOL = 1e-9
 MINIMAL_PD_TOL = 1e-9  # relative width of the minimal-p_d bracket
 IDENTITY_GAP_TOL = 1e-12  # every G_ij below it: the symmetrized map is the identity
 
@@ -170,33 +169,25 @@ def find_minimal_pd(h_int, t: float) -> tuple[float, DecompositionReport]:
 
     Useful for validating analytic p_d values; returns 0 when the symmetrized
     map is already the identity. Each verdict is a d x d one on the Schur
-    multiplier A(p_d). The 2 x 2 principal minor of A on the pair with the
-    largest gap is 1 - (1 - G_max / p_d)^2, negative below G_max / 2, so no
-    p_d there is feasible. A generator with two distinct eigenvalues reaches
-    that bound: A is ones on each eigenspace's block and 1 - G_max / p_d
-    between them, so its nonzero eigenvalues are those of a 2 x 2 matrix
-    with determinant m n (1 - (1 - G_max / p_d)^2), and p_d = G_max / 2 =
-    sin^2(Delta t / 2) is the minimum. The search therefore probes G_max / 2
-    and, if it is feasible, G_max / 2 (1 - ``MINIMAL_PD_TOL``); a feasible
-    seed with an infeasible point below it closes the bracket in those two
-    verdicts. Otherwise the bisection, geometric, mid = sqrt(lo hi), runs on
-    what the probes left of [G_max / 4, 1] and stops when the bracket is at
-    most ``MINIMAL_PD_TOL`` times its upper end wide, so p_d resolves to
-    1e-9 relative however small it is. p_d = 1 is always feasible:
-    A(1)_ij = cos((w_i - w_j) t) is a Gram matrix.
+    multiplier A(p_d). Its 2 x 2 principal minor on the pair with the largest
+    gap has eigenvalues 1 +- (1 - G_max / p_d), so by Cauchy interlacing
+    min eig(A) <= 2 - G_max / p_d, which is below -2e-9 at
+    G_max / 2 (1 - ``MINIMAL_PD_TOL``), under the -1e-9 floor: the bracket
+    starts at G_max / 2. A generator with two distinct eigenvalues passes
+    there, with minimum sin^2(Delta t / 2) = G_max / 2 decided in one verdict.
+    Otherwise the bisection, geometric, mid = sqrt(lo hi), runs on
+    [G_max / 2, 1] and stops when the bracket is at most ``MINIMAL_PD_TOL``
+    times its upper end wide, so p_d resolves to 1e-9 relative however small
+    it is. p_d = 1 is always feasible: A(1)_ij = cos((w_i - w_j) t) is a Gram
+    matrix.
     """
     gaps = _eigenbasis_gaps(h_int, t)
     g_max = gaps.max()
     if g_max <= IDENTITY_GAP_TOL:
         return 0.0, _decomposition_report(gaps, 0.0)
-    lo, hi = g_max / 4, 1.0
-    seed = g_max / 2
-    if not _cptp_verdict(_schur_multiplier(gaps, seed)):
-        lo = seed
-    elif _cptp_verdict(_schur_multiplier(gaps, seed * (1 - MINIMAL_PD_TOL))):
-        hi = seed * (1 - MINIMAL_PD_TOL)
-    else:
-        return seed, _decomposition_report(gaps, seed)
+    lo, hi = g_max / 2, 1.0
+    if _cptp_verdict(_schur_multiplier(gaps, lo)):
+        return lo, _decomposition_report(gaps, lo)
     while hi - lo > MINIMAL_PD_TOL * hi:
         mid = math.sqrt(lo * hi)
         if _cptp_verdict(_schur_multiplier(gaps, mid)):

@@ -68,7 +68,7 @@ from .dynamics import (
     ResonantInteraction,
     EvolutionPlan,
 )
-from .thermo import build_heat_2qubit_thermal, build_heat_qutrit
+from .thermo import build_heat_2qubit_thermal, build_heat_qutrit, harmonic_heat
 from .contextuality import (
     CROSSING_REL_TOL,
     Crossing,
@@ -402,16 +402,6 @@ def _qubit_heat(params, g, theta):
     return build_heat_2qubit_thermal(params, g, theta)
 
 
-def _no_heat(params, g, theta):
-    """The non-resonant interaction commutes with each local Hamiltonian: no heat flows."""
-
-    def heat(t):
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        return out if out.ndim else 0.0
-
-    return heat
-
-
 # -- interaction families ----------------------------------------------------
 
 
@@ -488,7 +478,8 @@ FAMILIES = {
     "two_qubit_nonresonant": Family(
         **_QUBITS,
         h_int=lambda g, a, theta: NonResonantInteraction(g).hamiltonian(),
-        heat=_no_heat,
+        # It commutes with each local Hamiltonian: no heat flows, and 0 s^2 + (0 s) c is +0.0.
+        heat=lambda p, g, theta: harmonic_heat(0.0, 0.0, g),
         factors=("nonresonant",),
     ),
     "qutrit_partial_swap": Family(
@@ -502,19 +493,29 @@ FAMILIES = {
 }
 
 
-def check_time(field: str, h_int, t: float) -> float:
+def check_time(field: str, h_int, t: float) -> None:
     """ConfigError unless t is finite and the phase 2 t times the largest rate of H_I is a
-    finite float; returns that phase.
+    finite float.
 
     H_I's absolute row sums bound its eigenvalues, g and g |a - 1|; the closed
     forms take angles up to 2 g t, the evolution w t.
     """
     if not math.isfinite(t):
         raise ConfigError(f"{field} must be finite, got {t}")
-    phase = 2 * _rate(h_int) * t
-    if not math.isfinite(phase):
+    if not math.isfinite(2 * _rate(h_int) * t):
         raise ConfigError(f"{field} = {t:g} is too large: its phases under H_I overflow")
-    return phase
+
+
+def check_phase_digits(h_int, t: float, t_max: float) -> None:
+    """ConfigError where one ulp of the phase 2 rate t at grid time t exceeds
+    ``CROSS_CHECK_TOL``: there the closed form and the evolution are each rounding
+    noise, and the grid ending at t_max, not the program, is at fault."""
+    ulp = math.ulp(2 * _rate(h_int) * t)
+    if ulp > CROSS_CHECK_TOL:
+        raise ConfigError(
+            f"time_grid.t_max = {t_max:g} is too large: at t={t:g} one ulp of the "
+            f"phase under H_I is {ulp:.3g} rad, more than {CROSS_CHECK_TOL:g}"
+        )
 
 
 def _rate(h_int) -> float:
@@ -627,20 +628,14 @@ def _blocks(n: int) -> Iterator[slice]:
 def _check_against_trace(
     engine: _ScenarioEngine, ts: np.ndarray, heat: np.ndarray, q_ref: np.ndarray
 ) -> None:
-    """NumericsError at the worst grid point where heat leaves the trace formula q_ref, or a
-    ConfigError where one ulp of its phase 2 rate t exceeds ``CROSS_CHECK_TOL``: there both
-    sides are rounding noise, and the grid, not the program, is at fault."""
+    """NumericsError at the worst grid point where heat leaves the trace formula q_ref,
+    unless ``check_phase_digits`` puts the fault on the grid there."""
     deviation = np.abs(q_ref - heat)
     allowed = CROSS_CHECK_TOL * np.maximum(max(abs(engine.a_max), 1.0e-300), np.abs(q_ref))
     bad = np.flatnonzero(~(deviation <= allowed))  # NaN fails too
     if bad.size:
         i = bad[np.argmax(deviation[bad] / allowed[bad])]
-        ulp = np.spacing(2 * _rate(engine.h_int) * ts[i])
-        if ulp > CROSS_CHECK_TOL:
-            raise ConfigError(
-                f"time_grid.t_max = {ts[-1]:g} is too large: at t={ts[i]:g} one ulp of the "
-                f"phase under H_I is {ulp:.3g} rad, more than {CROSS_CHECK_TOL:g}"
-            )
+        check_phase_digits(engine.h_int, ts[i], ts[-1])
         raise NumericsError(
             f"closed-form heat deviates from trace formula at t={ts[i]:g}: "
             f"{heat[i]:.17g} vs {q_ref[i]:.17g}"

@@ -105,10 +105,8 @@ def qutrit_heat_coefficients(params: TwoQutritThermalParams) -> tuple[float, flo
     return float(zeta), float(xi)
 
 
-def build_heat_qutrit(params: TwoQutritThermalParams, g: float):
-    """t -> partial-SWAP <Q_A>(t) for the two-qutrit family, with (zeta, xi)
-    from ``qutrit_heat_coefficients`` computed here, once."""
-    zeta, xi = qutrit_heat_coefficients(params)
+def harmonic_heat(zeta: float, xi: float, g: float):
+    """t -> zeta sin^2(gt) + xi sin(gt)cos(gt), the heat's harmonic form."""
 
     def heat(t):
         x = g * np.asarray(t, dtype=float)
@@ -117,6 +115,12 @@ def build_heat_qutrit(params: TwoQutritThermalParams, g: float):
         return out if out.ndim else float(out)
 
     return heat
+
+
+def build_heat_qutrit(params: TwoQutritThermalParams, g: float):
+    """t -> partial-SWAP <Q_A>(t) for the two-qutrit family, with (zeta, xi)
+    from ``qutrit_heat_coefficients`` computed here, once."""
+    return harmonic_heat(*qutrit_heat_coefficients(params), g)
 
 
 def clausius_report(

@@ -30,7 +30,6 @@ from heatctx import (
 from heatctx.contextuality import (
     CHOI_EIGENVALUE_FLOOR,
     MINIMAL_PD_TOL,
-    TRACE_PRESERVATION_TOL,
     _eigenbasis_gaps,
     _symmetrized_conjugation,
     choi_matrix,
@@ -40,6 +39,7 @@ from heatctx.scenarios import COLUMNS, CSV_HEADER
 from heatctx.states import _gibbs_matrix
 
 ENERGY_CONSERVATION_TOL = 1e-12
+TRACE_PRESERVATION_TOL = 1e-9  # of a d^2 x d^2 reference channel; certification is exact
 
 
 def random_hermitian(rng, d):
@@ -178,11 +178,10 @@ def reference_minimal_pd(h, t):
     """Reference: the minimal p_d of U = e^{-itH} judged on the full Choi spectrum.
 
     Returns (p, is_cptp of the extraction at p). The search is
-    find_minimal_pd's: probes at G_max / 2 and, if it is feasible, one
-    ``MINIMAL_PD_TOL`` below, then the geometric bisection on what they left
-    of [G_max / 4, 1]. Every verdict, the two bracket ends included, is read
-    off the d^2 x d^2 Choi matrix of the residual channel of the symmetrized
-    map of U.
+    find_minimal_pd's: G_max / 2 if it is feasible, else the geometric
+    bisection on [G_max / 2, 1]. Every verdict, the two bracket ends
+    included, is read off the d^2 x d^2 Choi matrix of the residual channel
+    of the symmetrized map of U.
     """
     m = _symmetrized_conjugation(interaction_unitary(h, t))
     if np.max(np.abs(m.matrix - np.eye(m.dim * m.dim))) <= 1e-12:
@@ -192,15 +191,10 @@ def reference_minimal_pd(h, t):
         return reference_cptp_verdict(residual_channel(m, p))
 
     g_max = _eigenbasis_gaps(h, t).max()
-    lo, hi = g_max / 4, 1.0
-    assert feasible(hi) and not feasible(lo)
-    seed = g_max / 2
-    if not feasible(seed):
-        lo = seed
-    elif feasible(seed * (1 - MINIMAL_PD_TOL)):
-        hi = seed * (1 - MINIMAL_PD_TOL)
-    else:
-        return seed, True
+    lo, hi = g_max / 2, 1.0
+    assert feasible(hi) and not feasible(lo * (1 - MINIMAL_PD_TOL))
+    if feasible(lo):
+        return lo, True
     while hi - lo > MINIMAL_PD_TOL * hi:
         mid = math.sqrt(lo * hi)
         if feasible(mid):

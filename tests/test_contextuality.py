@@ -364,9 +364,9 @@ class TestMinimalPd:
                 assert reference_cptp_verdict(residual_channel(m, p)), (gt, p)
                 assert not reference_cptp_verdict(residual_channel(m, below)), (gt, p)
 
-    def test_two_level_factors_take_two_verdicts_and_others_bisect(self, monkeypatch):
-        # Each factor's generator has two distinct eigenvalues, so the probes at
-        # G_max / 2 and one bracket below close the search; a random 3-level
+    def test_two_level_factors_take_one_verdict_and_others_bisect(self, monkeypatch):
+        # Each factor's generator has two distinct eigenvalues, so the verdict at
+        # G_max / 2, where the bracket starts, closes the search; a random 3-level
         # generator's minimum lies above G_max / 2, and the bisection runs.
         calls = count_calls(monkeypatch, [("heatctx.contextuality", "_cptp_verdict")])
         for kind, local_dim in FACTOR_CASES:
@@ -374,7 +374,7 @@ class TestMinimalPd:
                 calls["_cptp_verdict"] = 0
                 find_minimal_pd(h, t)
                 identity = _eigenbasis_gaps(h, t).max() <= IDENTITY_GAP_TOL
-                assert calls["_cptp_verdict"] == (0 if identity else 2), (kind, gt)
+                assert calls["_cptp_verdict"] == (0 if identity else 1), (kind, gt)
         rng = np.random.default_rng(97)
         for _ in range(10):
             calls["_cptp_verdict"] = 0
@@ -456,6 +456,23 @@ class TestBounds:
         b = nc_bound_theorem1(1.0, 0.1, 1.0)
         assert b.lower == pytest.approx(-0.1)
         assert b.upper == pytest.approx(0.1)
+
+    @pytest.mark.parametrize(
+        "bound,args,message",
+        [
+            (nc_bound_theorem1, (0.0, 0.3, 0.5), "a_max must be positive"),
+            (nc_bound_theorem1, (1.0, -0.1, 0.5), "p_d must lie in"),
+            (nc_bound_theorem1, (1.0, 1.1, 0.5), "p_d must lie in"),
+            (nc_bound_theorem1, (1.0, 0.3, 0.0), "alpha must lie in"),
+            (nc_bound_theorem1, (1.0, 0.3, 1.5), "alpha must lie in"),
+            (nc_bound_theorem2, (-1.0, 0.3, 0.3), "a_max must be positive"),
+            (nc_bound_theorem2, (1.0, 0.3, -0.1), "p_d2 must lie in"),
+            (nc_bound_theorem2, (1.0, 0.3, 1.1), "p_d2 must lie in"),
+        ],
+    )
+    def test_out_of_range_arguments_are_rejected(self, bound, args, message):
+        with pytest.raises(ParamError, match=message):
+            bound(*args)
 
     def test_theorem2_reduces_to_theorem1(self):
         for p in np.linspace(0, 1, 21):

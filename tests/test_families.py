@@ -790,19 +790,21 @@ def test_a_grid_beyond_double_precision_is_a_config_error(t_min, t_max, tmp_path
     # form and the evolution are each rounding noise, so the oracle's disagreement is
     # the grid's fault, not the program's: exit 2, naming time_grid.t_max. The
     # crossings there would be roots of rounding noise, so critical-time exits 2 too.
+    # Both apply one rule, scenarios.check_phase_digits, and say where it failed.
     raw = example_config("two_qubit_resonant")
     raw["time_grid"] = {"t_min": t_min, "t_max": t_max, "n_points": 50}
     cfg_path = tmp_path / "bigt.json"
     cfg_path.write_text(json.dumps(raw))
     out_path = tmp_path / "o.csv"
+    refusal = f"config error: time_grid.t_max = {t_max:g} is too large: at t="
     result = CliRunner().invoke(main, ["sweep", "--config", str(cfg_path), "--output", str(out_path)])
     assert result.exit_code == 2, result.output
-    assert result.stderr.startswith(f"config error: time_grid.t_max = {t_max:g} is too large: ")
+    assert result.stderr.startswith(refusal), result.stderr
     assert not out_path.exists()
-    # critical-time runs no oracle, so it refuses such a t_max by the rule alone.
+    # critical-time runs no oracle, so it refuses such a t_max by the rule alone, at t_max.
     result = CliRunner().invoke(main, ["critical-time", "--config", str(cfg_path)])
     assert result.exit_code == 2, result.output
-    assert result.stderr.startswith(f"config error: time_grid.t_max = {t_max:g} is too large: ")
+    assert result.stderr.startswith(f"{refusal}{t_max:g} one ulp of the phase under H_I is "), result.stderr
 
 
 @pytest.mark.parametrize("scale, code", [(0.999, 0), (1.001, 2)])

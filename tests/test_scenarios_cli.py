@@ -248,6 +248,13 @@ class TestEmission:
             emit(empty, fmt, str(tmp_path / f"out.{fmt}"))
             assert (tmp_path / f"out.{fmt}").read_text() == text
 
+    def test_an_unknown_format_is_a_config_error(self, tmp_path):
+        # The CLI and the config parser admit only FORMATS; emit refuses the rest itself.
+        empty = result_from_records(small_config(), [])
+        with pytest.raises(ConfigError, match="format must be one of"):
+            emit(empty, "xml", str(tmp_path / "out.xml"))
+        assert not (tmp_path / "out.xml").exists()
+
     def test_single_record_round_trip(self):
         rec = SweepRecord(
             t=0.1234567890123456,

@@ -63,6 +63,10 @@ class TestDensityMatrix:
         with pytest.raises(NumericsError):
             DensityMatrix(m, (2,))
 
+    def test_rejects_dims_that_do_not_match_its_dimension(self):
+        with pytest.raises(DimensionError, match=r"subsystem dims \(2, 3\) do not match"):
+            DensityMatrix(np.eye(4) / 4, (2, 3))
+
     def test_marginal_of_product(self):
         rng = np.random.default_rng(5)
         ra = random_density(rng, 2)

@@ -22,7 +22,7 @@ from heatctx import (
 )
 
 from heatctx import thermo
-from heatctx.thermo import build_heat_2qubit_thermal, build_heat_qutrit
+from heatctx.thermo import build_heat_2qubit_thermal, build_heat_qutrit, harmonic_heat
 
 from conftest import (
     count_calls,
@@ -71,6 +71,15 @@ def test_nonresonant_transfers_no_heat():
         t = rng.uniform(0, 10)
         q = heat_trace(rho, h, zeeman_hamiltonian(1.3), t)
         assert abs(q) < 1e-12
+
+
+def test_harmonic_heat_with_zero_coefficients_is_positive_zero():
+    # The non-resonant family's closed form: 0 s^2 + (0 s) c is +0.0 wherever sin x < 0 too.
+    heat = harmonic_heat(0.0, 0.0, 0.8)
+    q = heat(np.linspace(0.0, 1e6, 10_001))
+    assert q.dtype == np.float64 and not np.any(q) and not np.any(np.signbit(q))
+    q = heat(4.0)  # sin(3.2) < 0
+    assert type(q) is float and q == 0.0 and not np.signbit(q)
 
 
 def test_closed_form_quarter_period():
