@@ -214,11 +214,13 @@ def clausius(config_path, builtin, t):
     result = clausius_report(
         engine.rho, engine.h_int, engine.h_local, engine.h_local, beta_a, beta_b, t
     )
-    click.echo(f"Q_A = {result.q_A:.12e}")
-    click.echo(f"Q_B = {result.q_B:.12e}")
-    click.echo(f"delta_mutual_info = {result.delta_mutual_info:.12e}")
-    click.echo(f"clausius_lhs = {result.clausius_lhs:.12e}")
-    click.echo(f"entropy_production = {result.entropy_production:.12e}")
+    click.echo(
+        f"Q_A = {result.q_A:.12e}\n"
+        f"Q_B = {result.q_B:.12e}\n"
+        f"delta_mutual_info = {result.delta_mutual_info:.12e}\n"
+        f"clausius_lhs = {result.clausius_lhs:.12e}\n"
+        f"entropy_production = {result.entropy_production:.12e}"
+    )
 
 
 @main.command("builtin")

@@ -112,19 +112,23 @@ def evolve_on_grid(rho: DensityMatrix, h_int, ts) -> np.ndarray:
     return EvolutionPlan(rho, h_int).evolve(ts)
 
 
-def eigenvector_blocks(v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The blocks of V, as (rows, columns): i ~ k where a chain of nonzero v_ij v_kj links them.
+def eigenvector_blocks(v: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The blocks of V: i ~ k where a chain of nonzero v_ij v_kj links them.
 
-    A column belongs to the block of its nonzero rows. Blocks come in order of
-    their first row, each with its rows and columns sorted.
+    Returns (member, blocks): member is (d, number of blocks), True where row i
+    lies in block b; blocks lists each block's (rows, columns). A column belongs
+    to the block of its nonzero rows. Blocks come in order of their first row,
+    each with its rows and columns sorted.
     """
-    linked = (v != 0) @ (v != 0).T  # boolean: one link
+    nonzero = v != 0
+    linked = nonzero @ nonzero.T  # boolean: one link
     for _ in range(len(v).bit_length()):  # each squaring doubles the chains' reach
         linked = linked @ linked
     first = linked.argmax(axis=1)  # the first row each row reaches names its block
-    rows = first[:, None] == np.unique(first)  # (d, blocks): row i lies in block b
-    columns = rows[(v != 0).argmax(axis=0)]  # as the column's first nonzero row does
-    return [(r.nonzero()[0], c.nonzero()[0]) for r, c in zip(rows.T, columns.T)]
+    member = first[:, None] == np.arange(len(v))  # row i lies in the block row k names
+    member = member[:, member.diagonal()]  # a block's first row names itself
+    columns = member[nonzero.argmax(axis=0)]  # as the column's first nonzero row does
+    return member, [(r.nonzero()[0], c.nonzero()[0]) for r, c in zip(member.T, columns.T)]
 
 
 def distinct_eigenvalues(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,21 +175,23 @@ class EvolutionPlan:
     def __init__(self, rho: DensityMatrix, h_int):
         self.w, v = eig_hermitian(h_int)
         v, d = UnitaryOp(v).matrix, len(v)
-        blocks = eigenvector_blocks(v)
+        member, blocks = eigenvector_blocks(v)
         self.rows = rows = [r for r, _ in blocks]
         self.distinct, index = distinct_eigenvalues(self.w)
-        self.blocks = [(index[c], v[r][:, c]) for r, c in blocks]
-        member = np.array([np.bincount(r, minlength=d) for r in rows], bool).T  # row i in block b
-        live = member.T @ (rho.matrix != 0) @ member  # boolean: slice rho[b, c] is nonzero
+        # v[r][:, c] from one gather, and F-ordered as it is.
+        self.blocks = [(index[c], v.T[c[:, None], r].T) for r, c in blocks]
+        # Per block pair (b, c): whether rho[b, c] has a nonzero entry, and whether one of
+        # its entries (a b, a2 b2) lies off rho_A's diagonal (a != a2, b == b2) or rho_B's.
+        i_a, i_b = np.divmod(np.arange(d), rho.dims[-1])
+        off = (i_a[:, None] == i_a) != (i_b[:, None] == i_b)
+        live, reaches_off = member.T @ np.array([rho.matrix != 0, off]) @ member
         pairs = zip(*live.nonzero())  # in row-major order
         self.pairs = [(b, c, rho.matrix[rows[b][:, None], rows[c]]) for b, c in pairs]
-        a, b = np.divmod(np.arange(d), rho.dims[-1])  # (a b, a2 b2) adds to rho_A[a, a2] if b == b2
-        off = (a[:, None] == a) != (b[:, None] == b)  # outputs off rho_A's or rho_B's diagonal
-        self.diagonal = len(rho.dims) == 2 and not (live & (member.T @ off @ member)).any()
+        self.diagonal = len(rho.dims) == 2 and not (live & reaches_off).any()
 
     def _unitaries(self, ts) -> list[np.ndarray]:
         """U_b(t) of every block at every t of ts, (N, m, m) each, the grid axis fastest, then i."""
-        phases = np.exp(-1j * np.outer(ts, self.distinct))  # (N, number of distinct eigenvalues)
+        phases = np.exp(-1j * np.multiply.outer(ts, self.distinct))  # (N, distinct eigenvalues)
         return [
             np.einsum("ij,nj,kj->kin", v, phases[:, index], v.conj(), order="C").transpose(2, 1, 0)
             for index, v in self.blocks

@@ -3,6 +3,10 @@
 All generators in scope are Hermitian, so the matrix exponential is always
 taken through an eigendecomposition; there is no Pade/scaling-and-squaring
 path. Storage is plain row-major ``numpy`` arrays of ``complex128``.
+
+The validation checks run on every command, on matrices of a few entries,
+where numpy's Python-level wrappers (``np.max``, ``np.trace``, ``.all()``)
+cost more than the work: they call the ufuncs and their ``reduce`` directly.
 """
 
 from __future__ import annotations
@@ -25,18 +29,21 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise NumericsError("matrix contains NaN or Inf entries")
     return a
 
 
 def max_norm(m) -> float:
-    """Entrywise max-abs norm, used for all invariant checks."""
-    return float(np.max(np.abs(np.asarray(m)))) if np.asarray(m).size else 0.0
+    """Entrywise max-abs norm, used for all invariant checks; 0.0 for an empty array.
+
+    A NaN entry gives NaN, which no ``> tol`` check lets pass.
+    """
+    return float(np.maximum.reduce(np.abs(m), axis=None, initial=0.0))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(np.asarray(m), -1, -2))
+    return np.conjugate(np.asarray(m).swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -47,10 +54,10 @@ class HermitianOp:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if max_norm(m - dagger(m)) > HERMITIAN_TOL:
+        deviation = max_norm(m - dagger(m))
+        if deviation > HERMITIAN_TOL:
             raise NumericsError(
-                f"matrix is not Hermitian to {HERMITIAN_TOL:g} "
-                f"(deviation {max_norm(m - dagger(m)):.3g})"
+                f"matrix is not Hermitian to {HERMITIAN_TOL:g} (deviation {deviation:.3g})"
             )
         object.__setattr__(self, "matrix", m)
 

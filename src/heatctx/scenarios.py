@@ -43,7 +43,7 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -115,6 +115,15 @@ class TimeGrid:
             raise ConfigError(f"a time grid of {self.n_points} points cannot be allocated") from exc
 
 
+def _copied(value):
+    """value with every dict, list and tuple in it copied; other values are shared."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copied(item) for item in value)
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
@@ -138,7 +147,18 @@ class ScenarioConfig:
             )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in declaration order, ``time_grid`` as a nested dict: what
+        ``dataclasses.asdict`` gives, each dict, list and tuple a copy."""
+        grid = self.time_grid
+        return {
+            "scenario": self.scenario,
+            "state": _copied(self.state),
+            "interaction": _copied(self.interaction),
+            "time_grid": {"t_min": grid.t_min, "t_max": grid.t_max, "n_points": grid.n_points},
+            "units": self.units,
+            "output_path": self.output_path,
+            "output_format": self.output_format,
+        }
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":

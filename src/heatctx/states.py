@@ -10,6 +10,7 @@ are inverse energies in the same unit. Entropies are in nats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = as_matrix(self.matrix)
         dims = tuple(int(d) for d in self.dims)
-        if int(np.prod(dims)) != m.shape[0]:
+        if math.prod(dims) != m.shape[0]:
             raise DimensionError(
                 f"subsystem dims {dims} do not match matrix dimension {m.shape[0]}"
             )
@@ -52,14 +53,16 @@ class DensityMatrix:
         entry = max(max_norm(m.real), max_norm(m.imag))
         if entry > 1 + STATE_TOL:
             raise NotAStateError(f"an entry has a real or imaginary part of modulus {entry:.3g} > 1")
-        if max_norm(m - dagger(m)) > STATE_TOL:
+        m_dagger = dagger(m)
+        if max_norm(m - m_dagger) > STATE_TOL:
             raise NotAStateError("density matrix is not Hermitian to 1e-12")
-        if abs(np.trace(m).real - 1.0) > STATE_TOL or abs(np.trace(m).imag) > STATE_TOL:
-            raise NotAStateError(f"trace is {np.trace(m):.15g}, expected 1")
-        w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-        if w.min() < EIGENVALUE_FLOOR:
+        trace = m.trace()
+        if abs(trace.real - 1.0) > STATE_TOL or abs(trace.imag) > STATE_TOL:
+            raise NotAStateError(f"trace is {trace:.15g}, expected 1")
+        lowest = np.minimum.reduce(np.linalg.eigvalsh((m + m_dagger) / 2))
+        if lowest < EIGENVALUE_FLOOR:
             raise NotAStateError(
-                f"smallest eigenvalue {w.min():.3g} below floor {EIGENVALUE_FLOOR:g}"
+                f"smallest eigenvalue {lowest:.3g} below floor {EIGENVALUE_FLOOR:g}"
             )
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -88,9 +91,10 @@ def _gibbs_matrix(h, beta: float) -> np.ndarray:
     if not np.isfinite(beta) or beta < 0:
         raise ParamError(f"beta must be finite and >= 0, got {beta}")
     m = as_matrix(h)
-    if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)) or np.diagonal(m).imag.any():
+    energies = m.diagonal()
+    if np.count_nonzero(m) != np.count_nonzero(energies) or energies.imag.any():
         raise ParamError("a local Hamiltonian must be real diagonal: its diagonal is read as its energies")
-    return np.diag(_boltzmann_weights(beta, np.diagonal(m).real))
+    return np.diag(_boltzmann_weights(beta, energies.real))
 
 
 def zeeman_hamiltonian(omega: float) -> HermitianOp:
@@ -176,13 +180,15 @@ def check_thermal_marginals(state: DensityMatrix, h_locals, betas, tol: float, e
     so a caller that passed this check may read the diagonals as energies;
     DimensionError when one does not match its subsystem.
     """
+    # Both marginals from one pass, of a bipartite state; the loop refuses any other.
+    marginals = bipartite_marginals(state.matrix, state.dims) if len(state.dims) == 2 else ()
     for keep, (h, beta) in enumerate(zip(h_locals, betas)):
         want = _gibbs_matrix(h, beta)
         if len(state.dims) != 2 or want.shape[0] != state.dims[keep]:
             raise DimensionError(
                 f"local Hamiltonian {keep} has dim {want.shape[0]}, state dims {state.dims}"
             )
-        dev = max_norm(partial_trace(state.matrix, state.dims, keep) - want)
+        dev = max_norm(marginals[keep][0] - want)
         if dev > tol:
             raise error(f"marginal {keep} deviates from Gibbs(beta={beta:g}) by {dev:.3g}")
 
@@ -279,7 +285,7 @@ def spectral_entropies(w: np.ndarray) -> np.ndarray:
 
     Eigenvalues below 0 (round-off) are clipped to 0; a NaN eigenvalue gives a NaN.
     """
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     terms = np.where(w == 0, 0.0, -w * np.log(np.where(w > 0, w, 1.0)))
     return terms.sum(axis=-1)
 
@@ -327,12 +333,18 @@ def relative_entropy(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.
     rho, sigma = (
         x.matrix if isinstance(x, DensityMatrix) else as_matrix(x) for x in (rho, sigma)
     )
+    return relative_entropy_given(rho, sigma, float(entropies(rho)))
+
+
+def relative_entropy_given(rho: np.ndarray, sigma: np.ndarray, entropy: float) -> float:
+    """``relative_entropy`` of the arrays rho and sigma, with S(rho) = ``entropy`` already
+    computed: -entropy is the term Tr{rho ln rho}. sigma's eigendecomposition is checked."""
     if rho.shape != sigma.shape:
         raise DimensionError("relative entropy needs equal dimensions")
     ws, vs = eig_hermitian(sigma)
-    ws = np.clip(ws, 0.0, None)
+    ws = np.maximum(ws, 0.0)
     kernel = ws <= SUPPORT_TOL
-    if np.any(kernel):
+    if kernel.any():
         weight = np.real(
             np.einsum("ij,jk,ki->", dagger(vs[:, kernel]), rho, vs[:, kernel])
         )
@@ -340,8 +352,7 @@ def relative_entropy(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.
             raise SupportError(
                 f"rho has weight {weight:.3g} outside the support of sigma"
             )
-    tr_rho_log_rho = -float(entropies(rho))
     log_sigma_evals = np.log(np.where(kernel, 1.0, ws))  # kernel rows carry ~0 weight
     log_sigma = (vs * log_sigma_evals) @ dagger(vs)
-    tr_rho_log_sigma = float(np.real(np.trace(rho @ log_sigma)))
-    return tr_rho_log_rho - tr_rho_log_sigma
+    tr_rho_log_sigma = float((rho @ log_sigma).trace().real)
+    return -float(entropy) - tr_rho_log_sigma

@@ -21,7 +21,7 @@ from .states import (
     check_thermal_marginals,
     entropies,
     mutual_information_change,
-    relative_entropy,
+    relative_entropy_given,
 )
 from .dynamics import evolve_on_grid, interaction_unitary
 
@@ -155,12 +155,14 @@ def clausius_report(
     q_a = float(change @ np.repeat(np.diagonal(ha).real, rho.dims[1]))
     q_b = float(change @ np.tile(np.diagonal(hb).real, rho.dims[0]))
 
-    # Row 0 holds the marginals of rho, row 1 those of the evolved state.
-    rho_a, rho_b = bipartite_marginals(np.stack([rho.matrix, evolved]), rho.dims)
-    delta_i = float(mutual_information_change(entropies(rho_a), entropies(rho_b))[1])
-    entropy_production = relative_entropy(rho_a[1], rho_a[0]) + relative_entropy(
-        rho_b[1], rho_b[0]
-    )
+    # Row 0 holds the marginals of rho, row 1 those of the evolved state; each
+    # relative entropy reads its Tr{rho' ln rho'} from the entropies of Delta I.
+    rho_a, rho_b = bipartite_marginals(np.array([rho.matrix, evolved]), rho.dims)
+    s_a, s_b = entropies(rho_a), entropies(rho_b)
+    delta_i = float(mutual_information_change(s_a, s_b)[1])
+    entropy_production = relative_entropy_given(
+        rho_a[1], rho_a[0], s_a[1]
+    ) + relative_entropy_given(rho_b[1], rho_b[0], s_b[1])
 
     identity_gap = abs(entropy_production - (beta_A * q_a + beta_B * q_b - delta_i))
     if not identity_gap <= 1e-9:  # NaN fails too

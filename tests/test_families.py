@@ -229,8 +229,9 @@ class TestFamily:
     def test_eigenvector_blocks(self, name):
         engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
         _, v = eig_hermitian(engine.h_int.matrix)
-        blocks = eigenvector_blocks(v)
+        member, blocks = eigenvector_blocks(v)
         assert [len(rows) for rows, _ in blocks] == BLOCK_SIZES[name]
+        assert np.array_equal(member.T, [np.isin(np.arange(len(v)), rows) for rows, _ in blocks])
         for part in zip(*blocks):  # the rows, then the columns, cover the basis once
             assert np.array_equal(np.sort(np.concatenate(part)), np.arange(len(v)))
 
@@ -311,7 +312,7 @@ def test_evolution_on_blocks_no_family_produces(n):
     levels = np.diag([0.0, 1.0, 2.0])
     assert check_energy_conservation(h, levels, levels)[0]
     _, v = eig_hermitian(h.matrix)
-    assert [len(rows) for rows, _ in eigenvector_blocks(v)] == [1, 7, 1]
+    assert [len(rows) for rows, _ in eigenvector_blocks(v)[1]] == [1, 7, 1]
     rho = DensityMatrix(random_density(rng, 9), (3, 3))
     ts = np.linspace(0.0, 6.0, n)
     expect = reference_evolve_on_grid(rho, h, ts)
@@ -371,7 +372,9 @@ def test_eigenvector_blocks_are_the_connected_components(seed):
     sizes = np.diff(np.r_[0, cuts, d]).tolist()
     v = random_block_unitary(rng, sizes)
     assert np.allclose(v @ v.conj().T, np.eye(d))
-    blocks = [(rows.tolist(), columns.tolist()) for rows, columns in eigenvector_blocks(v)]
+    member, blocks = eigenvector_blocks(v)
+    assert np.array_equal(member.T, [np.isin(np.arange(d), rows) for rows, _ in blocks])
+    blocks = [(rows.tolist(), columns.tolist()) for rows, columns in blocks]
     assert blocks == connected_blocks(v)
     assert sorted(len(rows) for rows, _ in blocks) == sorted(sizes)
 
@@ -406,6 +409,17 @@ def test_a_sweep_builds_one_evolution_plan(name, monkeypatch):
     targets = [("heatctx.linalg", "eig_hermitian"), ("heatctx.dynamics", "eigenvector_blocks")]
     calls = count_calls(monkeypatch, targets)
     run_sweep(config)
+    assert calls == {"eig_hermitian": 1, "eigenvector_blocks": 1}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_a_one_time_plan_takes_one_eigensolver_and_one_block_search(name, monkeypatch):
+    # clausius evolves rho to one time through one plan: H_I's one eigendecomposition,
+    # and one search for the blocks of V, which also gives their membership matrix.
+    engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config(name)))
+    targets = [("heatctx.linalg", "eig_hermitian"), ("heatctx.dynamics", "eigenvector_blocks")]
+    calls = count_calls(monkeypatch, targets)
+    evolve_on_grid(engine.rho, engine.h_int, [0.7])
     assert calls == {"eig_hermitian": 1, "eigenvector_blocks": 1}
 
 

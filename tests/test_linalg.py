@@ -149,7 +149,32 @@ def test_expm_is_unitary_for_large_times():
 
 
 def test_as_matrix_rejects_nan():
+    # One NaN or Inf entry anywhere, in the real or the imaginary part, gives one message.
     from heatctx.linalg import as_matrix
 
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match=r"^matrix contains NaN or Inf entries$"):
         as_matrix(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)):
+        for at in ((0, 0), (1, 2), (2, 1)):
+            a = np.eye(3, dtype=complex)
+            a[at] = bad
+            with pytest.raises(NumericsError, match=r"^matrix contains NaN or Inf entries$"):
+                as_matrix(a)
+
+
+def test_as_matrix_passes_large_finite_entries():
+    # Finite entries pass however large: 1e308 summed would overflow to inf, so
+    # the check must not be a sum.
+    from heatctx.linalg import as_matrix
+
+    a = as_matrix(np.full((2, 2), 1e308))
+    assert a.dtype == complex and np.array_equal(a, np.full((2, 2), 1e308))
+
+
+def test_max_norm_semantics():
+    from heatctx.linalg import max_norm
+
+    assert max_norm(np.zeros((0, 0))) == 0.0 and type(max_norm(np.zeros(0))) is float
+    assert max_norm([[1.0, -3.0], [2.0, 0.5j]]) == 3.0
+    assert max_norm(np.array([[3 + 4j]])) == 5.0
+    assert np.isnan(max_norm(np.array([1.0, np.nan, 2.0])))

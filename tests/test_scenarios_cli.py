@@ -105,6 +105,27 @@ class TestConfig:
         again = ScenarioConfig.from_dict(config.to_dict())
         assert again == config
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            builtin_micadei(),
+            builtin_qutrit_demo(),
+            small_config(state={"omega": 1.0, "T_A": 2.0, "T_B": 1.0, "nu1": [0.02, 0.01],
+                                "nested": {"a": (1, [2.0])}}),
+        ],
+    )
+    def test_to_dict_is_asdict_with_its_containers_copied(self, config):
+        from dataclasses import asdict
+
+        as_dict = config.to_dict()
+        assert repr(as_dict) == repr(asdict(config))  # keys, order, values and container types
+        pairs = [(as_dict["state"], config.state), (as_dict["interaction"], config.interaction)]
+        while pairs:
+            copy, original = pairs.pop()
+            assert copy is not original
+            items = copy.items() if isinstance(copy, dict) else enumerate(copy)
+            pairs += [(v, original[k]) for k, v in items if isinstance(v, (dict, list, tuple))]
+
 
 class TestBuiltins:
     def test_micadei_interaction_hamiltonian(self):

@@ -270,7 +270,7 @@ class TestClausius:
         assert res.entropy_production >= -1e-9
 
     def test_a_nan_identity_gap_is_a_violation(self, monkeypatch):
-        monkeypatch.setattr(thermo, "relative_entropy", lambda rho, sigma: float("nan"))
+        monkeypatch.setattr(thermo, "relative_entropy_given", lambda rho, sigma, entropy: float("nan"))
         params = TwoQubitThermalParams(omega=1.0, beta_A=0.9, beta_B=0.4, eta=0.05)
         with pytest.raises(NumericsError, match="identity violated by nan"):
             qubit_clausius(params, ResonantInteraction(1.0, theta=0.3), 0.7)
