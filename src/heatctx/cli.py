@@ -17,6 +17,7 @@ import click
 
 from .errors import ConfigError, HeatctxError, NumericsError
 from .contextuality import extract_stochastic_reversibility, find_minimal_pd
+from .linalg import eig_hermitian
 from .scenarios import (
     FACTORS,
     ScenarioConfig,
@@ -26,6 +27,7 @@ from .scenarios import (
     check_phase_digits,
     check_time,
     emit,
+    rate_bound,
     run_sweep,
 )
 from .thermo import clausius_report
@@ -65,7 +67,7 @@ def _load_config(config_path, builtin, t_max=None, n_points=None) -> ScenarioCon
             raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
         config = ScenarioConfig.from_dict(raw)
     given = {k: v for k, v in (("t_max", t_max), ("n_points", n_points)) if v is not None}
-    return replace(config, time_grid=replace(config.time_grid, **given))
+    return replace(config, time_grid=replace(config.time_grid, **given)) if given else config
 
 
 def _resolve_output(output, fmt, config: ScenarioConfig) -> tuple[str, str]:
@@ -131,10 +133,10 @@ def critical_time(config_path, builtin, t_max, n_points):
     config = _load_config(config_path, builtin, t_max, n_points)
     engine = _ScenarioEngine(config)
     t_max = config.time_grid.t_max
-    check_time("time_grid.t_max", engine.h_int, t_max)
+    check_time("time_grid.t_max", engine.rate, t_max)
     # sweep's oracle applies this rule where heat leaves the trace formula; without
     # an oracle, the crossings would be roots of rounding noise.
-    check_phase_digits(engine.h_int, t_max, t_max)
+    check_phase_digits(engine.rate, t_max, t_max)
     crossings = engine.crossings(config.time_grid.times())
     if not crossings:
         click.echo("no crossings on the grid")
@@ -144,8 +146,9 @@ def critical_time(config_path, builtin, t_max, n_points):
 
 
 def _factor_generator(kind, g, a, theta, local_dim, t, p_d):
-    """(generator, analytic p_d at time t, report at the claimed p_d) of a named
-    interaction factor; the claim is ``p_d``, or the analytic value if it is None."""
+    """(eig_hermitian of its generator, analytic p_d at time t, report at the claimed
+    p_d) of a named interaction factor; the claim is ``p_d``, or the analytic value if
+    it is None. ``verify-decomposition``'s two verdicts read this one decomposition."""
     for option, value in (("--g", g), ("--a", a), ("--theta", theta)):
         if not math.isfinite(value):
             raise ConfigError(f"{option} must be finite, got {value}")
@@ -156,10 +159,11 @@ def _factor_generator(kind, g, a, theta, local_dim, t, p_d):
             f"--interaction {kind} acts on dimension {h.dim}; "
             f"--local-dim {local_dim} needs {local_dim**2}"
         )
-    check_time("--t", h, t)
+    check_time("--t", rate_bound(h), t)
     p_analytic = float(factor.p_d(g, t, a))
-    report = extract_stochastic_reversibility(h, t, p_analytic if p_d is None else p_d)
-    return h, p_analytic, report
+    spectrum = eig_hermitian(h)
+    report = extract_stochastic_reversibility(spectrum, t, p_analytic if p_d is None else p_d)
+    return spectrum, p_analytic, report
 
 
 _INTERACTION_OPTIONS = [
@@ -179,12 +183,12 @@ _INTERACTION_OPTIONS = [
 @_cli_errors
 def verify_decomposition(kind, g, a, theta, local_dim, t, p_d, minimal):
     """Check the stochastic-reversibility decomposition of a named interaction factor."""
-    h, p_analytic, report = _factor_generator(kind, g, a, theta, local_dim, t, p_d)
+    spectrum, p_analytic, report = _factor_generator(kind, g, a, theta, local_dim, t, p_d)
     click.echo(f"p_d = {report.p_d:.12g}  (analytic {p_analytic:.12g})")
     click.echo(f"min Choi eigenvalue = {report.choi_eigenvalues.min():.3e}")
     click.echo(f"cptp: {'yes' if report.is_cptp else 'no'}")
     if minimal:
-        p_min, _ = find_minimal_pd(h, t)
+        p_min, _ = find_minimal_pd(spectrum, t)
         click.echo(f"minimal feasible p_d = {p_min:.12g}")
     if not report.is_cptp:
         sys.exit(3)
@@ -209,7 +213,7 @@ def clausius(config_path, builtin, t):
     """Heat, mutual-information change, and entropy production at one time."""
     config = _load_config(config_path, builtin)
     engine = _ScenarioEngine(config)
-    check_time("--t", engine.h_int, t)
+    check_time("--t", engine.rate, t)
     beta_a, beta_b = engine.params.beta_A, engine.params.beta_B
     result = clausius_report(
         engine.rho, engine.h_int, engine.h_local, engine.h_local, beta_a, beta_b, t

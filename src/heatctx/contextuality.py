@@ -119,11 +119,12 @@ def _eigenbasis_gaps(h_int, t: float) -> np.ndarray:
     With H = V diag(w) V^dag, U = e^{-itH} has eigenvalues lambda = e^{-iwt},
     and the symmetrized map multiplies entry (i, j) of V^dag X V by
     cos((w_i - w_j) t) = 1 - G_ij. The sine form keeps the small gaps that
-    1 - cos cancels, and G_ii = 0 exactly.
+    1 - cos cancels, and G_ii = 0 exactly. ``h_int`` is the generator or, so
+    that several verdicts share one decomposition, its ``eig_hermitian``.
     """
     if not math.isfinite(t):
         raise ParamError(f"t must be finite, got {t}")
-    w, _ = eig_hermitian(h_int)
+    w, _ = h_int if isinstance(h_int, tuple) else eig_hermitian(h_int)
     return 2 * np.sin(np.subtract.outer(w, w) * (t / 2)) ** 2
 
 
@@ -157,7 +158,8 @@ def extract_stochastic_reversibility(h_int, t: float, p_d_claimed: float) -> Dec
     """Extract C from (1/2)U(.)U^dag + (1/2)U^dag(.)U = (1-p_d) id + p_d C, U = e^{-itH}.
 
     The residual is zero by construction, so the verdict rests entirely on
-    whether the extracted C is CPTP, decided in the eigenbasis of H.
+    whether the extracted C is CPTP, decided in the eigenbasis of H. ``h_int``
+    is H or its ``eig_hermitian`` (``_eigenbasis_gaps``).
     """
     if not 0 <= p_d_claimed <= 1:
         raise ParamError(f"p_d must lie in [0, 1], got {p_d_claimed}")
@@ -168,7 +170,8 @@ def find_minimal_pd(h_int, t: float) -> tuple[float, DecompositionReport]:
     """Smallest p_d in (0, 1] keeping the extracted channel CPTP, to ``MINIMAL_PD_TOL``.
 
     Useful for validating analytic p_d values; returns 0 when the symmetrized
-    map is already the identity. Each verdict is a d x d one on the Schur
+    map is already the identity. ``h_int`` is the generator or its
+    ``eig_hermitian`` (``_eigenbasis_gaps``). Each verdict is a d x d one on the Schur
     multiplier A(p_d). Its 2 x 2 principal minor on the pair with the largest
     gap has eigenvalues 1 +- (1 - G_max / p_d), so by Cauchy interlacing
     min eig(A) <= 2 - G_max / p_d, which is below -2e-9 at
@@ -277,22 +280,54 @@ class Crossing:
     side: str  # "upper" or "lower"
 
 
-def _refine_bisection(f, lo: float, hi: float) -> float:
-    flo = None  # f(lo), taken once the bracket is wider than the tolerance
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if hi - lo <= CROSSING_REL_TOL * max(abs(mid), 1e-300):
-            return mid
+def _refine_bisection(f, lo: float, hi: float, guess: float | None = None) -> float:
+    """The bisection of a sign change of f on [lo, hi] to ``CROSSING_REL_TOL``.
+
+    The bisection halves the bracket at mid = (lo + hi) / 2 until it is at most
+    the tolerance times |mid| wide, for at most 200 halvings; it returns a mid
+    where f is 0, and otherwise keeps the half on which f(lo) and f(mid) differ
+    in sign (below 0 against not). It is replayed rather than stepped: each round
+    predicts the rest of its path from a guess of the root (by default the middle
+    of the bracket), evaluates f once on the array of that path's mids, with lo
+    and hi in the first round, and takes every decision f's signs confirm up to
+    and including the first one the prediction missed. The next round guesses
+    the secant of the bracket. The same decisions taken on the same values of f
+    give the bisection's bits, as f on an array has, element by element, the
+    bits it has on a scalar.
+    """
+    lo, hi = float(lo), float(hi)
+    guess = (lo + hi) / 2 if guess is None else float(guess)
+    flo = fhi = None  # f at lo and hi, once the bracket is wider than the tolerance
+    steps = 0
+    while True:
+        mids, a, b = [], lo, hi
+        for _ in range(200 - steps):
+            mid = (a + b) / 2
+            if b - a <= CROSSING_REL_TOL * max(abs(mid), 1e-300):
+                break
+            mids.append(mid)
+            if guess < mid:
+                b = mid
+            else:
+                a = mid
+        if not mids:
+            return (lo + hi) / 2
+        values = f(np.array(mids if flo is not None else [lo, hi, *mids])).tolist()
         if flo is None:
-            flo = f(lo)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return (lo + hi) / 2
+            flo, fhi, *values = values
+        for mid, fm in zip(mids, values):
+            steps += 1
+            if fm == 0.0:
+                return mid
+            left = (flo < 0) != (fm < 0)
+            if left:
+                hi, fhi = mid, fm
+            else:
+                lo, flo = mid, fm
+            if left != (guess < mid):
+                break
+        gap = fhi - flo
+        guess = lo - flo * (hi - lo) / gap if gap else (lo + hi) / 2
 
 
 def _opposite(a: float, b: float) -> bool:
@@ -405,7 +440,7 @@ def _spectral_candidates(ts, curves, w0: float, degree: int) -> list[list[float]
 
 
 def _brackets(ts: np.ndarray, roots: list[float], w0: float) -> list[tuple]:
-    """(cell, alone, points) of each of one side's sorted candidate roots.
+    """(cell, alone, root, points) of each of one side's sorted candidate roots.
 
     cell j is the cell [t_j, t_j+1] of the grid holding the root (``np.searchsorted``),
     alone whether it holds no other root, and points lists t_j-1 .. t_j+2 (clipped
@@ -421,7 +456,7 @@ def _brackets(ts: np.ndarray, roots: list[float], w0: float) -> list[tuple]:
         w = max(ROOT_BRACKET / w0, 4 * math.ulp(r))
         grid = [float(ts[min(max(k, 0), last)]) for k in range(j - 1, j + 3)]
         lo, hi = max(r - w, ends[i]), min(r + w, ends[i + 1])
-        out.append((j, alone, [*grid, lo, hi, ends[i], ends[i + 1]]))
+        out.append((j, alone, r, [*grid, lo, hi, ends[i], ends[i + 1]]))
     return out
 
 
@@ -434,21 +469,23 @@ def _polish(f, ts: np.ndarray, brackets: list[tuple], values: list[list[float]])
     grid; an interior grid point where f is 0 between neighbours of opposite
     sign is the crossing itself. Otherwise the candidate's own bracket is
     refined or, when f does not change sign across that, its share. No sign
-    change there is no crossing (a touch).
+    change there is no crossing (a touch). Each bisection replays its path
+    from the candidate root, which lies well within the tolerance of the
+    crossing it finds.
     """
     last = len(ts) - 1
     times = []
-    for (j, alone, (*_, lo, hi, lo_end, hi_end)), v in zip(brackets, values):
+    for (j, alone, r, (*_, lo, hi, lo_end, hi_end)), v in zip(brackets, values):
         if alone and _opposite(v[1], v[2]):
-            times.append(_refine_bisection(f, ts[j], ts[j + 1]))
+            times.append(_refine_bisection(f, ts[j], ts[j + 1], r))
         elif alone and v[1] == 0 and j > 0 and _opposite(v[0], v[2]):
             times.append(float(ts[j]))
         elif alone and v[2] == 0 and j + 1 < last and _opposite(v[1], v[3]):
             times.append(float(ts[j + 1]))
         elif _opposite(v[4], v[5]):
-            times.append(_refine_bisection(f, lo, hi))
+            times.append(_refine_bisection(f, lo, hi, r))
         elif _opposite(v[6], v[7]):
-            times.append(_refine_bisection(f, lo_end, hi_end))
+            times.append(_refine_bisection(f, lo_end, hi_end, r))
     return sorted(set(times))
 
 
@@ -465,9 +502,16 @@ def _spectral_crossings(ts, curves, w0: float, degree: int, sides) -> list[list[
 
 
 def _scan(ts, f_grid: np.ndarray, f) -> list[float]:
-    """Crossing times of one side from its f on the grid ts."""
+    """Crossing times of one side from its f on the grid ts.
+
+    Each bisection replays its path from the secant of f's values at the ends
+    of its cell.
+    """
     s = np.sign(f_grid)
-    times = [_refine_bisection(f, ts[j], ts[j + 1]) for j in np.flatnonzero(s[:-1] * s[1:] < 0)]
+    times = []
+    for j in np.flatnonzero(s[:-1] * s[1:] < 0).tolist():
+        (t0, t1), (f0, f1) = ts[j : j + 2].tolist(), f_grid[j : j + 2].tolist()
+        times.append(_refine_bisection(f, t0, t1, t0 - f0 * (t1 - t0) / (f1 - f0)))
     for j in np.flatnonzero(s[1:-1] == 0) + 1:
         if s[j - 1] * s[j + 1] < 0:
             times.append(float(ts[j]))
@@ -479,7 +523,8 @@ def find_critical_times(ts: np.ndarray, heat_at: Callable, bounds_at: Callable, 
 
     A crossing is a strict sign change of f_upper = heat - upper or of
     f_lower = lower - heat, refined by bisection to relative tolerance 1e-10 on
-    ``heat_at(t)`` and ``bounds_at(t) -> (upper, lower)`` at scalar t; a touch
+    ``heat_at(t)`` and ``bounds_at(t) -> (upper, lower)``, which take an array t and
+    have at each of its entries the bits they have at that entry alone; a touch
     without sign change, such as the common zero at t = 0, is none. An empty
     list means no crossing, which is a valid outcome.
 
@@ -498,8 +543,8 @@ def find_critical_times(ts: np.ndarray, heat_at: Callable, bounds_at: Callable, 
         return np.array([heat_at(t), *bounds_at(t)], dtype=float)
 
     sides = [
-        lambda t: float(heat_at(t)) - float(bounds_at(t)[0]),  # f_upper > 0: violation
-        lambda t: float(bounds_at(t)[1]) - float(heat_at(t)),  # f_lower > 0: violation
+        lambda t: heat_at(t) - bounds_at(t)[0],  # f_upper > 0: violation
+        lambda t: bounds_at(t)[1] - heat_at(t),  # f_lower > 0: violation
     ]
     plan = spectral_plan(frequencies, ts)
     if plan:

@@ -474,7 +474,7 @@ class Family:
     """Everything the engine knows about one scenario, keyed by its name."""
 
     parse: Callable  # config state -> validated params
-    state: Callable  # params -> DensityMatrix
+    state: Callable  # (params, local Hamiltonian) -> DensityMatrix
     local: Callable  # params -> local Hamiltonian, the same on A and B
     h_int: Callable  # (g, a, theta) -> interaction Hamiltonian
     heat: Callable  # (params, g, theta) -> t -> closed-form <Q_A>, built once per engine
@@ -504,7 +504,7 @@ FAMILIES = {
     ),
     "qutrit_partial_swap": Family(
         parse=_qutrit_params,
-        state=two_qutrit_thermal,
+        state=lambda p, h: two_qutrit_thermal(p),
         local=lambda p: qutrit_hamiltonian(p.omegas),
         h_int=lambda g, a, theta: PartialSwapInteraction(g, local_dim=3).hamiltonian(),
         heat=lambda p, g, theta: build_heat_qutrit(p, g),
@@ -513,24 +513,25 @@ FAMILIES = {
 }
 
 
-def check_time(field: str, h_int, t: float) -> None:
-    """ConfigError unless t is finite and the phase 2 t times the largest rate of H_I is a
-    finite float.
+def check_time(field: str, rate: float, t: float) -> None:
+    """ConfigError unless t is finite and the phase 2 rate t is a finite float.
 
-    H_I's absolute row sums bound its eigenvalues, g and g |a - 1|; the closed
-    forms take angles up to 2 g t, the evolution w t.
+    ``rate`` is H_I's ``rate_bound``: its absolute row sums bound its
+    eigenvalues, g and g |a - 1|; the closed forms take angles up to 2 g t,
+    the evolution w t.
     """
     if not math.isfinite(t):
         raise ConfigError(f"{field} must be finite, got {t}")
-    if not math.isfinite(2 * _rate(h_int) * t):
+    if not math.isfinite(2 * rate * t):
         raise ConfigError(f"{field} = {t:g} is too large: its phases under H_I overflow")
 
 
-def check_phase_digits(h_int, t: float, t_max: float) -> None:
+def check_phase_digits(rate: float, t: float, t_max: float) -> None:
     """ConfigError where one ulp of the phase 2 rate t at grid time t exceeds
-    ``CROSS_CHECK_TOL``: there the closed form and the evolution are each rounding
-    noise, and the grid ending at t_max, not the program, is at fault."""
-    ulp = math.ulp(2 * _rate(h_int) * t)
+    ``CROSS_CHECK_TOL``, with H_I's ``rate_bound``: there the closed form and the
+    evolution are each rounding noise, and the grid ending at t_max, not the
+    program, is at fault."""
+    ulp = math.ulp(2 * rate * t)
     if ulp > CROSS_CHECK_TOL:
         raise ConfigError(
             f"time_grid.t_max = {t_max:g} is too large: at t={t:g} one ulp of the "
@@ -538,7 +539,7 @@ def check_phase_digits(h_int, t: float, t_max: float) -> None:
         )
 
 
-def _rate(h_int) -> float:
+def rate_bound(h_int) -> float:
     """The largest absolute row sum of H_I, a bound on its eigenvalues."""
     return float(np.abs(as_matrix(h_int)).sum(axis=1).max())
 
@@ -551,8 +552,8 @@ class _ScenarioEngine:
         self.family = FAMILIES[config.scenario]
         self.g, self.a, self.theta = _coupling(config.interaction)
         self.params = self.family.parse(config.state)
-        self.rho = self.family.state(self.params)
         self.h_local = self.family.local(self.params)
+        self.rho = self.family.state(self.params, self.h_local)
         # diag(H_A x 1): the local Hamiltonians in scope are diagonal.
         self.energies = np.repeat(np.diag(self.h_local.matrix).real, self.rho.dims[1])
         self.a_max = float(self.energies.max())
@@ -565,6 +566,11 @@ class _ScenarioEngine:
     @functools.cached_property
     def _heat(self):
         return self.family.heat(self.params, self.g, self.theta)
+
+    @functools.cached_property
+    def rate(self) -> float:
+        """H_I's ``rate_bound``, for ``check_time`` and ``check_phase_digits``."""
+        return rate_bound(self.h_int)
 
     @functools.cached_property
     def half_gaps(self) -> list[float]:
@@ -655,7 +661,7 @@ def _check_against_trace(
     bad = np.flatnonzero(~(deviation <= allowed))  # NaN fails too
     if bad.size:
         i = bad[np.argmax(deviation[bad] / allowed[bad])]
-        check_phase_digits(engine.h_int, ts[i], ts[-1])
+        check_phase_digits(engine.rate, ts[i], ts[-1])
         raise NumericsError(
             f"closed-form heat deviates from trace formula at t={ts[i]:g}: "
             f"{heat[i]:.17g} vs {q_ref[i]:.17g}"
@@ -666,7 +672,7 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     """Evaluate the sweep as columns; deterministic given the config."""
     engine = _ScenarioEngine(config)
     ts = config.time_grid.times()
-    check_time("time_grid.t_max", engine.h_int, config.time_grid.t_max)
+    check_time("time_grid.t_max", engine.rate, config.time_grid.t_max)
     heat, (upper, lower) = engine.heat(ts), engine.bounds(ts)
     crossings = engine.crossings(ts)
 

@@ -141,11 +141,13 @@ class TwoQubitThermalParams:
         return 1.0 / (za * zb)
 
 
-def two_qubit_thermal(params: TwoQubitThermalParams) -> DensityMatrix:
+def two_qubit_thermal(params: TwoQubitThermalParams, h_local: HermitianOp | None = None) -> DensityMatrix:
     """Build the 4x4 correlated state with exactly thermal marginals.
 
     Basis order |00>, |01>, |10>, |11> in the sigma_z x sigma_z eigenbasis.
     Raises NotAStateError when the correlation parameters break positivity.
+    The marginals are checked against ``h_local``, a caller's
+    ``zeeman_hamiltonian(params.omega)``, built here when it is None.
     """
     p = params
     za, zb = p.partition_functions()
@@ -167,7 +169,7 @@ def two_qubit_thermal(params: TwoQubitThermalParams) -> DensityMatrix:
         raise NotAStateError(
             f"two-qubit thermal parameters give a non-positive matrix: {exc}"
         ) from exc
-    h = zeeman_hamiltonian(p.omega)
+    h = zeeman_hamiltonian(p.omega) if h_local is None else h_local
     check_thermal_marginals(state, (h, h), (p.beta_A, p.beta_B), STATE_TOL, NotAStateError)
     return state
 

@@ -29,6 +29,7 @@ from heatctx import (
 )
 from heatctx.contextuality import (
     CHOI_EIGENVALUE_FLOOR,
+    CROSSING_REL_TOL,
     MINIMAL_PD_TOL,
     _eigenbasis_gaps,
     _symmetrized_conjugation,
@@ -202,6 +203,31 @@ def reference_minimal_pd(h, t):
         else:
             lo = mid
     return hi, feasible(hi)
+
+
+def reference_refine_bisection(f, lo, hi, guess=None):
+    """Reference: the sequential bisection, one scalar f(t) per halving.
+
+    It halves [lo, hi] at mid = (lo + hi) / 2 until the bracket is at most
+    ``CROSSING_REL_TOL`` times |mid| wide, for at most 200 halvings, returns a
+    mid where f is 0, and keeps the half on which f(lo) and f(mid) differ in
+    sign. The guess is ignored.
+    """
+    flo = None  # f(lo), taken once the bracket is wider than the tolerance
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if hi - lo <= CROSSING_REL_TOL * max(abs(mid), 1e-300):
+            return mid
+        if flo is None:
+            flo = f(lo)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (flo < 0) != (fm < 0):
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return (lo + hi) / 2
 
 
 def count_calls(monkeypatch, targets):

@@ -302,6 +302,18 @@ class TestDecomposition:
         assert u_trip == {"interaction_unitary": 1, "expm_hermitian_generator": 1, "eigvals": 0}
 
 
+@pytest.mark.parametrize("kind,local_dim", FACTOR_CASES)
+def test_verify_decomposition_minimal_decomposes_the_generator_once(monkeypatch, kind, local_dim):
+    # The claimed p_d's verdict and the minimal p_d's search read one G.
+    calls = count_calls(monkeypatch, [("heatctx.linalg", "eig_hermitian")])
+    for t in ("0.8", "1e-4", "1e-7"):
+        calls["eig_hermitian"] = 0
+        args = ["verify-decomposition", "--interaction", kind, "--local-dim", str(local_dim), "--t", t]
+        result = CliRunner().invoke(main, [*args, "--minimal"])
+        assert result.exit_code == 0, result.output
+        assert "minimal feasible p_d" in result.output and calls["eig_hermitian"] == 1, (t, calls)
+
+
 class TestMinimalPd:
     def test_identity_gives_zero(self):
         p, report = find_minimal_pd(np.zeros((4, 4)), 0.8)

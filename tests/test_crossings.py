@@ -23,6 +23,7 @@ from heatctx import (
     format_csv,
     run_sweep,
 )
+from heatctx import contextuality
 from heatctx.cli import main
 from heatctx.contextuality import (
     SPECTRAL_TRIM_TOL,
@@ -33,6 +34,7 @@ from heatctx.contextuality import (
     spectral_plan,
 )
 from heatctx.scenarios import FACTORS, _ScenarioEngine
+from conftest import reference_refine_bisection
 from test_families import example_config
 
 FAMILY_NAMES = ["two_qubit_resonant", "two_qubit_nonresonant", "qutrit_partial_swap"]
@@ -82,6 +84,15 @@ def draw_config(rng, family) -> dict:
     return dict(scenario=family, units="natural", state=state, interaction=interaction, time_grid=grid)
 
 
+def drawn_engine(rng, family) -> _ScenarioEngine:
+    """The engine of the first config ``draw_config`` draws that validates."""
+    while True:
+        try:
+            return engine_of(draw_config(rng, family))
+        except HeatctxError:
+            continue
+
+
 def test_seeded_configs_report_every_crossing_of_a_dense_scan():
     # 80 configs per family, each drawn until it validates. A crossing the dense
     # scan finds must be reported within one of its steps on the spectral path.
@@ -92,14 +103,8 @@ def test_seeded_configs_report_every_crossing_of_a_dense_scan():
     rng = np.random.default_rng(19)
     paths = {True: 0, False: 0}
     for k in range(240):
-        family = FAMILY_NAMES[k % 3]
-        while True:
-            try:
-                raw = draw_config(rng, family)
-                engine = engine_of(raw)
-                break
-            except HeatctxError:
-                continue
+        engine = drawn_engine(rng, FAMILY_NAMES[k % 3])
+        raw = engine.config
         grid = engine.config.time_grid
         ts = grid.times()
         got = engine.crossings(ts)
@@ -228,8 +233,9 @@ def never_called(t):
     raise AssertionError(f"f evaluated at {t}")
 
 
-# _polish on synthetic brackets: cell j = 1 of the grid 0, 1, 2, 3, whose points
-# are t_0 .. t_3, the root's own bracket (1.4, 1.6) and its share (1, 2), with
+# _polish on synthetic brackets: cell j = 1 of the grid 0, 1, 2, 3 holding the
+# candidate root 1.5, whose points are t_0 .. t_3, the root's own bracket
+# (1.4, 1.6) and its share (1, 2), with
 # values chosen per rule. Only the rule under test can report a crossing.
 @pytest.mark.parametrize(
     "values,expect",
@@ -240,10 +246,10 @@ def never_called(t):
 )
 def test_polish_reports_an_interior_grid_zero_itself(values, expect):
     ts = np.array([0.0, 1.0, 2.0, 3.0])
-    brackets = [(1, True, [0.0, 1.0, 2.0, 3.0, 1.4, 1.6, 1.0, 2.0])]
+    brackets = [(1, True, 1.5, [0.0, 1.0, 2.0, 3.0, 1.4, 1.6, 1.0, 2.0])]
     assert _polish(never_called, ts, brackets, [values]) == [expect]
     # Not alone in its cell, or not between opposite signs: no crossing.
-    assert _polish(never_called, ts, [(1, False, brackets[0][2])], [values]) == []
+    assert _polish(never_called, ts, [(1, False, 1.5, brackets[0][3])], [values]) == []
     flat = [abs(v) for v in values]
     assert _polish(never_called, ts, brackets, [flat]) == []
 
@@ -251,7 +257,7 @@ def test_polish_reports_an_interior_grid_zero_itself(values, expect):
 def test_polish_refines_on_the_share_when_the_own_bracket_keeps_its_sign():
     ts = np.array([0.0, 1.0, 2.0, 3.0])
     f = lambda t: t - 1.3
-    brackets = [(1, True, [0.0, 1.0, 2.0, 3.0, 1.4, 1.6, 1.0, 2.0])]
+    brackets = [(1, True, 1.5, [0.0, 1.0, 2.0, 3.0, 1.4, 1.6, 1.0, 2.0])]
     values = [[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0]]
     (time,) = _polish(f, ts, brackets, values)
     assert time == pytest.approx(1.3, rel=1e-10)
@@ -263,11 +269,140 @@ def test_refine_bisection_returns_a_midpoint_where_f_is_zero():
     calls = []
 
     def f(t):
-        calls.append(t)
+        calls.append(t.tolist())
         return t - 0.5
 
     assert _refine_bisection(f, 0.0, 1.0) == 0.5
-    assert calls == [0.0, 0.5]
+    # One call: lo, hi and the path predicted from the default guess, the middle
+    # 0.5, which keeps the upper half and then the lower ones down to the tolerance.
+    assert calls == [[0.0, 1.0, 0.5] + [0.5 + 2.0**-k for k in range(2, 36)]]
+
+
+def harmonics(rng, root):
+    """A random sum of 1-4 harmonics that vanishes at root, elementwise in t."""
+    terms = [(rng.normal(), rng.uniform(0.1, 50.0)) for _ in range(rng.integers(1, 5))]
+
+    def f(t):
+        total = 0.0
+        for amp, freq in terms:
+            total = total + amp * np.sin(freq * (t - root))
+        return total
+
+    return f
+
+
+def bisection_case(rng, i):
+    """(f, lo, hi, guess, zero) of the i-th seeded case of the replay's property test.
+
+    Most are a sum of harmonics with a root in, or now and then outside, a
+    random cell, with a guess that is exact, perturbed, outside the cell, NaN
+    or absent; every 7th is 0 at one of the bisection's mids, every 11th has
+    its root at t_min = 0, where the 200 halvings run out, and every 13th
+    takes NaN values. zero is the mid where f is 0, or NaN.
+    """
+    zero = math.nan
+    lo = float(rng.uniform(-5.0, 5.0)) * 10 ** rng.uniform(-3, 1.5)
+    width = 10 ** rng.uniform(-9, 0.5)
+    hi = lo + width
+    root = float(rng.uniform(lo, hi)) if rng.random() < 0.9 else hi + width * rng.uniform(0.0, 2.0)
+    f = harmonics(rng, root)
+    if i % 11 == 0:
+        lo, hi = 0.0, width
+        f = lambda t, w=rng.uniform(0.1, 3.0) / width: -np.sin(w * t)
+    elif i % 13 == 0:
+        cut, base = float(rng.uniform(lo, hi)), f
+        f = (lambda t: np.where(t > cut, np.nan, base(t))) if i % 2 else (lambda t: np.nan * t)
+    elif i % 7 == 0:
+        points = []  # lo, then the mids
+        reference_refine_bisection(lambda t: points.append(t) or f(t), lo, hi)
+        zero, base = points[rng.integers(1, len(points))] if len(points) > 1 else math.nan, f
+        f = lambda t: np.where(t == zero, 0.0, base(t))
+    want = reference_refine_bisection(f, lo, hi)
+    kind = i % 5
+    if kind == 0:
+        guess = want
+    elif kind == 1:
+        guess = want + width * rng.normal() * 10 ** rng.uniform(-14, -1)
+    elif kind == 2:
+        side = 1.0 if rng.random() < 0.5 else -1.0
+        guess = (lo + hi) / 2 + side * width * rng.uniform(0.5, 3.5)
+    elif kind == 3:
+        guess = math.nan
+    else:
+        guess = None
+    return f, lo, hi, guess, zero
+
+
+def test_replayed_bisection_has_the_bits_of_the_sequential_one():
+    rng = np.random.default_rng(20190604)
+    capped = zeros = 0
+    for i in range(2400):
+        f, lo, hi, guess, zero = bisection_case(rng, i)
+        calls = []
+        want = reference_refine_bisection(lambda t: calls.append(t) or f(t), lo, hi)
+        got = _refine_bisection(f, lo, hi, guess)
+        assert got.hex() == float(want).hex(), (i, lo, hi, guess)
+        capped += len(calls) == 201
+        if not math.isnan(zero):
+            assert want == zero
+            zeros += 1
+    # Every root at t_min = 0 ran out of halvings; nearly every 7th case has a mid where f is 0.
+    assert capped >= len(range(0, 2400, 11)) and zeros >= 250
+
+
+def counting_refines(monkeypatch):
+    """The number of calls of f in each ``_refine_bisection``, in order."""
+    evals = []
+    refine = contextuality._refine_bisection
+
+    def counted(f, *args):
+        evals.append(0)
+
+        def f_counted(t):
+            evals[-1] += 1
+            return f(t)
+
+        return refine(f_counted, *args)
+
+    monkeypatch.setattr(contextuality, "_refine_bisection", counted)
+    return evals
+
+
+@pytest.mark.parametrize("builtin", [builtin_micadei, builtin_qutrit_demo])
+def test_each_builtin_crossing_takes_one_evaluation(monkeypatch, builtin):
+    config = builtin()
+    evals = counting_refines(monkeypatch)
+    crossings = _ScenarioEngine(config).crossings(config.time_grid.times())
+    assert len(crossings) == 1 and evals == [1]
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_crossings_have_the_bits_of_the_sequential_bisection(monkeypatch, family):
+    rng = np.random.default_rng(FAMILY_NAMES.index(family))
+    cases = []
+    for _ in range(25):
+        engine = drawn_engine(rng, family)
+        ts = engine.config.time_grid.times()
+        cases.append((ts, engine, engine.frequencies()))
+        cases.append((ts, engine, ()))  # the scan
+    got = [find_critical_times(ts, e.heat, e.bounds, fr) for ts, e, fr in cases]
+    monkeypatch.setattr(contextuality, "_refine_bisection", reference_refine_bisection)
+    want = [find_critical_times(ts, e.heat, e.bounds, fr) for ts, e, fr in cases]
+    hexes = [[(c.time.hex(), c.side) for c in crossings] for crossings in got]
+    assert hexes == [[(c.time.hex(), c.side) for c in crossings] for crossings in want]
+    assert sum(map(len, want)) > 0 or family == "two_qubit_nonresonant"  # whose heat is 0
+
+
+@pytest.mark.parametrize("name", [*FAMILY_NAMES, "micadei", "qutrit-demo"])
+def test_heat_and_bounds_on_an_array_have_their_scalar_bits(name):
+    builtins = {"micadei": builtin_micadei, "qutrit-demo": builtin_qutrit_demo}
+    config = builtins[name]() if name in builtins else ScenarioConfig.from_dict(example_config(name))
+    engine = _ScenarioEngine(config)
+    t = np.random.default_rng(7).uniform(0.0, config.time_grid.t_max, 257)
+    rows = [engine.heat(t), *engine.bounds(t)]
+    for i, ti in enumerate(t.tolist()):
+        scalar = [engine.heat(ti), *engine.bounds(ti)]
+        assert [float(x[i]).hex() for x in rows] == [float(x).hex() for x in scalar], (name, ti)
 
 
 def test_root_phases_drop_a_top_harmonic_below_the_trim(monkeypatch):

@@ -7,7 +7,7 @@ cases are ``clausius`` on both builtins at seeded times, at t = -0.5, at the
 subnormal t = 1e-320 and at the two times CI checks; ``verify-decomposition
 --minimal`` on every interaction factor at three times; one ``choi``
 spectrum; and ``critical-time`` on both builtins, on the default grid and on
-two points.
+two points, and on the qutrit demo to t = 7, where it crosses nine times.
 """
 
 import json
@@ -52,6 +52,12 @@ def golden_commands() -> list[list[str]]:
             ["critical-time", "--builtin", name],
             ["critical-time", "--builtin", name, "--n-points", "2"],
         ]
+    # Nine crossings, with the upper and lower times coincident at k pi, on the
+    # default grid and on a coarse one.
+    commands += [
+        ["critical-time", "--builtin", "qutrit-demo", "--t-max", "7"],
+        ["critical-time", "--builtin", "qutrit-demo", "--t-max", "7", "--n-points", "400"],
+    ]
     return commands
 
 
