@@ -171,8 +171,8 @@ def find_minimal_pd(h_int, t: float) -> tuple[float, DecompositionReport]:
 
     Useful for validating analytic p_d values; returns 0 when the symmetrized
     map is already the identity. ``h_int`` is the generator or its
-    ``eig_hermitian`` (``_eigenbasis_gaps``). Each verdict is a d x d one on the Schur
-    multiplier A(p_d). Its 2 x 2 principal minor on the pair with the largest
+    ``eig_hermitian`` (``_eigenbasis_gaps``). Each verdict is a d x d one on
+    the Schur multiplier A(p_d). Its 2 x 2 principal minor on the pair with the largest
     gap has eigenvalues 1 +- (1 - G_max / p_d), so by Cauchy interlacing
     min eig(A) <= 2 - G_max / p_d, which is below -2e-9 at
     G_max / 2 (1 - ``MINIMAL_PD_TOL``), under the -1e-9 floor: the bracket
@@ -470,8 +470,8 @@ def _polish(f, ts: np.ndarray, brackets: list[tuple], values: list[list[float]])
     sign is the crossing itself. Otherwise the candidate's own bracket is
     refined or, when f does not change sign across that, its share. No sign
     change there is no crossing (a touch). Each bisection replays its path
-    from the candidate root, which lies well within the tolerance of the
-    crossing it finds.
+    from the candidate root, which on the builtins lies within the tolerance
+    of the crossing, so that one evaluation of f refines it.
     """
     last = len(ts) - 1
     times = []
