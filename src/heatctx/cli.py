@@ -136,7 +136,7 @@ def critical_time(config_path, builtin, t_max, n_points):
     check_time("time_grid.t_max", engine.rate, t_max)
     # sweep's oracle applies this rule where heat leaves the trace formula; without
     # an oracle, the crossings would be roots of rounding noise.
-    check_phase_digits(engine.rate, t_max, t_max)
+    check_phase_digits("time_grid.t_max", t_max, engine.rate, t_max)
     crossings = engine.crossings(config.time_grid.times())
     if not crossings:
         click.echo("no crossings on the grid")
@@ -159,7 +159,9 @@ def _factor_generator(kind, g, a, theta, local_dim, t, p_d):
             f"--interaction {kind} acts on dimension {h.dim}; "
             f"--local-dim {local_dim} needs {local_dim**2}"
         )
-    check_time("--t", rate_bound(h), t)
+    rate = rate_bound(h)
+    check_time("--t", rate, t)
+    check_phase_digits("--t", t, rate, t)  # else p_d and the verdicts read rounding noise
     p_analytic = float(factor.p_d(g, t, a))
     spectrum = eig_hermitian(h)
     report = extract_stochastic_reversibility(spectrum, t, p_analytic if p_d is None else p_d)
@@ -214,6 +216,7 @@ def clausius(config_path, builtin, t):
     config = _load_config(config_path, builtin)
     engine = _ScenarioEngine(config)
     check_time("--t", engine.rate, t)
+    check_phase_digits("--t", t, engine.rate, t)  # else U(t) is rounding noise
     beta_a, beta_b = engine.params.beta_A, engine.params.beta_B
     result = clausius_report(
         engine.rho, engine.h_int, engine.h_local, engine.h_local, beta_a, beta_b, t

@@ -9,6 +9,7 @@ never constructed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,7 +123,7 @@ def eigenvector_blocks(v: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray
     """
     nonzero = v != 0
     linked = nonzero @ nonzero.T  # boolean: one link
-    for _ in range(len(v).bit_length()):  # each squaring doubles the chains' reach
+    for _ in range((len(v) - 2).bit_length()):  # k squarings reach 2^k links, >= d - 1
         linked = linked @ linked
     first = linked.argmax(axis=1)  # the first row each row reaches names its block
     member = first[:, None] == np.arange(len(v))  # row i lies in the block row k names
@@ -131,17 +132,50 @@ def eigenvector_blocks(v: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray
     return member, [(r.nonzero()[0], c.nonzero()[0]) for r, c in zip(member.T, columns.T)]
 
 
-def distinct_eigenvalues(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, index) with distinct[index] == w bit for bit, from one pass over sorted w.
+def phase_columns(w: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+    """(exponents, mirrors, column): the table of the phases e^{-i t w} of the
+    eigenvalues w is np.exp of each of ``exponents``, then the conjugate of each of
+    its columns ``mirrors``; ``column`` is the table column of each eigenvalue.
 
-    Runs of equal bits merge; -0.0 and +0.0 stay apart, as their phases differ
-    in the sign of a zero imaginary part, and equal values that do not sit next
-    to each other stay apart too, which costs a column, never a bit.
+    Eigenvalues of equal bits share a column, since their phases have equal bits;
+    -0.0 and +0.0 stay apart, as their phases differ in the sign of a zero
+    imaginary part. A negative eigenvalue -x whose partner x is also an eigenvalue
+    is mirrored: t (-x) is -(t x) exactly and -1j y is (+0, -y), so its phase is
+    np.exp of the conjugate of its partner's argument, which the tests check is the
+    conjugate of its partner's phase, bit for bit. Zeros are never mirrored. There
+    are at most d eigenvalues, and on so few Python sets cost less than numpy calls.
     """
-    bits = w.view(np.int64)
-    first = np.empty(len(w), dtype=bool)
-    first[:1], first[1:] = True, bits[1:] != bits[:-1]
-    return w[first], np.cumsum(first) - 1
+    values = w.tolist()
+    keys = [(x, math.copysign(1.0, x)) for x in values]  # equal keys, equal bits
+    distinct = dict.fromkeys(keys)
+    positive = {x for x in values if x > 0}
+    kept = [key for key in distinct if -key[0] not in positive]
+    mirrored = [key for key in distinct if -key[0] in positive]
+    table = {key: k for k, key in enumerate(kept + mirrored)}
+    exponents = np.array([x for x, _ in kept])
+    return exponents, [table[-x, 1.0] for x, _ in mirrored], [table[key] for key in keys]
+
+
+def shared_blocks(v: np.ndarray, blocks, column: list[int]) -> tuple[list, list[int]]:
+    """(classes, shared): per class of ``blocks`` whose U_b(t) have equal bits, its
+    phase columns and eigen-columns V_b = v[r][:, c], F-ordered; and each block's class.
+
+    Blocks whose V_b are equal up to an overall sign and that read the same phase
+    columns (``column`` of their eigenvalues) form a class: see ``EvolutionPlan``.
+    The keys are tuples of Python complex numbers, which compare and hash zeros of
+    either sign alike. One pass over blocks of a few rows, which gathers each
+    class's V_b once, costs less than numpy calls.
+    """
+    entries, found, classes, shared = v.tolist(), {}, [], []
+    for r, c in blocks:
+        cols = c.tolist()
+        key = (tuple([column[j] for j in cols]), tuple([entries[i][j] for i in r.tolist() for j in cols]))
+        k = found.get(key)
+        if k is None:
+            k = found[key] = found[key[0], tuple([-x for x in key[1]])] = len(classes)
+            classes.append((np.array(key[0]), v.T[c[:, None], r].T))  # one gather, F-ordered
+        shared.append(k)
+    return classes, shared
 
 
 class EvolutionPlan:
@@ -167,9 +201,17 @@ class EvolutionPlan:
     ``diagonal`` is True when no live pair reaches an off-diagonal entry of
     rho_A or rho_B: then the diagonal pairs (b, b) alone give the populations.
 
-    The phases e^{-i t w} are evaluated once per distinct eigenvalue
-    (``distinct_eigenvalues``), and each block reads its columns through an
-    index into them: an eigenvalue of equal bits gives a phase of equal bits.
+    Per grid, np.exp and the U_b einsums run once per class, not once per
+    eigenvalue or block:
+    - np.exp runs once per distinct eigenvalue, and once per +-x pair of them, the
+      -x column being the conjugate of the x one (``phase_columns``);
+    - blocks whose V_b agree up to an overall sign and read the same phase
+      columns share one U_b einsum and its conjugate (``shared_blocks``): IEEE
+      negation is exact and (-a) p (-b)* = a p b*, so their terms differ at most
+      in the sign of a zero, which the sum from +0 above does not show.
+    The qutrit partial SWAP's blocks [1, 2, 2, 1, 2, 1] take 2 U_b einsums (not 6)
+    on 1 np.exp column (not 2); resonant qubits' [1, 2, 1] take 2 einsums (not 3)
+    on 2 columns (not 3) at a = 0, and non-resonant ones' [1, 1, 1, 1] 2 (not 4).
     """
 
     def __init__(self, rho: DensityMatrix, h_int):
@@ -177,9 +219,8 @@ class EvolutionPlan:
         v, d = UnitaryOp(v).matrix, len(v)
         member, blocks = eigenvector_blocks(v)
         self.rows = rows = [r for r, _ in blocks]
-        self.distinct, index = distinct_eigenvalues(self.w)
-        # v[r][:, c] from one gather, and F-ordered as it is.
-        self.blocks = [(index[c], v.T[c[:, None], r].T) for r, c in blocks]
+        self.exponents, self.mirrors, self.column = phase_columns(self.w)
+        self.classes, self.shared = shared_blocks(v, blocks, self.column)
         # Per block pair (b, c): whether rho[b, c] has a nonzero entry, and whether one of
         # its entries (a b, a2 b2) lies off rho_A's diagonal (a != a2, b == b2) or rho_B's.
         i_a, i_b = np.divmod(np.arange(d), rho.dims[-1])
@@ -189,30 +230,38 @@ class EvolutionPlan:
         self.pairs = [(b, c, rho.matrix[rows[b][:, None], rows[c]]) for b, c in pairs]
         self.diagonal = len(rho.dims) == 2 and not (live & reaches_off).any()
 
-    def _unitaries(self, ts) -> list[np.ndarray]:
-        """U_b(t) of every block at every t of ts, (N, m, m) each, the grid axis fastest, then i."""
-        phases = np.exp(-1j * np.multiply.outer(ts, self.distinct))  # (N, distinct eigenvalues)
-        return [
+    def _phases(self, ts) -> np.ndarray:
+        """The ``phase_columns`` table at every t of ts, (N, columns); w's column is ``column``."""
+        e = np.exp(-1j * np.multiply.outer(ts, self.exponents))
+        return np.concatenate([e, e[:, self.mirrors].conj()], axis=1) if self.mirrors else e
+
+    def _unitaries(self, ts) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(U, U*): U_b(t) of each class of ``shared_blocks`` at every t of ts, and its
+        conjugate, (N, m, m) each, the grid axis fastest, then i. Block b reads class
+        ``shared[b]``: one einsum per class, on one ``_phases`` table."""
+        phases = self._phases(ts)
+        u = [
             np.einsum("ij,nj,kj->kin", v, phases[:, index], v.conj(), order="C").transpose(2, 1, 0)
-            for index, v in self.blocks
+            for index, v in self.classes
         ]
+        return u, [u_b.conj() for u_b in u]
 
     def evolve(self, ts) -> np.ndarray:
         """rho(t) at every t of ts, as an (N, d, d) array."""
-        u, d = self._unitaries(ts), len(self.w)
+        (u, u_conj), k, d = self._unitaries(ts), self.shared, len(self.w)
         out = np.zeros((len(u[0]), d, d), dtype=complex)
         for b, c, rho_bc in self.pairs:
-            rho_t = np.einsum("nij,jk,nlk->nil", u[b], rho_bc, u[c].conj())
+            rho_t = np.einsum("nij,jk,nlk->nil", u[k[b]], rho_bc, u_conj[k[c]])
             out[:, self.rows[b][:, None], self.rows[c]] = rho_t
         return out
 
     def populations(self, ts) -> np.ndarray:
         """The real diagonal of ``evolve(ts)``, bit for bit, as (N, d)."""
-        u = self._unitaries(ts)
+        (u, u_conj), k = self._unitaries(ts), self.shared
         out = np.zeros((len(u[0]), len(self.w)))
         for b, c, rho_bb in self.pairs:
             if b == c:
-                out[:, self.rows[b]] = np.einsum("nij,jk,nik->ni", u[b], rho_bb, u[b].conj()).real
+                out[:, self.rows[b]] = np.einsum("nij,jk,nik->ni", u[k[b]], rho_bb, u_conj[k[b]]).real
         return out
 
 

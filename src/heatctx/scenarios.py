@@ -526,15 +526,15 @@ def check_time(field: str, rate: float, t: float) -> None:
         raise ConfigError(f"{field} = {t:g} is too large: its phases under H_I overflow")
 
 
-def check_phase_digits(rate: float, t: float, t_max: float) -> None:
-    """ConfigError where one ulp of the phase 2 rate t at grid time t exceeds
-    ``CROSS_CHECK_TOL``, with H_I's ``rate_bound``: there the closed form and the
-    evolution are each rounding noise, and the grid ending at t_max, not the
+def check_phase_digits(field: str, value: float, rate: float, t: float) -> None:
+    """ConfigError naming ``field`` = ``value`` where one ulp of the phase 2 rate t at
+    time t exceeds ``CROSS_CHECK_TOL``, with H_I's ``rate_bound``: there the closed
+    form and the evolution are each rounding noise, and the time asked for, not the
     program, is at fault."""
     ulp = math.ulp(2 * rate * t)
     if ulp > CROSS_CHECK_TOL:
         raise ConfigError(
-            f"time_grid.t_max = {t_max:g} is too large: at t={t:g} one ulp of the "
+            f"{field} = {value:g} is too large: at t={t:g} one ulp of the "
             f"phase under H_I is {ulp:.3g} rad, more than {CROSS_CHECK_TOL:g}"
         )
 
@@ -661,7 +661,7 @@ def _check_against_trace(
     bad = np.flatnonzero(~(deviation <= allowed))  # NaN fails too
     if bad.size:
         i = bad[np.argmax(deviation[bad] / allowed[bad])]
-        check_phase_digits(engine.rate, ts[i], ts[-1])
+        check_phase_digits("time_grid.t_max", ts[-1], engine.rate, ts[i])
         raise NumericsError(
             f"closed-form heat deviates from trace formula at t={ts[i]:g}: "
             f"{heat[i]:.17g} vs {q_ref[i]:.17g}"

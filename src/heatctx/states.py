@@ -285,11 +285,22 @@ def _summed_in_order(p: np.ndarray) -> np.ndarray:
 def spectral_entropies(w: np.ndarray) -> np.ndarray:
     """-sum w ln w in nats along the last axis of ascending spectra, 0 ln 0 := 0.
 
-    Eigenvalues below 0 (round-off) are clipped to 0; a NaN eigenvalue gives a NaN.
+    Eigenvalues below 0 (round-off) count as 0; a NaN eigenvalue gives a NaN.
+    One np.log on the same values as ever, and few passes around it: each term
+    is -(w ln w'), w' = w where w > 0 and 1 elsewhere, so +0 where w <= 0.
+    numpy's sum adds rows of fewer than 8 terms in sequence from +0, and
+    x + -(y) is x - y exactly: such rows, two-level ones in one pass, are
+    taken as 0 - a_0 - a_1 - ..., with the bits of that sum and no negated
+    copy. Wider rows, which numpy sums pairwise, take the sum itself.
     """
-    w = np.maximum(w, 0.0)
-    terms = np.where(w == 0, 0.0, -w * np.log(np.where(w > 0, w, 1.0)))
-    return terms.sum(axis=-1)
+    terms = np.log(np.where(w > 0, w, 1.0))
+    terms *= w
+    if not 0 < terms.shape[-1] < 8:
+        return np.subtract(0.0, terms, out=terms).sum(axis=-1)
+    total = 0.0 - terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        total -= terms[..., k]
+    return total
 
 
 def bipartite_marginals(rhos: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:

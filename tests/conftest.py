@@ -107,6 +107,13 @@ def reference_evolve_on_grid(rho, h_int, ts):
     return np.einsum("nij,jk,nlk->nil", u, rho.matrix, u.conj())
 
 
+def reference_spectral_entropies(w):
+    """Reference: ``states.spectral_entropies`` as written before its passes were thinned."""
+    w = np.maximum(w, 0.0)
+    terms = np.where(w == 0, 0.0, -w * np.log(np.where(w > 0, w, 1.0)))
+    return terms.sum(axis=-1)
+
+
 def reference_delta_mutual_info(rho, h_int, ts):
     """Reference: the sweep's I(t) - I(0) as written inline before the shared kernels."""
     d_a, d_b = rho.dims

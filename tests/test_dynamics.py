@@ -14,7 +14,7 @@ from heatctx import (
     zeeman_hamiltonian,
 )
 
-from heatctx.dynamics import distinct_eigenvalues
+from heatctx.dynamics import phase_columns
 
 from conftest import check_energy_conservation, gibbs_state, random_density
 
@@ -151,11 +151,15 @@ class TestResonantFactors:
             assert np.max(np.abs(u1.matrix @ u2.matrix - u2.matrix @ u1.matrix)) < 1e-12
 
 
-def test_distinct_eigenvalues_merge_runs_of_equal_bits():
+def test_phase_columns_merge_equal_bits_and_mirror_pairs():
     # -0.0 == 0.0, but their phases e^{-i t w} differ in the sign of a zero
-    # imaginary part, so they stay apart; so does an equal value out of its run.
-    w = np.array([-1.0, -1.0, -0.0, 0.0, 0.0, 0.5, np.nextafter(0.5, 1), 0.5, 2.0])
-    distinct, index = distinct_eigenvalues(w)
-    assert distinct.view(np.uint64).tolist() == w[[0, 2, 3, 5, 6, 7, 8]].view(np.uint64).tolist()
-    assert index.tolist() == [0, 0, 1, 2, 2, 3, 4, 5, 6]
-    assert np.array_equal(distinct[index].view(np.uint64), w.view(np.uint64))
+    # imaginary part, so they stay apart; equal bits share a column, in or out of
+    # their run. -1.0 has the partner 1.0, so its column is the conjugate of 1.0's;
+    # -2.0 has none, and zeros are never mirrored.
+    w = np.array([-2.0, -1.0, -1.0, -0.0, 0.0, 0.0, 0.5, np.nextafter(0.5, 1), 0.5, 1.0])
+    exponents, mirrors, column = phase_columns(w)
+    assert exponents.view(np.uint64).tolist() == w[[0, 3, 4, 6, 7, 9]].view(np.uint64).tolist()
+    assert mirrors == [5]
+    assert column == [0, 6, 6, 1, 2, 2, 3, 4, 3, 5]
+    table = np.concatenate([exponents, -exponents[mirrors]])  # the exponent each column takes
+    assert np.array_equal(table[column].view(np.uint64), w.view(np.uint64))

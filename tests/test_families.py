@@ -6,6 +6,7 @@ test here then covers it.
 
 import json
 import math
+import warnings
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
@@ -32,14 +33,14 @@ from heatctx import (
     qutrit_heat_coefficients,
     run_sweep,
 )
-from heatctx.cli import main
+from heatctx.cli import BUILTINS, main
 from heatctx.dynamics import (
     EvolutionPlan,
     eigenvector_blocks,
     evolve_on_grid,
 )
 from heatctx.linalg import HermitianOp, eig_hermitian
-from heatctx.scenarios import FACTORS, FAMILIES, SWEEP_BLOCK, _blocks, _ScenarioEngine
+from heatctx.scenarios import FACTORS, FAMILIES, SWEEP_BLOCK, _blocks, _ScenarioEngine, rate_bound
 from conftest import (
     check_energy_conservation,
     count_calls,
@@ -456,10 +457,11 @@ def test_qutrit_heat_coefficients_are_computed_once_per_engine(command, tmp_path
 
 
 class CountingNumpy:
-    """numpy, with the number of elements each np.exp call receives recorded in ``exp_sizes``."""
+    """numpy, with the number of elements each np.exp call receives recorded in
+    ``exp_sizes`` and the subscripts of each np.einsum call in ``einsums``."""
 
     def __init__(self):
-        self.exp_sizes = []
+        self.exp_sizes, self.einsums = [], []
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -468,17 +470,121 @@ class CountingNumpy:
         self.exp_sizes.append(np.size(x))
         return np.exp(x, *args, **kwargs)
 
+    def einsum(self, subscripts, *operands, **kwargs):
+        self.einsums.append(subscripts)
+        return np.einsum(subscripts, *operands, **kwargs)
 
-def test_the_phases_follow_the_distinct_eigenvalues(monkeypatch):
-    # g S has the eigenvalues -g (3 times) and g (6 times): the plan takes
-    # 2 phases per grid point, not 9.
-    engine = _ScenarioEngine(ScenarioConfig.from_dict(example_config("qutrit_partial_swap")))
-    n = 257
+
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize(
+    "config, unitaries, columns",
+    [
+        pytest.param(builtin_qutrit_demo, 2, 1, id="qutrit-demo"),
+        pytest.param(builtin_micadei, 2, 2, id="micadei"),
+        pytest.param(
+            lambda: ScenarioConfig.from_dict(example_config("two_qubit_nonresonant")), 2, 2,
+            id="two_qubit_nonresonant",
+        ),
+    ],
+)
+def test_a_plan_shares_its_unitaries_and_mirrors_its_phases(config, unitaries, columns, n, monkeypatch):
+    # qutrit-demo's g S has the eigenvalues -g (3 times) and g (6 times): one +-g pair,
+    # so np.exp takes 1 phase per grid point, not 2 (or 9 per eigenvalue). Its blocks
+    # [1, 2, 2, 1, 2, 1] fall into 2 classes whose eigen-columns agree up to a sign, so
+    # 2 U_b(t) einsums run, not 6. micadei's resonant H_I at a = 0 has the eigenvalues
+    # -g, 0, 0, g: 2 columns, not 3, and its blocks [1, 2, 1] take 2 einsums, not 3.
+    # The non-resonant g (|01><01| + |10><10|) has 0 and g, twice each, on 4 blocks of
+    # one row: 2 columns and 2 einsums, not 4.
+    engine = _ScenarioEngine(config())
     plan = EvolutionPlan(engine.rho, engine.h_int)
     counting = CountingNumpy()
     monkeypatch.setattr("heatctx.dynamics.np", counting)
     plan.populations(np.linspace(0.0, 6.0, n))
-    assert counting.exp_sizes == [2 * n]
+    assert counting.exp_sizes == [columns * n]
+    assert counting.einsums.count("ij,nj,kj->kin") == unitaries
+
+
+def assert_plan_keeps_the_bits(plan, w, v, rho, ts):
+    """The plan's mirrored phases and shared U_b(t) equal, bit for bit, np.exp of every
+    eigenvalue and each block's own einsum on them; its rho(t) and populations equal
+    the dense einsums' on the same (w, V)."""
+    phases = np.exp(-1j * np.multiply.outer(ts, w))
+    assert np.array_equal(bits(plan._phases(ts)[:, plan.column]), bits(phases))
+    u, u_conj = plan._unitaries(ts)
+    for b, (r, c) in enumerate(eigenvector_blocks(v)[1]):
+        v_b = v.T[c[:, None], r].T
+        own = np.einsum("ij,nj,kj->kin", v_b, phases[:, c], v_b.conj(), order="C").transpose(2, 1, 0)
+        assert np.array_equal(bits(u[plan.shared[b]]), bits(own)), b
+        assert np.array_equal(bits(u_conj[plan.shared[b]]), bits(own.conj())), b
+    dense = np.einsum("ij,nj,kj->nik", v, phases, v.conj())
+    expect = np.einsum("nij,jk,nlk->nil", dense, rho.matrix, dense.conj())
+    assert np.array_equal(bits(plan.evolve(ts)), bits(expect))
+    assert np.array_equal(bits(plan.populations(ts)), bits(np.diagonal(expect, axis1=1, axis2=2).real))
+
+
+# The grids and single times every plan is checked on: 2048 and 2049 points are
+# one SWEEP_BLOCK and one more; -0.0 and a negative time are clausius's too.
+PLAN_GRIDS = [1, 2, 7, 2048, 2049]
+PLAN_TIMES = [0.0, -0.0, -0.5]
+
+
+def plan_interactions():
+    """(id, H_I, dims) of every FAMILIES and FACTORS interaction at seeded g, a and
+    theta: a = 1 and a = -1 (a zero eigenvalue inside the hopping block), a = 0 at
+    theta = 0 (real V), and two random draws with complex V."""
+    rng = np.random.default_rng(31)
+    draws = [(1.0, 0.0), (-1.0, 1.1), (0.0, 0.0)]
+    draws += [(rng.uniform(-3, 3), rng.uniform(0, 2 * np.pi)) for _ in range(2)]
+    cases = []
+    for k, (a, theta) in enumerate(draws):
+        g = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
+        for name, family in FAMILIES.items():
+            dims = (3, 3) if name == "qutrit_partial_swap" else (2, 2)
+            cases.append((f"{name}-{k}", family.h_int(g, a, theta), dims, g))
+        for kind, factor in FACTORS.items():
+            for local_dim in (2, 3) if kind == "partial-swap" else (2,):
+                h = factor.generator(g, a, theta, local_dim)
+                cases.append((f"{kind}-{local_dim}-{k}", h, (local_dim, local_dim), g))
+    return cases
+
+
+@pytest.mark.parametrize("case", plan_interactions(), ids=lambda case: case[0])
+def test_plan_sharing_and_mirroring_keep_every_bit(case):
+    _, h, dims, g = case
+    rng = np.random.default_rng(len(h.matrix) + int(1e6 * g) % 1000)
+    rho = DensityMatrix(random_density(rng, dims[0] * dims[1]), dims)
+    plan = EvolutionPlan(rho, h)
+    w, v = eig_hermitian(h.matrix)
+    t_end = rng.uniform(0.5, 20.0) / g
+    for ts in [np.linspace(0.0, t_end, n) for n in PLAN_GRIDS] + [np.array([t]) for t in PLAN_TIMES]:
+        assert_plan_keeps_the_bits(plan, w, v, rho, ts)
+
+
+def test_plan_shares_sign_flipped_blocks_with_signed_zeros(monkeypatch):
+    # A constructed V, in the order of the ascending w = -g (4 times), 0 (2), g (4):
+    # blocks A, -A and A with the signs of its zero parts flipped share one U_b
+    # einsum; D, whose entries are complex, takes its own; the one-row blocks 1 - 0j
+    # and -1 + 0j share a third. Zeros of either sign also fill V between blocks.
+    g = 0.83
+    w = np.repeat([-g, 0.0, g], [4, 2, 4])
+    c, s = np.cos(0.4), np.sin(0.4)
+    a = np.array([[complex(c, 0.0), complex(s, -0.0)], [complex(-s, -0.0), complex(c, 0.0)]])
+    a_zeros = np.array([[complex(c, -0.0), complex(s, 0.0)], [complex(-s, 0.0), complex(c, -0.0)]])
+    d = np.array([[c, s * np.exp(0.7j)], [-s * np.exp(-0.7j), c]])
+    v = np.full((10, 10), complex(-0.0, 0.0))
+    v[::3, 1::2] = complex(0.0, -0.0)
+    for (r0, r1), (c0, c1), block in (
+        ((0, 1), (0, 6), a), ((2, 3), (1, 7), -a), ((4, 5), (2, 8), a_zeros), ((6, 7), (3, 9), d)
+    ):
+        v[np.ix_([r0, r1], [c0, c1])] = block
+    v[8, 4], v[9, 5] = complex(1.0, -0.0), complex(-1.0, 0.0)
+    monkeypatch.setattr("heatctx.dynamics.eig_hermitian", lambda h: (w, v))
+    rho = DensityMatrix(random_density(np.random.default_rng(5), 10), (2, 5))
+    plan = EvolutionPlan(rho, np.eye(10))
+    assert plan.shared == [0, 0, 0, 1, 2, 2]
+    assert plan.exponents.tolist() == [0.0, g] and plan.mirrors == [1]
+    for ts in [np.linspace(0.0, 9.0, n) for n in PLAN_GRIDS] + [np.array([t]) for t in PLAN_TIMES]:
+        assert_plan_keeps_the_bits(plan, w, v, rho, ts)
 
 
 # Two-qubit state edits and whether both marginals stay diagonal under the
@@ -834,6 +940,43 @@ def test_critical_time_refuses_t_max_where_one_ulp_of_the_phase_passes_the_toler
     cfg_path.write_text(json.dumps(raw))
     result = CliRunner().invoke(main, ["critical-time", "--config", str(cfg_path)])
     assert result.exit_code == code, result.output
+
+
+@pytest.mark.parametrize("scale, code", [(0.999, 0), (1.001, 2)])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["clausius", "--builtin", "qutrit-demo"],
+        ["clausius", "--builtin", "micadei"],
+        ["verify-decomposition", "--interaction", "partial-swap", "--local-dim", "3", "--minimal"],
+        ["verify-decomposition", "--interaction", "resonant-detuning", "--a", "0.3"],
+        ["choi", "--interaction", "resonant-exchange", "--theta", "0.3"],
+    ],
+    ids=lambda command: "-".join(command[:3]),
+)
+def test_single_time_commands_refuse_t_where_one_ulp_of_the_phase_passes_the_tolerance(
+    command, scale, code
+):
+    # critical-time's rule for t_max holds at --t: with the rate bound of H_I
+    # (clausius) or of the generator (the decomposition commands), one ulp of the
+    # phase 2 rate t first exceeds CROSS_CHECK_TOL = 1e-9 rad at 2 rate t = 2^23.
+    if command[0] == "clausius":
+        rate = _ScenarioEngine(BUILTINS[command[2]]()).rate
+    else:
+        options = dict(zip(command[1::2], command[2::2]))
+        h = FACTORS[options["--interaction"]].generator(
+            1.0, float(options.get("--a", 0.0)), float(options.get("--theta", 0.0)),
+            int(options.get("--local-dim", 2)),
+        )
+        rate = rate_bound(h)
+    t = scale * 2.0**23 / (2 * rate)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, [*command, "--t", repr(t)])
+    assert caught == []
+    assert result.exit_code == code, result.output
+    if code:
+        assert result.stderr.startswith(f"config error: --t = {t:g} is too large: at t={t:g} one ulp of the phase")
 
 
 def test_a_closed_form_off_the_trace_formula_is_a_numerics_error(tmp_path, monkeypatch):

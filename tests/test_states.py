@@ -32,6 +32,7 @@ from conftest import (
     random_two_qubit_params,
     random_two_qutrit_params,
     random_unitary,
+    reference_spectral_entropies,
 )
 
 
@@ -322,3 +323,23 @@ def test_population_entropies_match_entropies_of_the_marginals(dims):
     nan = edge_populations(d)[:1]
     nan[0, 0] = np.nan
     assert all(np.isnan(s).all() for s in population_entropies(nan, dims))
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_spectral_entropies_keep_the_bits_of_the_reference(k):
+    # Rows of fewer than 8 terms are summed in sequence, wider ones by numpy's sum:
+    # on spectra with exact zeros, round-off negatives and subnormals, every shape
+    # gives the reference's bits, -0.0 never among them; a NaN row stays NaN.
+    rng = np.random.default_rng(k)
+    w = rng.dirichlet(np.ones(k), size=400)
+    edits = rng.integers(0, 5, size=w.shape)
+    for code, value in enumerate([0.0, -0.0, -1e-17, 5e-324], start=1):
+        w[edits == code] = value
+    w = np.sort(w)
+    w[rng.integers(0, 400, 4), -1] = np.nan
+    for stack in (w, w.reshape(20, 20, k), w[0], w[:, ::-1], np.asfortranarray(w)):
+        got, expect = spectral_entropies(stack), reference_spectral_entropies(stack)
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(got), nan), stack.shape
+        assert np.array_equal(bits(np.where(nan, 0.0, got)), bits(np.where(nan, 0.0, expect)))
+        assert not np.signbit(np.where(nan, 0.0, got)).any()
