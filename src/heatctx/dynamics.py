@@ -203,8 +203,8 @@ class EvolutionPlan:
 
     Per grid, np.exp and the U_b einsums run once per class, not once per
     eigenvalue or block:
-    - np.exp runs once per distinct eigenvalue, and once per +-x pair of them, the
-      -x column being the conjugate of the x one (``phase_columns``);
+    - np.exp runs once per distinct eigenvalue, and only once per +-x pair of
+      them, the -x column being the conjugate of the x one (``phase_columns``);
     - blocks whose V_b agree up to an overall sign and read the same phase
       columns share one U_b einsum and its conjugate (``shared_blocks``): IEEE
       negation is exact and (-a) p (-b)* = a p b*, so their terms differ at most
