@@ -286,12 +286,12 @@ def spectral_entropies(w: np.ndarray) -> np.ndarray:
     """-sum w ln w in nats along the last axis of ascending spectra, 0 ln 0 := 0.
 
     Eigenvalues below 0 (round-off) count as 0; a NaN eigenvalue gives a NaN.
-    One np.log on the same values as ever, and few passes around it: each term
-    is -(w ln w'), w' = w where w > 0 and 1 elsewhere, so +0 where w <= 0.
-    numpy's sum adds rows of fewer than 8 terms in sequence from +0, and
-    x + -(y) is x - y exactly: such rows, two-level ones in one pass, are
-    taken as 0 - a_0 - a_1 - ..., with the bits of that sum and no negated
-    copy. Wider rows, which numpy sums pairwise, take the sum itself.
+    One np.log on the same values as ever, with few passes around it. With
+    a_k = w ln w' (w' = w where w > 0, else 1), each term is 0 - a_k, which is
+    +0 where w <= 0. numpy's sum adds rows of fewer than 8 terms in sequence
+    from +0, and x + (0 - y) is x - y exactly, so such rows are taken as
+    0 - a_0 - a_1 - ..., column by column, with that sum's bits and no negated
+    copy. Wider rows, which numpy sums pairwise, negate in place and take the sum.
     """
     terms = np.log(np.where(w > 0, w, 1.0))
     terms *= w
