@@ -542,10 +542,7 @@ def find_critical_times(ts: np.ndarray, heat_at: Callable, bounds_at: Callable, 
     def curves(t):  # heat, upper and lower on an array t, as rows
         return np.array([heat_at(t), *bounds_at(t)], dtype=float)
 
-    sides = [
-        lambda t: heat_at(t) - bounds_at(t)[0],  # f_upper > 0: violation
-        lambda t: bounds_at(t)[1] - heat_at(t),  # f_lower > 0: violation
-    ]
+    sides = [lambda t, i=i: _signed(curves(t))[i] for i in (0, 1)]  # f_upper, f_lower > 0: violation
     plan = spectral_plan(frequencies, ts)
     if plan:
         times = _spectral_crossings(ts, curves, *plan, sides)

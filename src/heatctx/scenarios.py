@@ -513,28 +513,23 @@ FAMILIES = {
 }
 
 
-def check_time(field: str, rate: float, t: float) -> None:
-    """ConfigError unless t is finite and the phase 2 rate t is a finite float.
+def check_time(field: str, t: float, rate: float) -> None:
+    """ConfigError naming ``field`` unless t is finite and one ulp of the phase
+    2 rate t is at most ``CROSS_CHECK_TOL``.
 
     ``rate`` is H_I's ``rate_bound``: its absolute row sums bound its
     eigenvalues, g and g |a - 1|; the closed forms take angles up to 2 g t,
-    the evolution w t.
+    the evolution w t. Past the tolerance each is rounding noise, and the
+    time asked for, not the program, is at fault; a phase that overflows has
+    an infinite ulp. A negative t is named by its magnitude.
     """
     if not math.isfinite(t):
         raise ConfigError(f"{field} must be finite, got {t}")
-    if not math.isfinite(2 * rate * t):
-        raise ConfigError(f"{field} = {t:g} is too large: its phases under H_I overflow")
-
-
-def check_phase_digits(field: str, value: float, rate: float, t: float) -> None:
-    """ConfigError naming ``field`` = ``value`` where one ulp of the phase 2 rate t at
-    time t exceeds ``CROSS_CHECK_TOL``, with H_I's ``rate_bound``: there the closed
-    form and the evolution are each rounding noise, and the time asked for, not the
-    program, is at fault."""
     ulp = math.ulp(2 * rate * t)
-    if ulp > CROSS_CHECK_TOL:
+    if not ulp <= CROSS_CHECK_TOL:  # NaN, from an infinite rate at t = 0, fails too
+        size, at = ("too large in magnitude", f"|t|={-t:g}") if t < 0 else ("too large", f"t={t:g}")
         raise ConfigError(
-            f"{field} = {value:g} is too large: at t={t:g} one ulp of the "
+            f"{field} = {t:g} is {size}: at {at} one ulp of the "
             f"phase under H_I is {ulp:.3g} rad, more than {CROSS_CHECK_TOL:g}"
         )
 
@@ -569,8 +564,14 @@ class _ScenarioEngine:
 
     @functools.cached_property
     def rate(self) -> float:
-        """H_I's ``rate_bound``, for ``check_time`` and ``check_phase_digits``."""
+        """H_I's ``rate_bound``, the rate ``check_time`` reads a time against."""
         return rate_bound(self.h_int)
+
+    def times(self) -> np.ndarray:
+        """The config's time grid, once ``time_grid.t_max`` passes ``check_time``."""
+        grid = self.config.time_grid
+        check_time("time_grid.t_max", grid.t_max, self.rate)
+        return grid.times()
 
     @functools.cached_property
     def half_gaps(self) -> list[float]:
@@ -654,14 +655,15 @@ def _blocks(n: int) -> Iterator[slice]:
 def _check_against_trace(
     engine: _ScenarioEngine, ts: np.ndarray, heat: np.ndarray, q_ref: np.ndarray
 ) -> None:
-    """NumericsError at the worst grid point where heat leaves the trace formula q_ref,
-    unless ``check_phase_digits`` puts the fault on the grid there."""
+    """NumericsError at the worst grid point where heat leaves the trace formula q_ref.
+
+    ``_ScenarioEngine.times`` has held every grid time to ``check_time``, so the
+    phases keep their digits there and a deviation is the program's fault."""
     deviation = np.abs(q_ref - heat)
     allowed = CROSS_CHECK_TOL * np.maximum(max(abs(engine.a_max), 1.0e-300), np.abs(q_ref))
     bad = np.flatnonzero(~(deviation <= allowed))  # NaN fails too
     if bad.size:
         i = bad[np.argmax(deviation[bad] / allowed[bad])]
-        check_phase_digits("time_grid.t_max", ts[-1], engine.rate, ts[i])
         raise NumericsError(
             f"closed-form heat deviates from trace formula at t={ts[i]:g}: "
             f"{heat[i]:.17g} vs {q_ref[i]:.17g}"
@@ -671,8 +673,7 @@ def _check_against_trace(
 def run_sweep(config: ScenarioConfig) -> SweepResult:
     """Evaluate the sweep as columns; deterministic given the config."""
     engine = _ScenarioEngine(config)
-    ts = config.time_grid.times()
-    check_time("time_grid.t_max", engine.rate, config.time_grid.t_max)
+    ts = engine.times()
     heat, (upper, lower) = engine.heat(ts), engine.bounds(ts)
     crossings = engine.crossings(ts)
 

@@ -907,42 +907,57 @@ def test_a_phase_xi_minus_theta_that_overflows_is_a_config_error(tmp_path):
 @pytest.mark.parametrize("t_min, t_max", [(0.0, 1e8), (0.0, 1e12), (1e300, 2e300)])
 def test_a_grid_beyond_double_precision_is_a_config_error(t_min, t_max, tmp_path):
     # Where one ulp of the phase 2 rate t of H_I exceeds CROSS_CHECK_TOL, the closed
-    # form and the evolution are each rounding noise, so the oracle's disagreement is
-    # the grid's fault, not the program's: exit 2, naming time_grid.t_max. The
-    # crossings there would be roots of rounding noise, so critical-time exits 2 too.
-    # Both apply one rule, scenarios.check_phase_digits, and say where it failed.
+    # form and the evolution are each rounding noise, and crossings found there would
+    # be roots of it: the grid is at fault, not the program. sweep and critical-time
+    # apply one rule, scenarios.check_time, at t_max: exit 2, naming time_grid.t_max.
     raw = example_config("two_qubit_resonant")
     raw["time_grid"] = {"t_min": t_min, "t_max": t_max, "n_points": 50}
     cfg_path = tmp_path / "bigt.json"
     cfg_path.write_text(json.dumps(raw))
     out_path = tmp_path / "o.csv"
-    refusal = f"config error: time_grid.t_max = {t_max:g} is too large: at t="
-    result = CliRunner().invoke(main, ["sweep", "--config", str(cfg_path), "--output", str(out_path)])
-    assert result.exit_code == 2, result.output
-    assert result.stderr.startswith(refusal), result.stderr
+    refusal = (
+        f"config error: time_grid.t_max = {t_max:g} is too large: "
+        f"at t={t_max:g} one ulp of the phase under H_I is "
+    )
+    for args in (["sweep", "--output", str(out_path)], ["critical-time"]):
+        result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(refusal), result.stderr
     assert not out_path.exists()
-    # critical-time runs no oracle, so it refuses such a t_max by the rule alone, at t_max.
-    result = CliRunner().invoke(main, ["critical-time", "--config", str(cfg_path)])
-    assert result.exit_code == 2, result.output
-    assert result.stderr.startswith(f"{refusal}{t_max:g} one ulp of the phase under H_I is "), result.stderr
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale, code", [(0.999, 0), (1.001, 2)])
-def test_critical_time_refuses_t_max_where_one_ulp_of_the_phase_passes_the_tolerance(
-    scale, code, tmp_path
+@pytest.mark.parametrize("source", ["micadei", "qutrit-demo", "two_qubit_resonant"])
+def test_sweep_and_critical_time_refuse_t_max_where_one_ulp_of_the_phase_passes_the_tolerance(
+    source, scale, code, tmp_path
 ):
     # One ulp of the phase 2 rate t_max first exceeds CROSS_CHECK_TOL = 1e-9 rad at
-    # 2 rate t_max = 2^23, where it becomes 2^-29; the sweep oracle's grids there agree.
-    raw = example_config("two_qubit_resonant")
-    rate = np.abs(_ScenarioEngine(ScenarioConfig.from_dict(raw)).h_int.matrix).sum(axis=1).max()
-    raw["time_grid"] = {"t_min": 0.0, "t_max": scale * 2.0**23 / (2 * rate), "n_points": 50}
-    cfg_path = tmp_path / "edge.json"
-    cfg_path.write_text(json.dumps(raw))
-    result = CliRunner().invoke(main, ["critical-time", "--config", str(cfg_path)])
-    assert result.exit_code == code, result.output
+    # 2 rate t_max = 2^23, where it becomes 2^-29. Both commands read their grid
+    # through one rule, so they give one verdict on it, and a refused sweep writes
+    # no file.
+    if source in BUILTINS:
+        config, args = BUILTINS[source](), ["--builtin", source]
+    else:
+        cfg_path = tmp_path / "example.json"
+        cfg_path.write_text(json.dumps(example_config(source)))
+        config, args = ScenarioConfig.from_dict(example_config(source)), ["--config", str(cfg_path)]
+    t_max = scale * 2.0**23 / (2 * _ScenarioEngine(config).rate)
+    args += ["--t-max", repr(t_max), "--n-points", "50"]
+    out_path = tmp_path / "o.csv"
+    sweep = CliRunner().invoke(main, ["sweep", *args, "--output", str(out_path)])
+    critical = CliRunner().invoke(main, ["critical-time", *args])
+    assert sweep.exit_code == critical.exit_code == code, (sweep.output, critical.output)
+    assert out_path.exists() == (code == 0)
+    if code:
+        first = sweep.stderr.splitlines()[0]
+        assert first == critical.stderr.splitlines()[0], (first, critical.stderr)
+        assert first.startswith(
+            f"config error: time_grid.t_max = {t_max:g} is too large: at t={t_max:g} one ulp of the phase"
+        ), first
 
 
-@pytest.mark.parametrize("scale, code", [(0.999, 0), (1.001, 2)])
+@pytest.mark.parametrize("scale, code", [(0.999, 0), (1.001, 2), (-0.999, 0), (-1.001, 2)])
 @pytest.mark.parametrize(
     "command",
     [
@@ -957,9 +972,10 @@ def test_critical_time_refuses_t_max_where_one_ulp_of_the_phase_passes_the_toler
 def test_single_time_commands_refuse_t_where_one_ulp_of_the_phase_passes_the_tolerance(
     command, scale, code
 ):
-    # critical-time's rule for t_max holds at --t: with the rate bound of H_I
-    # (clausius) or of the generator (the decomposition commands), one ulp of the
-    # phase 2 rate t first exceeds CROSS_CHECK_TOL = 1e-9 rad at 2 rate t = 2^23.
+    # The grid's rule for t_max holds at --t: with the rate bound of H_I (clausius)
+    # or of the generator (the decomposition commands), one ulp of the phase
+    # 2 rate t first exceeds CROSS_CHECK_TOL = 1e-9 rad at 2 rate |t| = 2^23. A
+    # negative t is refused by its magnitude.
     if command[0] == "clausius":
         rate = _ScenarioEngine(BUILTINS[command[2]]()).rate
     else:
@@ -976,7 +992,11 @@ def test_single_time_commands_refuse_t_where_one_ulp_of_the_phase_passes_the_tol
     assert caught == []
     assert result.exit_code == code, result.output
     if code:
-        assert result.stderr.startswith(f"config error: --t = {t:g} is too large: at t={t:g} one ulp of the phase")
+        if t > 0:
+            want = f"config error: --t = {t:g} is too large: at t={t:g}"
+        else:
+            want = f"config error: --t = {t:g} is too large in magnitude: at |t|={abs(t):g}"
+        assert result.stderr.startswith(f"{want} one ulp of the phase"), result.stderr
 
 
 def test_a_closed_form_off_the_trace_formula_is_a_numerics_error(tmp_path, monkeypatch):

@@ -931,7 +931,8 @@ class TestCli:
     )
     def test_overflowing_phases_exit_2(self, command, t, field, tmp_path, monkeypatch):
         # micadei's g is 675.76: 2 g t overflows a float from t = 1.33e305 on, and
-        # the heat, the bounds and U(t) would be NaN. Just below, all is finite.
+        # the heat, the bounds and U(t) would be NaN. Just below, all is finite, but
+        # one ulp of the phase is far past CROSS_CHECK_TOL: every command refuses both.
         monkeypatch.chdir(tmp_path)
         runs = {}
         for value in ("1e306", "1.3e305"):
@@ -942,13 +943,8 @@ class TestCli:
         over, under = runs["1e306"], runs["1.3e305"]
         assert over.exit_code == 2 and isinstance(over.exception, SystemExit), over.output
         assert f"config error: {field} = 1e+306 is too large" in over.output
-        if command[0] == "sweep":
-            assert under.exit_code == 0, under.output
-        else:
-            # Finite, but one ulp of the phase is far past CROSS_CHECK_TOL there; the
-            # sweep's oracle applies the same rule only where heat leaves the trace formula.
-            assert under.exit_code == 2 and isinstance(under.exception, SystemExit), under.output
-            assert f"config error: {field} = 1.3e+305 is too large: at t=1.3e+305 one ulp of the phase under H_I" in under.output
+        assert under.exit_code == 2 and isinstance(under.exception, SystemExit), under.output
+        assert f"config error: {field} = 1.3e+305 is too large: at t=1.3e+305 one ulp of the phase under H_I" in under.output
 
     @pytest.mark.parametrize(
         "command",
@@ -969,10 +965,10 @@ class TestCli:
 
     @pytest.mark.parametrize("a,p_d", [("1.0001", None), ("1", "0")])
     def test_detuning_pd_takes_the_gap_times_half_t(self, a, p_d):
-        # The generator's rate g |a - 1| passes the time rule at t = 1e308, where
+        # The time rule reads the generator's rate g |a - 1| at t = 1e308, where
         # g t alone overflows. At a = 1 the rate is 0 and p_d is exactly 0; at
         # a = 1.0001 the p_d angle ((a - 1) g)(t / 2) is finite but has lost every
-        # digit, so the phase rule refuses it.
+        # digit, so the rule refuses it.
         args = ["--interaction", "resonant-detuning", "--a", a, "--g", "10", "--t", "1e308"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
